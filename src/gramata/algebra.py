@@ -300,15 +300,19 @@ _DET_FROM_TOKEN = {v: k for k, v in _DET_TOKENS.items()}
 
 class Group:
     """Common interface of all register groups. Instances are immutable and
-    hashable; elements are plain values owned by the group."""
+    hashable; elements are plain values owned by the group. The operations
+    assume elements that passed check(), which runs where elements enter the
+    program (parsing, validate, the builders, wp_oracle, generator lists)."""
 
     def identity(self):
         raise NotImplementedError
 
     def mul(self, g, h):
+        """The product g*h of two checked elements."""
         raise NotImplementedError
 
     def inverse(self, g):
+        """The inverse of a checked element."""
         raise NotImplementedError
 
     def is_identity(self, g):
@@ -341,23 +345,17 @@ class FreeGroup(Group):
         return Word()
 
     def mul(self, g, h):
-        self._typecheck(g)
-        self._typecheck(h)
         return g * h
 
     def inverse(self, g):
-        self._typecheck(g)
         return g.inverse()
 
     def is_identity(self, g):
         return not g.letters
 
-    def _typecheck(self, g):
+    def check(self, g):
         if not isinstance(g, Word):
             raise ElementGroupMismatch(f"expected a free-group word, got {g!r}")
-
-    def check(self, g):
-        self._typecheck(g)
         if any(i >= self.rank or i < 0 for i, _ in g.letters):
             raise ElementGroupMismatch(f"generator index outside rank {self.rank}")
 
@@ -379,12 +377,9 @@ class FreeAbelian(Group):
         return (0,) * self.k
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
         return tuple(a + b for a, b in zip(g, h))
 
     def inverse(self, g):
-        self.check(g)
         return tuple(-a for a in g)
 
     def is_identity(self, g):
@@ -417,12 +412,9 @@ class PositiveRationals(Group):
         return Fraction(1)
 
     def mul(self, g, h):
-        self.check(g)
-        self.check(h)
         return g * h
 
     def inverse(self, g):
-        self.check(g)
         return 1 / g
 
     def is_identity(self, g):
@@ -456,23 +448,17 @@ class MatrixGroup(Group):
         return Matrix.identity(self.dim)
 
     def mul(self, g, h):
-        self._typecheck(g)
-        self._typecheck(h)
         return g * h
 
     def inverse(self, g):
-        self._typecheck(g)
         return g.inverse()
 
     def is_identity(self, g):
         return g.is_identity()
 
-    def _typecheck(self, g):
+    def check(self, g):
         if not isinstance(g, Matrix) or g.dim != self.dim:
             raise ElementGroupMismatch(f"expected a {self.dim}x{self.dim} matrix, got {g!r}")
-
-    def check(self, g):
-        self._typecheck(g)
         if self.field == "Z" and any(x.denominator != 1 for row in g.rows for x in row):
             raise ElementGroupMismatch("integer matrix required")
         d = g.det()
@@ -515,23 +501,17 @@ class HeisenbergGroup(Group):
         return HEIS_IDENTITY
 
     def mul(self, g, h):
-        self._typecheck(g)
-        self._typecheck(h)
         return heis_mul(g, h)
 
     def inverse(self, g):
-        self._typecheck(g)
         return heis_inverse(g)
 
     def is_identity(self, g):
         return g.x == 0 and g.y == 0 and g.z == 0
 
-    def _typecheck(self, g):
+    def check(self, g):
         if not isinstance(g, Heis):
             raise ElementGroupMismatch(f"expected a Heisenberg triple, got {g!r}")
-
-    def check(self, g):
-        self._typecheck(g)
 
     def format_element(self, g):
         return format_heis(g)
@@ -552,23 +532,17 @@ class DirectProduct(Group):
         return (self.left.identity(), self.right.identity())
 
     def mul(self, g, h):
-        self._typecheck(g)
-        self._typecheck(h)
         return (self.left.mul(g[0], h[0]), self.right.mul(g[1], h[1]))
 
     def inverse(self, g):
-        self._typecheck(g)
         return (self.left.inverse(g[0]), self.right.inverse(g[1]))
 
     def is_identity(self, g):
         return self.left.is_identity(g[0]) and self.right.is_identity(g[1])
 
-    def _typecheck(self, g):
+    def check(self, g):
         if not (isinstance(g, tuple) and len(g) == 2):
             raise ElementGroupMismatch(f"expected a pair, got {g!r}")
-
-    def check(self, g):
-        self._typecheck(g)
         self.left.check(g[0])
         self.right.check(g[1])
 
@@ -577,24 +551,29 @@ class DirectProduct(Group):
 
     def parse_element(self, text):
         text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
+        halves = _split_outside_parens(text[1:-1], "|") if text.startswith("(") and text.endswith(")") else None
+        if halves is None:
             raise GramataError(f"bad pair literal: {text!r}")
-        body = text[1:-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "|" and depth == 0:
-                return (self.left.parse_element(body[:i]), self.right.parse_element(body[i + 1 :]))
-        raise GramataError(f"bad pair literal: {text!r}")
+        return (self.left.parse_element(halves[0]), self.right.parse_element(halves[1]))
 
     def spec_text(self):
         return f"direct-product ({self.left.spec_text()}) ({self.right.spec_text()})"
 
 
 # --- group spec grammars ----------------------------------------------------
+
+
+def _split_outside_parens(text, sep):
+    """text split in two at the first sep outside parentheses, or None."""
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            return text[:i], text[i + 1 :]
+    return None
 
 
 def parse_group_spec(text):
@@ -655,9 +634,11 @@ def _parse_paren_spec(text):
 
 
 def _positive_int(tokens, i):
-    if len(tokens) <= i or not tokens[i].isdigit() or int(tokens[i]) < 1:
-        raise GramataError(f"expected positive integer in group spec: {' '.join(tokens)!r}")
-    return int(tokens[i])
+    """tokens[i] as a positive integer; shared by the file and command-line grammars."""
+    token = tokens[i] if i < len(tokens) else ""
+    if not token.isdecimal() or int(token) < 1:
+        raise GramataError(f"expected a positive integer in group spec, got {token!r}")
+    return int(token)
 
 
 _COMPACT_DET = {"det1": DET_ONE, "detpm1": DET_PM1, "detany": DET_ANY}
@@ -668,22 +649,16 @@ def parse_group_compact(text):
     matq:2:det1, matz:2:detpm1, heis, prod(a,b)."""
     text = text.strip()
     if text.startswith("prod(") and text.endswith(")"):
-        body = text[5:-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return DirectProduct(parse_group_compact(body[:i]), parse_group_compact(body[i + 1 :]))
-        raise GramataError(f"bad product spec {text!r}")
+        halves = _split_outside_parens(text[5:-1], ",")
+        if halves is None:
+            raise GramataError(f"bad product spec {text!r}")
+        return DirectProduct(parse_group_compact(halves[0]), parse_group_compact(halves[1]))
     parts = text.split(":")
     kind = parts[0]
     if kind == "free" and len(parts) == 2:
-        return FreeGroup(int(parts[1]))
+        return FreeGroup(_positive_int(parts, 1))
     if kind == "zk" and len(parts) == 2:
-        return FreeAbelian(int(parts[1]))
+        return FreeAbelian(_positive_int(parts, 1))
     if kind == "qplus" and len(parts) == 1:
         return PositiveRationals()
     if kind == "heis" and len(parts) == 1:
@@ -694,7 +669,7 @@ def parse_group_compact(text):
             if parts[2] not in _COMPACT_DET:
                 raise GramataError(f"bad determinant constraint {parts[2]!r}")
             det = _COMPACT_DET[parts[2]]
-        return MatrixGroup(int(parts[1]), "Q" if kind == "matq" else "Z", det)
+        return MatrixGroup(_positive_int(parts, 1), "Q" if kind == "matq" else "Z", det)
     raise GramataError(f"bad group spec {text!r}")
 
 

@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import algebra
 from .constructions import standard_generators, wp_oracle
-from .errors import GramataError, InstanceTooLarge, MemoryGuard
-from .simulate import DEFAULT_MEM_GUARD, all_words, default_policy, reachable_register_count
-
-
-def _mem_guard():
-    value = os.environ.get("GRAMATA_MEM_GUARD")
-    return int(value) if value else DEFAULT_MEM_GUARD
+from .errors import GramataError, InstanceTooLarge
+from .simulate import all_words, bfs_layers, default_policy, reachable_register_count
 
 
 @dataclass(frozen=True)
@@ -58,24 +52,11 @@ def _symmetric_gens(group, gens):
 
 
 def growth(group, gens, radius):
-    """Exact ball cardinalities on the Cayley graph, radii 0..radius."""
+    """Exact ball cardinalities on the Cayley graph, radii 0..radius. Only
+    the elements are stored, no word or parent per element."""
     sym_gens = [elem for _, elem in _symmetric_gens(group, gens)]
-    guard = _mem_guard()
-    seen = {group.identity()}
-    frontier = [group.identity()]
-    counts = [1]
-    for _ in range(radius):
-        nxt = []
-        for g in frontier:
-            for s in sym_gens:
-                h = group.mul(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        if len(seen) > guard:
-            raise MemoryGuard(f"ball exceeded {guard} elements")
-        counts.append(len(seen))
-        frontier = nxt
+    mul = group.mul
+    _, counts = bfs_layers(group.identity(), lambda g, _: [(mul(g, s), None) for s in sym_gens], radius)
     return GrowthTable(tuple(counts))
 
 
@@ -83,21 +64,12 @@ def ball_with_words(group, gens, radius):
     """Each ball element mapped to a shortest word (as a symbol tuple) over
     the named generators and their inverses."""
     sym_gens = _symmetric_gens(group, gens)
-    guard = _mem_guard()
-    words = {group.identity(): ()}
-    frontier = [group.identity()]
-    for _ in range(radius):
-        nxt = []
-        for g in frontier:
-            base = words[g]
-            for name, s in sym_gens:
-                h = group.mul(g, s)
-                if h not in words:
-                    words[h] = base + (name,)
-                    nxt.append(h)
-        if len(words) > guard:
-            raise MemoryGuard(f"ball exceeded {guard} elements")
-        frontier = nxt
+    mul = group.mul
+
+    def expand(g, word):
+        return [(mul(g, s), word + (name,)) for name, s in sym_gens]
+
+    words, _ = bfs_layers(group.identity(), expand, radius, ())
     return words
 
 

@@ -216,6 +216,17 @@ def _cmd_corpus(args):
     return 0
 
 
+def _int_at_least(low):
+    """The argparse type of an integer flag: below low is a usage error (exit 3)."""
+
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="gramata", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -223,14 +234,14 @@ def build_parser():
     def common(p, budget=True, workers=False):
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
         if budget:
-            p.add_argument("--budget", type=int, default=None, help="constant depth budget")
+            p.add_argument("--budget", type=_int_at_least(0), default=None, help="constant depth budget")
             p.add_argument(
                 "--budget-policy",
                 default="default",
                 help="'default' or a construction name with a shipped budget",
             )
         if workers:
-            p.add_argument("--workers", type=int, default=1, help="parallel word evaluation")
+            p.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel word evaluation")
 
     p = sub.add_parser("run", help="run a machine on one word")
     p.add_argument("file")
@@ -240,33 +251,33 @@ def build_parser():
 
     p = sub.add_parser("enum", help="enumerate accepted words")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_int_at_least(0), required=True)
     common(p, workers=True)
     p.set_defaults(fn=_cmd_enum)
 
     p = sub.add_parser("check", help="compare a machine against an oracle")
     p.add_argument("file")
     p.add_argument("--oracle", required=True, help=", ".join(constructions.oracle_names()))
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_int_at_least(0), required=True)
     common(p, workers=True)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("growth", help="Cayley-graph ball sizes")
     p.add_argument("--group", required=True, help="free:2, zk:3, qplus, matq:2:det1, heis, prod(...)")
     p.add_argument("--gens", default=None, help="name=element;name=element (default: standard set)")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_int_at_least(0), required=True)
     common(p, budget=False)
     p.set_defaults(fn=_cmd_growth)
 
     p = sub.add_parser("dissim", help="exact dissimilarity count of an oracle language")
     p.add_argument("--oracle", required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_int_at_least(0), required=True)
     common(p, budget=False)
     p.set_defaults(fn=_cmd_dissim)
 
     p = sub.add_parser("probe", help="configuration-count vs growth-demand table")
     p.add_argument("--experiment", required=True, help=", ".join(sorted(_PROBE_MACHINES)))
-    p.add_argument("--max-len", type=int, default=16)
+    p.add_argument("--max-len", type=_int_at_least(0), default=16)
     common(p, budget=False)
     p.set_defaults(fn=_cmd_probe)
 

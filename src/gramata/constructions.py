@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import algebra
@@ -34,7 +35,7 @@ from .algebra import (
     heis_inverse,
     qplus_embed,
 )
-from .errors import GramataError, NotPositive, UnknownOracle
+from .errors import GramataError, UnknownOracle
 from .model import EFA, Transition
 from .simulate import BudgetPolicy, default_policy
 
@@ -212,8 +213,7 @@ def transform_qplus_to_sl2q(efa):
     if not isinstance(efa.group, PositiveRationals):
         raise GramataError("transform expects a positive-rationals machine")
     for t in efa.transitions:
-        if not isinstance(t.register, Fraction) or t.register <= 0:
-            raise NotPositive(f"label {t.register!r} is not a positive rational")
+        efa.group.check(t.register)
     group = MatrixGroup(2, "Q", DET_ONE)
     ts = [Transition(t.source, t.symbol, t.target, qplus_embed(t.register)) for t in efa.transitions]
     return EFA(group, efa.states, efa.alphabet, ts, efa.initial, efa.accepting)
@@ -249,6 +249,7 @@ def wp_oracle(group, gens, name=None):
     """Membership predicate of the word problem: evaluate and test identity."""
     table = {}
     for gen_name, elem in gens:
+        group.check(elem)
         table[gen_name] = elem
         table[gen_name + "^-1"] = group.inverse(elem)
     alphabet = tuple(sorted(table))
@@ -389,16 +390,8 @@ class Construction:
     budget: Callable[[int], int]
 
 
-def _wp_z():
-    return build_word_problem_acceptor(FreeAbelian(1), standard_generators(FreeAbelian(1)))
-
-
-def _wp_f2():
-    return build_word_problem_acceptor(FreeGroup(2), standard_generators(FreeGroup(2)))
-
-
-def _wp_heis():
-    return build_word_problem_acceptor(HeisenbergGroup(), standard_generators(HeisenbergGroup()))
+def _word_problem_machine(group):
+    return build_word_problem_acceptor(group, standard_generators(group))
 
 
 def _build_qplus_eqcount_sl2q():
@@ -414,9 +407,9 @@ CONSTRUCTIONS = {
         Construction("composite", build_composite, "COMPOSITE", BudgetPolicy(2, 10)),
         Construction("multiple", build_multiple, "MULTIPLE", BudgetPolicy(3, 8)),
         Construction("anbncn", build_anbncn, "ANBNCN", BudgetPolicy(1, 6)),
-        Construction("wp-z", _wp_z, "WP:zk:1", BudgetPolicy(1, 2)),
-        Construction("wp-f2", _wp_f2, "WP:free:2", BudgetPolicy(1, 2)),
-        Construction("wp-heis", _wp_heis, "WP:heis", BudgetPolicy(1, 2)),
+        Construction("wp-z", partial(_word_problem_machine, FreeAbelian(1)), "WP:zk:1", BudgetPolicy(1, 2)),
+        Construction("wp-f2", partial(_word_problem_machine, FreeGroup(2)), "WP:free:2", BudgetPolicy(1, 2)),
+        Construction("wp-heis", partial(_word_problem_machine, HeisenbergGroup()), "WP:heis", BudgetPolicy(1, 2)),
         Construction("qplus-eqcount", build_qplus_eqcount, None, BudgetPolicy(1, 2)),
         Construction("qplus-eqcount-sl2q", _build_qplus_eqcount_sl2q, None, BudgetPolicy(1, 2)),
     ]
@@ -427,13 +420,6 @@ def construction_budget(name):
     if name in CONSTRUCTIONS:
         return CONSTRUCTIONS[name].budget
     return default_policy
-
-
-def construction_oracle(name):
-    spec = CONSTRUCTIONS.get(name)
-    if spec is None or spec.oracle_name is None:
-        return None
-    return oracle(spec.oracle_name)
 
 
 def emit_corpus(directory):

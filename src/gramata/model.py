@@ -10,6 +10,7 @@ round-trip byte-exactly after one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import algebra
@@ -64,6 +65,32 @@ class EFA:
         object.__setattr__(self, "transitions", tuple(sorted(transitions, key=key)))
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", frozenset(accepting))
+
+    # The transition tables are built once per machine, on first use, and
+    # travel with it when it is pickled to worker processes.
+
+    @cached_property
+    def moves(self):
+        """(state, symbol or None) -> the transitions applicable there:
+        epsilon moves first, then the symbol's moves, each in transition
+        order. None stands for the end of the input."""
+        own = {}
+        for t in self.transitions:
+            own.setdefault((t.source, t.symbol), []).append(t)
+        return {
+            (q, s): tuple(own.get((q, None), []) + (own.get((q, s), []) if s is not None else []))
+            for q in self.states
+            for s in (None,) + self.alphabet
+        }
+
+    @cached_property
+    def sources(self):
+        """(state, symbol or None) -> the states with a transition on that
+        symbol into the state: the backward table of the distance search."""
+        table = {}
+        for t in self.transitions:
+            table.setdefault((t.target, t.symbol), []).append(t.source)
+        return table
 
 
 def validate(efa):

@@ -35,8 +35,33 @@ DEFAULT_MEM_GUARD = 10**7
 
 
 def _mem_guard():
+    """The most elements one search may store: GRAMATA_MEM_GUARD, else 10^7."""
     value = os.environ.get("GRAMATA_MEM_GUARD")
     return int(value) if value else DEFAULT_MEM_GUARD
+
+
+def bfs_layers(root, expand, depth, data=None):
+    """Layered breadth-first search from root, at most depth layers deep.
+    expand(node, data) lists (child, child data) pairs; a child reached for
+    the first time is stored with its data, and the memory guard is checked
+    on every insert. Returns the stored nodes, node -> data, in order of
+    discovery, and the number stored after each layer (root's first)."""
+    guard = _mem_guard()
+    seen = {root: data}
+    layer = [root]
+    sizes = [1]
+    for _ in range(depth):
+        nxt = []
+        for node in layer:
+            for child, child_data in expand(node, seen[node]):
+                if child not in seen:
+                    seen[child] = child_data
+                    if len(seen) > guard:
+                        raise MemoryGuard(f"search stored more than {guard} elements")
+                    nxt.append(child)
+        sizes.append(len(seen))
+        layer = nxt
+    return seen, sizes
 
 
 def _ceil_log2(n):
@@ -120,10 +145,7 @@ def tokenize_word(text, alphabet):
         tokens = (text,)
     else:
         tokens = tuple(text)
-    for tok in tokens:
-        if tok not in alphabet:
-            raise UnknownSymbol(f"symbol {tok!r} not in alphabet")
-    return tokens
+    return _checked_word(tokens, alphabet)
 
 
 def format_word(word):
@@ -134,76 +156,61 @@ def format_word(word):
     return " ".join(word)
 
 
-def _submachine(efa):
-    """Transition tables: per-state epsilon list and per (state, symbol) list."""
-    eps = {q: tuple() for q in efa.states}
-    sym = {}
-    for t in efa.transitions:
-        if t.symbol is None:
-            eps[t.source] = eps[t.source] + (t,)
-        else:
-            sym.setdefault((t.source, t.symbol), []).append(t)
-    sym = {k: tuple(v) for k, v in sym.items()}
-    return eps, sym
+def _checked_word(word, alphabet):
+    """The word as a tuple, every symbol of it in the alphabet."""
+    word = tuple(word)
+    for symbol in word:
+        if symbol not in alphabet:
+            raise UnknownSymbol(f"symbol {symbol!r} not in alphabet")
+    return word
 
 
-def _distances_to_accept(efa, word, eps, sym):
+def _distances_to_accept(efa, word):
     """Register-ignoring distance from each (state, position) to acceptance,
-    via backward breadth-first search on the product graph."""
+    via backward breadth-first search over the machine's source table."""
+    sources = efa.sources
     n = len(word)
-    back = {(q, p): [] for q in efa.states for p in range(n + 1)}
-    for q in efa.states:
-        for p in range(n + 1):
-            for t in eps[q]:
-                back[(t.target, p)].append((q, p))
-            if p < n:
-                for t in sym.get((q, word[p]), ()):
-                    back[(t.target, p + 1)].append((q, p))
-    dist = {}
-    frontier = [(q, n) for q in efa.accepting]
-    for node in frontier:
-        dist[node] = 0
+    dist = {(q, n): 0 for q in efa.accepting}
+    frontier = list(dist)
     d = 0
     while frontier:
         d += 1
         nxt = []
-        for node in frontier:
-            for prev in back.get(node, ()):
-                if prev not in dist:
-                    dist[prev] = d
-                    nxt.append(prev)
+        for q, p in frontier:
+            prev = [(src, p) for src in sources.get((q, None), ())]
+            if p:
+                prev += [(src, p - 1) for src in sources.get((q, word[p - 1]), ())]
+            for node in prev:
+                if node not in dist:
+                    dist[node] = d
+                    nxt.append(node)
         frontier = nxt
     return dist
 
 
 def step(efa, config, word):
     """All one-transition successors of a configuration on the given word."""
-    eps, sym = _submachine(efa)
-    group = efa.group
-    out = set()
     q, pos, reg = config
-    for t in eps[q]:
-        out.add(Configuration(t.target, pos, group.mul(reg, t.register)))
-    if pos < len(word):
-        for t in sym.get((q, word[pos]), ()):
-            out.add(Configuration(t.target, pos + 1, group.mul(reg, t.register)))
-    return out
+    # a symbol outside the alphabet leaves only the epsilon moves
+    moves = efa.moves.get((q, word[pos] if pos < len(word) else None), efa.moves[(q, None)])
+    return {
+        Configuration(t.target, pos if t.symbol is None else pos + 1, efa.group.mul(reg, t.register))
+        for t in moves
+    }
 
 
 def accepts(efa, word, policy=default_policy, *, dedup=True):
     """Run the machine on a word under a depth budget."""
-    word = tuple(word)
-    alphabet = set(efa.alphabet)
-    for symb in word:
-        if symb not in alphabet:
-            raise UnknownSymbol(f"symbol {symb!r} not in alphabet")
+    word = _checked_word(word, efa.alphabet)
     budget = max(1, policy(len(word)))
-    eps, sym = _submachine(efa)
-    dist = _distances_to_accept(efa, word, eps, sym)
+    dist = _distances_to_accept(efa, word)
     d_min = dist.get((efa.initial, 0))
 
-    search = _search_bfs if dedup else _search_dfs
-    stats, certificate = search(efa, word, budget, eps, sym, dist)
+    if not word and efa.initial in efa.accepting:
+        stats, certificate = SearchStats(accept_depth=0), ()  # the empty path accepts
+    else:
+        search = _search_bfs if dedup else _search_dfs
+        stats, certificate = search(efa, word, budget, dist)
     if certificate is not None:
         _verify_certificate(efa, word, certificate)
         return RunResult(Verdict.ACCEPT, stats, certificate)
@@ -212,39 +219,21 @@ def accepts(efa, word, policy=default_policy, *, dedup=True):
     return RunResult(Verdict.REJECT, stats)
 
 
-def _move_table(word, eps, sym):
-    """Applicable transitions per (state, position), cached by the input
-    symbol under the cursor."""
-    n = len(word)
-    cache = {}
-
-    def moves_for(q, pos):
-        s = word[pos] if pos < n else None
-        key = (q, s)
-        got = cache.get(key)
-        if got is None:
-            got = eps[q] + (sym.get((q, s), ()) if s is not None else ())
-            cache[key] = got
-        return got
-
-    return moves_for
-
-
-def _search_bfs(efa, word, budget, eps, sym, dist):
+def _search_bfs(efa, word, budget, dist):
+    """Breadth-first search over (state, position, register) tuples that
+    stores each configuration once, with its parent link for the
+    certificate."""
     group = efa.group
     n = len(word)
     accepting = efa.accepting
     is_identity = group.is_identity
     mul = group.mul
+    moves = efa.moves
+    symbols = word + (None,)  # the symbol under the cursor, None at the end
     guard = _mem_guard()
-    moves_for = _move_table(word, eps, sym)
 
-    root = Configuration(efa.initial, 0, group.identity())
+    root = (efa.initial, 0, group.identity())
     stats = SearchStats()
-    if root.state in accepting and n == 0 and is_identity(root.register):
-        stats.accept_depth = 0
-        return stats, ()
-
     parents = {root: None}
     frontier = [root]
     depth = 0
@@ -254,29 +243,30 @@ def _search_bfs(efa, word, budget, eps, sym, dist):
         for config in frontier:
             stats.expanded += 1
             q, pos, reg = config
-            for t in moves_for(q, pos):
+            for t in moves[(q, symbols[pos])]:
                 npos = pos if t.symbol is None else pos + 1
                 remaining = dist.get((t.target, npos))
                 if remaining is None or depth + remaining > budget:
                     continue
-                child = Configuration(t.target, npos, mul(reg, t.register))
+                child_reg = mul(reg, t.register)
+                child = (t.target, npos, child_reg)
                 if child in parents:
                     continue
                 parents[child] = (config, t)
-                if t.target in accepting and npos == n and is_identity(child.register):
+                if t.target in accepting and npos == n and is_identity(child_reg):
                     stats.accept_depth = depth
                     stats.max_depth = depth
                     return stats, _unwind(parents, child)
+                if len(parents) > guard:
+                    raise MemoryGuard(f"search stored more than {guard} elements")
                 nxt.append(child)
-        if len(parents) > guard:
-            raise MemoryGuard(f"visited set exceeded {guard} configurations")
         if nxt:
             stats.max_depth = depth
         frontier = nxt
     return stats, None
 
 
-def _search_dfs(efa, word, budget, eps, sym, dist):
+def _search_dfs(efa, word, budget, dist):
     """The same bounded search without duplicate pruning (verdict oracle for
     the deduplication-soundness check). The tree can be millions of nodes,
     so the loop leans on locals and flat stack frames."""
@@ -286,16 +276,12 @@ def _search_dfs(efa, word, budget, eps, sym, dist):
     is_identity = group.is_identity
     mul = group.mul
     dist_get = dist.get
+    table = efa.moves
+    symbols = word + (None,)
 
     stats = SearchStats()
-    root_reg = group.identity()
-    if efa.initial in accepting and n == 0 and is_identity(root_reg):
-        stats.accept_depth = 0
-        return stats, ()
-
-    moves_for = _move_table(word, eps, sym)
     # frames: [position, register, moves, next-move index]
-    stack = [[0, root_reg, moves_for(efa.initial, 0), 0]]
+    stack = [[0, group.identity(), table[(efa.initial, symbols[0])], 0]]
     expanded = 0
     max_depth = 0
     while stack:
@@ -322,7 +308,7 @@ def _search_dfs(efa, word, budget, eps, sym, dist):
             stats.max_depth = max_depth
             stats.accept_depth = depth
             return stats, tuple(f[2][f[3] - 1] for f in stack)
-        stack.append([npos, reg, moves_for(t.target, npos), 0])
+        stack.append([npos, reg, table[(t.target, symbols[npos])], 0])
     stats.expanded = expanded
     stats.max_depth = max_depth
     return stats, None
@@ -375,8 +361,17 @@ def _verdict_chunk(args):
     return [(w, accepts(efa, w, policy).verdict) for w in words]
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _verdicts_for_words(efa, words, policy, workers=1):
-    if workers and workers > 1 and len(words) > 256:
+    # never more workers than usable CPUs, nor than chunks with a word in them
+    workers = min(workers or 1, _usable_cpus(), len(words))
+    if workers > 1 and len(words) > 256:
         chunks = [words[i::workers] for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_verdict_chunk, [(efa, chunk, policy) for chunk in chunks])
@@ -449,35 +444,19 @@ def reachable_register_count(efa, max_len, policy=default_policy):
     """Per length l <= max_len: the number of distinct (state, register)
     pairs reachable while consuming any input of length at most l, within
     the depth budget policy(l)."""
-    group = efa.group
-    eps, sym = _submachine(efa)
-    symbol_moves = {}
-    for (q, _), ts in sym.items():
-        symbol_moves.setdefault(q, tuple())
-        symbol_moves[q] = symbol_moves[q] + ts
-    guard = _mem_guard()
-    budget_cap = max(1, policy(max_len))
+    mul = efa.group.mul
+    outgoing = {}
+    for t in efa.transitions:
+        outgoing.setdefault(t.source, []).append(t)
 
-    root = (efa.initial, 0, group.identity())
-    visited = {root: 0}  # (state, symbols consumed, register) -> min depth
-    frontier = [root]
-    depth = 0
-    while frontier and depth < budget_cap:
-        depth += 1
-        nxt = []
-        for q, k, reg in frontier:
-            moves = eps[q]
-            if k < max_len:
-                moves = moves + symbol_moves.get(q, ())
-            for t in moves:
-                nk = k if t.symbol is None else k + 1
-                node = (t.target, nk, group.mul(reg, t.register))
-                if node not in visited:
-                    visited[node] = depth
-                    nxt.append(node)
-        if len(visited) > guard:
-            raise MemoryGuard(f"visited set exceeded {guard} configurations")
-        frontier = nxt
+    def expand(node, depth):
+        q, k, reg = node
+        moves = outgoing.get(q, ()) if k < max_len else efa.moves[(q, None)]
+        return [((t.target, k if t.symbol is None else k + 1, mul(reg, t.register)), depth + 1) for t in moves]
+
+    # (state, symbols consumed, register) -> min depth
+    root = (efa.initial, 0, efa.group.identity())
+    visited, _ = bfs_layers(root, expand, max(1, policy(max_len)), 0)
 
     counts = []
     for length in range(max_len + 1):

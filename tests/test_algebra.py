@@ -38,6 +38,7 @@ from gramata.algebra import (
 from gramata.errors import (
     DeterminantConstraint,
     ElementGroupMismatch,
+    GramataError,
     NotPositive,
     SingularMatrix,
     ZeroDenominator,
@@ -141,10 +142,36 @@ def test_is_identity():
 
 
 def test_element_group_mismatch():
+    # mul assumes checked elements; check rejects foreign ones
     with pytest.raises(ElementGroupMismatch):
-        HeisenbergGroup().mul(Heis(0, 0, 0), (0, 0, 0))
+        HeisenbergGroup().check((0, 0, 0))
     with pytest.raises(ElementGroupMismatch):
-        MatrixGroup(3, "Q").mul(Matrix.identity(3), Matrix.identity(2))
+        MatrixGroup(3, "Q").check(Matrix.identity(2))
+    with pytest.raises(ElementGroupMismatch):
+        FreeGroup(2).check((0, 1))
+    with pytest.raises(ElementGroupMismatch):
+        FreeAbelian(2).check((1, 2, 3))
+    with pytest.raises(ElementGroupMismatch):
+        DirectProduct(FreeGroup(2), FreeAbelian(1)).check((Word(), (0,), (0,)))
+    with pytest.raises(ElementGroupMismatch):
+        DirectProduct(FreeGroup(2), FreeAbelian(1)).check((Word(), Heis(0, 0, 0)))
+
+
+def test_element_group_mismatch_caught_at_the_boundary():
+    from gramata.analysis import growth
+    from gramata.constructions import build_word_problem_acceptor, wp_oracle
+    from gramata.model import EFA, Transition, validate
+
+    heis = HeisenbergGroup()
+    foreign = [("a", (0, 0, 1))]
+    with pytest.raises(ElementGroupMismatch):
+        wp_oracle(heis, foreign)
+    with pytest.raises(ElementGroupMismatch):
+        build_word_problem_acceptor(heis, foreign)
+    with pytest.raises(ElementGroupMismatch):
+        growth(MatrixGroup(3, "Q"), [Matrix.identity(2)], 1)
+    machine = EFA(heis, ["q"], ["a"], [Transition("q", "a", "q", (0, 0, 1))], "q", ["q"])
+    assert [d.code for d in validate(machine)] == ["element-group-mismatch"]
 
 
 def test_group_laws_random(rng):
@@ -350,3 +377,10 @@ def test_compact_group_grammar():
     ]:
         assert parse_group_compact(text) == spec
         assert parse_group_compact(compact_group_text(spec)) == spec
+
+
+@pytest.mark.parametrize("text", ["zk:-1", "free:0", "matq:0", "matq:-2:det1", "zk:abc", "free:", "matz:x:det1"])
+def test_compact_group_grammar_rejects_non_positive_sizes(text):
+    # the same positive-integer check as the file grammar
+    with pytest.raises(GramataError):
+        parse_group_compact(text)

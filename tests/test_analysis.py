@@ -224,3 +224,22 @@ def test_probe_heisenberg_crossing():
     assert report.crossing == 10
     before = [r for r in report.rows if r.n < 10]
     assert all(not r.exceeded for r in before)
+
+
+def test_growth_memory_guard_checked_on_insert(monkeypatch):
+    # every new product is stored, so the distinct products bound the ball
+    # held in memory when the guard fires: the limit plus one, plus at most
+    # the rest of one element's 8 products, which are computed together
+    produced = set()
+
+    class CountingFreeGroup(FreeGroup):
+        def mul(self, g, h):
+            product = super().mul(g, h)
+            produced.add(product)
+            return product
+
+    group = CountingFreeGroup(4)
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "1000")
+    with pytest.raises(MemoryGuard):
+        growth(group, gens_of(FreeGroup(4)), 4)  # the radius-4 ball has 3,201 elements
+    assert len(produced | {group.identity()}) <= 1001 + 7

@@ -134,3 +134,29 @@ def test_paper_requires_argument(capsys):
 def test_corpus_emit(tmp_path, capsys):
     assert main(["corpus", "--dir", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "upow.efa").exists()
+
+
+@pytest.mark.parametrize("spec", ["zk:-1", "free:0", "matq:0", "matq:-2:det1", "zk:abc"])
+def test_bad_compact_group_exit_code(spec, capsys):
+    assert main(["growth", "--group", spec, "--radius", "1"]) == 3
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth", "--group", "free:2", "--radius", "-1"],
+        ["enum", "corpus/upow.efa", "--max-len", "-3"],
+        ["run", "corpus/upow.efa", "aa", "--budget", "-5"],
+        ["check", "corpus/upow.efa", "--oracle", "UPOW", "--max-len", "-1"],
+        ["enum", "corpus/upow.efa", "--max-len", "3", "--workers", "0"],
+        ["check", "corpus/upow.efa", "--oracle", "UPOW", "--max-len", "3", "--workers", "-2"],
+        ["dissim", "--oracle", "UPOW", "--max-len", "-1"],
+        ["probe", "--experiment", "theorem-growth-probe-h", "--max-len", "-4"],
+        ["growth", "--group", "free:2", "--radius", "two"],
+    ],
+)
+def test_out_of_range_integer_flags_exit_3(argv, capsys):
+    # argument parsing fails before any machine file is read
+    assert main(argv) == 3
+    assert "argument" in capsys.readouterr().err

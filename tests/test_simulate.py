@@ -243,3 +243,69 @@ def test_budget_policies_monotone_and_positive():
         values = [policy(m) for m in range(0, 64)]
         assert all(v >= 1 for v in values)
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+# values recorded from the search before the transition tables were compiled
+# once per machine; they pin move order and stats in both search modes
+PINNED_SEARCHES = [
+    # (machine, word, verdict, (expanded, max_depth, accept_depth) with dedup, the same without, certificate)
+    ("upow", "aaaa", "Accept", (59, 10, 10), (90, 14, 10),
+     "q0 ~ q0; q0 ~ q0; q0 a q1; q1 a q1; q1 a q1; q1 a q1; q1 ~ q2; q2 ~ q2; q2 ~ q2; q2 ~ q3"),
+    ("upow", "aaa", "Reject", (77, 11, None), (83, 11, None), None),
+    ("mult", "xyyzz", "Accept", (17, 12, 12), (116, 23, 12),
+     "m0 x m0; m0 ~ m1; m1 y m1; m1 y m1; m1 ~ m2; m2 z m2; m2 z m2; m2 ~ m3; m3 ~ m3; m3 ~ m4; m4 ~ m4; m4 ~ m4"),
+    ("mult", "xyzz", "Reject", (98, 20, None), (110, 20, None), None),
+    ("composite", "xxxx", "Accept", (292, 14, 14), (35514, 18, 14),
+     "c0 ~ c1; c1 ~ c2; c2 ~ c3; c3 ~ c4; c4 x c4; c4 x c4; c4 x c4; c4 x c4; c4 ~ c5; c5 ~ c5; c5 ~ c5; c5 ~ c6; c6 ~ c6; c6 ~ c6"),
+    ("composite", "xxxxx", "Reject", (990, 20, None), (167601, 20, None), None),
+    ("wp-f2", "a b b^-1 a^-1", "Accept", (4, 4, 4), (4, 4, 4), "w0 a w0; w0 b w0; w0 b^-1 w0; w0 a^-1 w0"),
+    ("wp-f2", "a b a^-1 b^-1", "Reject", (5, 4, None), (4, 4, None), None),
+    ("anbncn", "aabbcc", "Accept", (8, 8, 8), (8, 8, 8),
+     "n0 a n0; n0 a n0; n0 ~ n1; n1 b n1; n1 b n1; n1 ~ n2; n2 c n2; n2 c n2"),
+]
+
+
+@pytest.mark.parametrize("name, text, verdict, with_dedup, without_dedup, certificate", PINNED_SEARCHES)
+def test_search_stats_pinned(name, text, verdict, with_dedup, without_dedup, certificate):
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    word = tokenize_word(text, machine.alphabet)
+    for dedup, stats in ((True, with_dedup), (False, without_dedup)):
+        result = accepts(machine, word, spec.budget, dedup=dedup)
+        assert str(result.verdict) == verdict
+        assert (result.stats.expanded, result.stats.max_depth, result.stats.accept_depth) == stats
+        path = result.certificate and "; ".join(f"{t.source} {t.symbol or '~'} {t.target}" for t in result.certificate)
+        assert path == certificate
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("cpus, workers, expected", [(3, 64, 3), (1, 8, None), (10**6, 10**5, 1093)])
+def test_workers_clamped_to_cpus_and_chunks(monkeypatch, cpus, workers, expected):
+    from gramata import simulate
+
+    _RecordingPool.requested = []
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    machine = CONSTRUCTIONS["anbncn"].build()
+    policy = construction_budget("anbncn")
+    report = equiv_check(machine, oracle("ANBNCN"), machine.alphabet, 6, policy, workers=workers)
+    assert report.checked == 1093 and report.clean
+    # a single usable CPU runs serially and opens no pool at all
+    assert _RecordingPool.requested == ([] if expected is None else [expected])
