@@ -142,12 +142,27 @@ def _dissimilar(oracle, alphabet, n, w1, w2):
     return False
 
 
+def _pair_work(k, n):
+    """The most (w1 + v, w2 + v) membership comparisons the dissimilarity
+    graph over words of length <= n on k symbols can need: for each length
+    l of the longer word, its pairs times the suffixes of length <= n - l."""
+    work = shorter = 0
+    for length in range(n + 1):
+        m = k**length
+        suffixes = sum(k**j for j in range(n - length + 1))
+        work += (m * (m - 1) // 2 + m * shorter) * suffixes
+        shorter += m
+    return work
+
+
 def dissimilarity_exact(oracle, alphabet, n, guard=10**6):
     """Exact maximum pairwise-dissimilar family via branch-and-bound clique
-    search on the dissimilarity graph over words of length <= n."""
+    search on the dissimilarity graph over words of length <= n. The guard
+    bounds the pair x suffix comparisons the graph can need."""
     alphabet = tuple(sorted(alphabet))
-    if len(alphabet) ** (n + 1) > guard:
-        raise InstanceTooLarge(f"|alphabet|^(n+1) exceeds the guard {guard}")
+    work = _pair_work(len(alphabet), n)
+    if work > guard:
+        raise InstanceTooLarge(f"{work} pair x suffix comparisons exceed the guard {guard}")
     words = list(all_words(alphabet, n))
     m = len(words)
     adj = [0] * m

@@ -18,10 +18,15 @@ configuration that could still have accepted within the budget was
 explored. Branches that provably cannot reach acceptance in the remaining
 depth are pruned by the same register-ignoring distance table; the pruning
 is admissible, so it never changes a verdict.
+
+accepts() decides one word. enumerate_words() and equiv_check() need every
+word up to a length, and decide each length with one search over the trie
+of its words (_PrefixSearch), which gives the same verdicts.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -37,14 +42,24 @@ DEFAULT_MEM_GUARD = 10**7
 def _mem_guard():
     """The most elements one search may store: GRAMATA_MEM_GUARD, else 10^7."""
     value = os.environ.get("GRAMATA_MEM_GUARD")
-    return int(value) if value else DEFAULT_MEM_GUARD
+    if not value:
+        return DEFAULT_MEM_GUARD
+    try:
+        guard = int(value)
+    except ValueError:
+        guard = 0
+    if guard < 1:
+        raise GramataError(f"GRAMATA_MEM_GUARD must be a positive integer, got {value!r}")
+    return guard
 
 
 def bfs_layers(root, expand, depth, data=None):
     """Layered breadth-first search from root, at most depth layers deep.
     expand(node, data) lists (child, child data) pairs; a child reached for
     the first time is stored with its data, and the memory guard is checked
-    on every insert. Returns the stored nodes, node -> data, in order of
+    on every insert. Each recorded layer counts against the guard too,
+    checked once per layer, so a ball that stops growing still cannot loop
+    without limit. Returns the stored nodes, node -> data, in order of
     discovery, and the number stored after each layer (root's first)."""
     guard = _mem_guard()
     seen = {root: data}
@@ -60,6 +75,8 @@ def bfs_layers(root, expand, depth, data=None):
                         raise MemoryGuard(f"search stored more than {guard} elements")
                     nxt.append(child)
         sizes.append(len(seen))
+        if len(seen) + len(sizes) > guard:
+            raise MemoryGuard(f"search stored more than {guard} elements and layer counts")
         layer = nxt
     return seen, sizes
 
@@ -356,9 +373,258 @@ def all_words(alphabet, max_len):
         yield from itertools.product(alphabet, repeat=length)
 
 
+class _Level(NamedTuple):
+    """One trie node of the language search: (state, register) -> (parent
+    key, transition), or None for the root, and the keys in layers by
+    depth, the first at depth base."""
+
+    links: dict
+    layers: list
+    base: int
+
+
+def _fewest_moves_to_accept(efa, max_len):
+    """lb[r][q]: the fewest transitions from state q that consume exactly r
+    symbols, any symbols, and end in an accepting state (q is missing from
+    lb[r] if there is no such path). It is a lower bound on the distance
+    to acceptance whatever the rest of the word, found by one backward
+    breadth-first search over (state, r)."""
+    sources = efa.sources
+    lb = [{} for _ in range(max_len + 1)]
+    lb[0] = dict.fromkeys(efa.accepting, 0)
+    frontier = [(q, 0) for q in efa.accepting]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for q, r in frontier:
+            prev = [(src, r) for src in sources.get((q, None), ())]
+            if r < max_len:
+                prev += [(src, r + 1) for s in efa.alphabet for src in sources.get((q, s), ())]
+            for src, k in prev:
+                if src not in lb[k]:
+                    lb[k][src] = d
+                    nxt.append((src, k))
+        frontier = nxt
+    return lb
+
+
+class _PrefixSearch:
+    """The verdicts of every word of one length from one search over the
+    trie of those words: Thompson's NFA simulation (CACM 1968) lifted to
+    register configurations.
+
+    A trie node, the prefix of length p, is a level: every (state,
+    register) reachable while consuming exactly that prefix, stored once
+    at its minimum depth with its parent link, in layers by depth. A child
+    level applies one symbol's moves to the parent's layers and closes
+    under epsilon moves, depth by depth. A configuration at depth d with r
+    symbols still to read is pruned when d + lb[r][q] exceeds the word
+    length's budget, which is admissible, so the leaves see exactly the
+    accepting configurations that accepts() would find. The
+    register-ignoring projection (state -> minimum depth) is carried along
+    the same trie to give each word's d_min, which decides BudgetExhausted
+    against Reject exactly as in accepts()."""
+
+    def __init__(self, efa, alphabet, max_len, policy):
+        group = efa.group
+        self.efa = efa
+        self.alphabet = alphabet
+        self.policy = policy
+        self.eps = {q: efa.moves[(q, None)] for q in efa.states}
+        self.sym = {
+            s: {q: efa.moves[(q, s)][len(self.eps[q]) :] for q in efa.states} for s in alphabet
+        }
+        self.lb = _fewest_moves_to_accept(efa, max_len)
+        self.root = (efa.initial, group.identity())
+        self.guard = _mem_guard()
+        self.stored = 0  # configurations in the levels along the current trie path
+        self.path = []  # those levels' parent links, root first
+        self.word = []  # the current prefix
+        self.projection_steps = {}  # (projection, symbol) -> the child's projection
+        self.root_projection = self._close_projection({efa.initial: 0})
+
+    def verdicts(self, length, first):
+        """Verdicts of the words of this length whose first symbol is in
+        first, in lex order."""
+        self.budget = budget = max(1, self.policy(length))
+        self.caps = [
+            {q: budget - self.lb[r][q] if q in self.lb[r] else -1 for q in self.efa.states}
+            for r in range(length + 1)
+        ]
+        self.dead = {}  # (projection, r) -> the verdicts below a node with no configuration
+        if length == 0:
+            yield self._leaf(None, None, self.root_projection)
+        else:
+            level, _ = self._level(None, None, length)
+            yield from self._walk(level, self.root_projection, length, first)
+
+    def _walk(self, level, projection, r, symbols):
+        links = level.links
+        if not links:
+            for s in symbols:
+                yield from self._dead(self._step_projection(projection, s), r - 1)
+            return
+        self.stored += len(links)
+        self.path.append(links)
+        for s in symbols:
+            child = self._step_projection(projection, s)
+            self.word.append(s)
+            if r == 1:
+                yield self._leaf(level, s, child)
+            else:
+                yield from self._walk(self._level(level, s, r - 1)[0], child, r - 1, self.alphabet)
+            self.word.pop()
+        self.path.pop()
+        self.stored -= len(links)
+
+    def _leaf(self, parent, symbol, projection):
+        (links, _, _), hit = self._level(parent, symbol, 0)
+        if hit is None:
+            return self._unaccepted(projection)
+        certificate = []
+        levels = self.path + [links]
+        i = len(levels) - 1
+        link = links[hit]
+        while link is not None:
+            key, t = link
+            certificate.append(t)
+            if t.symbol is not None:
+                i -= 1
+            link = levels[i][key]
+        certificate.reverse()
+        _verify_certificate(self.efa, tuple(self.word), tuple(certificate))
+        return Verdict.ACCEPT
+
+    def _level(self, parent, symbol, r):
+        """The level one symbol below parent, or the root level when parent
+        is None, with r symbols still to read, and hit. With r = 0 the build
+        stops at the first accepting configuration, hit; otherwise hit is
+        None."""
+        cap = self.caps[r]
+        accepting = self.efa.accepting if r == 0 else ()
+        is_identity = self.efa.group.is_identity
+        mul = self.efa.group.mul
+        eps = self.eps
+        limit = self.guard - self.stored
+        links = {}
+        layers = []
+        if parent is None:
+            parents, sym, base, front = (), None, 0, []
+            root = self.root
+            if cap[root[0]] >= 0:
+                links[root] = None
+                if root[0] in accepting:
+                    return _Level(links, layers, base), root
+                front = [root]
+            layers.append(front)
+            d = 1
+        else:
+            parents, sym = parent.layers, self.sym[symbol]
+            base = d = parent.base + 1
+            front = []
+        j = 0
+        while j < len(parents) or front:
+            # depth d: epsilon moves from this level's layer at d - 1 and
+            # the symbol's moves from the parent's layer at d - 1
+            below = parents[j] if j < len(parents) else ()
+            j += 1
+            layer = []
+            for keys, table in ((front, eps), (below, sym)):
+                for pkey in keys:
+                    g = pkey[1]
+                    for t in table[pkey[0]]:
+                        q = t.target
+                        if d > cap[q]:
+                            continue
+                        key = (q, mul(g, t.register))
+                        if key in links:
+                            continue
+                        links[key] = (pkey, t)
+                        if len(links) > limit:
+                            raise MemoryGuard(f"search stored more than {self.guard} elements")
+                        if q in accepting and is_identity(key[1]):
+                            return _Level(links, layers, base), key
+                        layer.append(key)
+            layers.append(layer)
+            front = layer
+            d += 1
+        while layers and not layers[-1]:
+            layers.pop()
+        start = 0
+        while start < len(layers) and not layers[start]:
+            start += 1
+        return _Level(links, layers[start:], base + start), None
+
+    def _close_projection(self, best):
+        """Close a state -> depth map under epsilon moves (unit weights, in
+        depth order) and freeze it as a sorted tuple of pairs."""
+        heap = [(d, q) for q, d in best.items()]
+        heapq.heapify(heap)
+        while heap:
+            d, q = heapq.heappop(heap)
+            if d > best[q]:
+                continue
+            for t in self.eps[q]:
+                if best.get(t.target, d + 2) > d + 1:
+                    best[t.target] = d + 1
+                    heapq.heappush(heap, (d + 1, t.target))
+        return tuple(sorted(best.items()))
+
+    def _step_projection(self, projection, symbol):
+        key = (projection, symbol)
+        child = self.projection_steps.get(key)
+        if child is None:
+            best = {}
+            moves = self.sym[symbol]
+            for q, d in projection:
+                for t in moves[q]:
+                    if best.get(t.target, d + 2) > d + 1:
+                        best[t.target] = d + 1
+            child = self.projection_steps[key] = self._close_projection(best)
+        return child
+
+    def _unaccepted(self, projection):
+        d_min = min((d for q, d in projection if q in self.efa.accepting), default=None)
+        if d_min is not None and d_min > self.budget:
+            return Verdict.BUDGET_EXHAUSTED
+        return Verdict.REJECT
+
+    def _dead(self, projection, r):
+        """The verdicts of the words of r more symbols below a node with no
+        configuration left: they depend on the projection alone."""
+        key = (projection, r)
+        verdicts = self.dead.get(key)
+        if verdicts is None:
+            if r == 0:
+                verdicts = (self._unaccepted(projection),)
+            else:
+                verdicts = tuple(
+                    v for s in self.alphabet for v in self._dead(self._step_projection(projection, s), r - 1)
+                )
+            self.dead[key] = verdicts
+        return verdicts
+
+
+def _verdicts(efa, alphabet, max_len, policy, part=0, parts=1):
+    """Verdicts of the words of all_words(alphabet, max_len) in chunk part
+    of parts, in that order. With two or more symbols a chunk holds the
+    words whose first symbol's index is part modulo parts, the empty word
+    in chunk 0, and one prefix-shared search decides each length. A unary
+    alphabet has one word per length and nothing to share, so each word
+    gets its own search, whose early accept is faster there; chunk part
+    holds the lengths that are part modulo parts."""
+    if len(alphabet) < 2:
+        for word in itertools.islice(all_words(alphabet, max_len), part, None, parts):
+            yield accepts(efa, word, policy).verdict
+        return
+    search = _PrefixSearch(efa, alphabet, max_len, policy)
+    for length in range(0 if part == 0 else 1, max_len + 1):
+        yield from search.verdicts(length, alphabet[part::parts])
+
+
 def _verdict_chunk(args):
-    efa, words, policy = args
-    return [(w, accepts(efa, w, policy).verdict) for w in words]
+    return list(_verdicts(*args))
 
 
 def _usable_cpus():
@@ -368,25 +634,40 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _verdicts_for_words(efa, words, policy, workers=1):
+def _language_verdicts(efa, alphabet, max_len, policy, workers=1):
+    """The verdicts of all_words(alphabet, max_len), streamed in that order."""
+    alphabet = tuple(sorted(alphabet))
+    if max_len:
+        _checked_word(alphabet, efa.alphabet)
+    k = len(alphabet)
     # never more workers than usable CPUs, nor than chunks with a word in them
-    workers = min(workers or 1, _usable_cpus(), len(words))
-    if workers > 1 and len(words) > 256:
-        chunks = [words[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_verdict_chunk, [(efa, chunk, policy) for chunk in chunks])
-        merged = dict(pair for part in parts for pair in part)
-        return [merged[w] for w in words]
-    return [accepts(efa, w, policy).verdict for w in words]
+    workers = min(workers or 1, _usable_cpus(), k if k > 1 else max_len + 1)
+    if workers < 2 or sum(k**n for n in range(max_len + 1)) <= 256:
+        yield from _verdicts(efa, alphabet, max_len, policy)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = pool.map(_verdict_chunk, [(efa, alphabet, max_len, policy, i, workers) for i in range(workers)])
+        chunks = [iter(chunk) for chunk in chunks]
+    for length in range(max_len + 1):
+        if k == 1:
+            yield next(chunks[length % workers])
+        elif length == 0:
+            yield next(chunks[0])
+        else:
+            for i in range(k):
+                yield from itertools.islice(chunks[i % workers], k ** (length - 1))
 
 
 def enumerate_words(efa, max_len, policy=default_policy, workers=1):
     """All accepted words of length <= max_len, in length-then-lex order.
     BudgetExhausted words are attached as warnings."""
-    words = list(all_words(efa.alphabet, max_len))
-    verdicts = _verdicts_for_words(efa, words, policy, workers)
-    accepted = [w for w, v in zip(words, verdicts) if v is Verdict.ACCEPT]
-    undecided = [w for w, v in zip(words, verdicts) if v is Verdict.BUDGET_EXHAUSTED]
+    accepted, undecided = [], []
+    verdicts = _language_verdicts(efa, efa.alphabet, max_len, policy, workers)
+    for word, verdict in zip(all_words(efa.alphabet, max_len), verdicts, strict=True):
+        if verdict is Verdict.ACCEPT:
+            accepted.append(word)
+        elif verdict is Verdict.BUDGET_EXHAUSTED:
+            undecided.append(word)
     return EnumerationResult(accepted, undecided)
 
 
@@ -422,16 +703,16 @@ class EquivReport:
 
 def equiv_check(efa, oracle, alphabet, max_len, policy=default_policy, workers=1, name=""):
     """Exhaustively compare machine verdicts against a membership predicate."""
-    words = list(all_words(alphabet, max_len))
-    verdicts = _verdicts_for_words(efa, words, policy, workers)
     report = EquivReport(
         machine_name=name or "machine",
         oracle_name=getattr(oracle, "name", "oracle"),
         max_len=max_len,
-        checked=len(words),
+        checked=0,
     )
     member = oracle.member if hasattr(oracle, "member") else oracle
-    for word, verdict in zip(words, verdicts):
+    verdicts = _language_verdicts(efa, alphabet, max_len, policy, workers)
+    for word, verdict in zip(all_words(alphabet, max_len), verdicts, strict=True):
+        report.checked += 1
         expected = bool(member(word))
         if verdict is Verdict.BUDGET_EXHAUSTED:
             report.budget_exhausted.append(word)

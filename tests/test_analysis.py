@@ -4,6 +4,7 @@ import pytest
 
 from gramata.algebra import HEIS_A, HEIS_B, FreeAbelian, FreeGroup, HeisenbergGroup
 from gramata.analysis import (
+    _pair_work,
     ball_with_words,
     dissimilarity_exact,
     dissimilarity_lower_bound,
@@ -12,7 +13,7 @@ from gramata.analysis import (
     lemma_growth_check,
     theorem_growth_probe,
 )
-from gramata.constructions import CONSTRUCTIONS, oracle, standard_generators, wp_oracle
+from gramata.constructions import CONSTRUCTIONS, NamedOracle, oracle, standard_generators, wp_oracle
 from gramata.errors import GramataError, InstanceTooLarge, MemoryGuard
 from gramata.model import EFA, Transition
 from gramata.simulate import all_words
@@ -168,6 +169,36 @@ def test_dissimilarity_exact_matches_brute_force_on_more_oracles():
 def test_dissimilarity_exact_guard():
     with pytest.raises(InstanceTooLarge):
         dissimilarity_exact(oracle("MULT"), ("x", "y", "z"), 20)
+
+
+def test_dissimilarity_exact_guard_bounds_pair_work():
+    # |alphabet|^(n+1) = 2^19 passes a word-count guard of 10^6, but the
+    # pairs need up to 2.7 * 10^11 suffix comparisons
+    calls = []
+    member = oracle("MULTIPLE").member
+
+    def counting(word):
+        calls.append(word)
+        if len(calls) > 100:
+            raise AssertionError("the oracle was called: the guard let the instance through")
+        return member(word)
+
+    with pytest.raises(InstanceTooLarge):
+        dissimilarity_exact(NamedOracle("counting", ("x", "y"), counting), ("x", "y"), 18)
+    assert calls == []
+
+
+def test_pair_work_is_the_comparisons_of_a_language_without_dissimilar_pairs():
+    # an empty language: every pair tries every suffix, two calls each
+    calls = []
+
+    def nothing(word):
+        calls.append(word)
+        return False
+
+    report = dissimilarity_exact(NamedOracle("empty", ("x", "y"), nothing), ("x", "y"), 4)
+    assert report.exact == 1
+    assert len(calls) == 2 * _pair_work(2, 4)
 
 
 def test_witness_set_verified_pairwise_by_oracle_only():

@@ -160,3 +160,17 @@ def test_out_of_range_integer_flags_exit_3(argv, capsys):
     # argument parsing fails before any machine file is read
     assert main(argv) == 3
     assert "argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+def test_malformed_mem_guard_exit_3(monkeypatch, value, capsys):
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", value)
+    assert main(["growth", "--group", "free:2", "--radius", "2"]) == 3
+    assert "GRAMATA_MEM_GUARD" in capsys.readouterr().err
+
+
+def test_growth_radius_bounded_on_a_ball_that_stops_growing(monkeypatch, capsys):
+    # the ball of the trivial generator is {0}: only the recorded layers grow
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "100")
+    assert main(["growth", "--group", "zk:1", "--gens", "a=[0]", "--radius", "1000"]) == 3
+    assert "stored more than 100" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramata.algebra import FreeAbelian, Matrix
 from gramata.constructions import CONSTRUCTIONS, build_mult, build_upow, construction_budget, oracle
@@ -296,7 +298,7 @@ class _RecordingPool:
         return [fn(item) for item in items]
 
 
-@pytest.mark.parametrize("cpus, workers, expected", [(3, 64, 3), (1, 8, None), (10**6, 10**5, 1093)])
+@pytest.mark.parametrize("cpus, workers, expected", [(3, 64, 3), (1, 8, None), (10**6, 10**5, 3)])
 def test_workers_clamped_to_cpus_and_chunks(monkeypatch, cpus, workers, expected):
     from gramata import simulate
 
@@ -309,3 +311,132 @@ def test_workers_clamped_to_cpus_and_chunks(monkeypatch, cpus, workers, expected
     assert report.checked == 1093 and report.clean
     # a single usable CPU runs serially and opens no pool at all
     assert _RecordingPool.requested == ([] if expected is None else [expected])
+
+
+# --- the prefix-shared language search ---------------------------------------------
+
+
+def _per_word(machine, alphabet, max_len, policy):
+    return [accepts(machine, w, policy).verdict for w in all_words(alphabet, max_len)]
+
+
+def _shared(machine, alphabet, max_len, policy, workers=1):
+    from gramata.simulate import _language_verdicts
+
+    return list(_language_verdicts(machine, alphabet, max_len, policy, workers))
+
+
+def _diff_len(name, machine):
+    if len(machine.alphabet) == 1:
+        return 12
+    return 4 if name == "wp-heis" else 6
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_shared_search_matches_per_word_search(name):
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    n = _diff_len(name, machine)
+    assert _shared(machine, machine.alphabet, n, spec.budget) == _per_word(machine, machine.alphabet, n, spec.budget)
+
+
+@pytest.mark.parametrize("name, depth", [("mult", 8), ("anbncn", 6)])
+def test_shared_search_matches_per_word_search_under_a_tight_budget(name, depth):
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    policy = constant_policy(depth)
+    words = list(all_words(machine.alphabet, 6))
+    expected = _per_word(machine, machine.alphabet, 6, policy)
+    assert _shared(machine, machine.alphabet, 6, policy) == expected
+    assert Verdict.BUDGET_EXHAUSTED in expected
+    if name == "mult":
+        # words the shipped budget accepts but this one rejects: the
+        # accepting paths were cut by the budget, not impossible
+        shipped = _per_word(machine, machine.alphabet, 6, spec.budget)
+        assert any(v is Verdict.REJECT and s is Verdict.ACCEPT for v, s in zip(expected, shipped)), words
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_shared_search_matches_per_word_search_on_random_machines(data):
+    k = data.draw(st.sampled_from([1, 2]), label="rank")
+    states = [f"s{i}" for i in range(data.draw(st.integers(1, 4), label="states"))]
+    alphabet = ("a", "b", "c")[: data.draw(st.integers(2, 3), label="letters")]
+    register = st.tuples(*[st.integers(-1, 1)] * k)
+    transition = st.builds(
+        Transition, st.sampled_from(states), st.sampled_from((None,) + alphabet), st.sampled_from(states), register
+    )
+    transitions = data.draw(st.lists(transition, max_size=8), label="transitions")
+    accepting = data.draw(st.lists(st.sampled_from(states), max_size=2), label="accepting")
+    machine = EFA(FreeAbelian(k), states, alphabet, transitions, states[0], accepting)
+    policy = constant_policy(data.draw(st.integers(1, 9), label="budget"))
+    assert _shared(machine, alphabet, 4, policy) == _per_word(machine, alphabet, 4, policy)
+
+
+def test_shared_search_with_a_two_process_pool_matches_serial():
+    # a tight budget, so that accepted and undecided words both have to
+    # come back from the chunks in word order
+    machine = build_mult()
+    policy = constant_policy(8)
+    serial = enumerate_words(machine, 6, policy)
+    parallel = enumerate_words(machine, 6, policy, workers=2)
+    assert serial.words and serial.budget_exhausted
+    assert (serial.words, serial.budget_exhausted) == (parallel.words, parallel.budget_exhausted)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize(
+    "machine, alphabet, max_len, policy",
+    [
+        (build_mult(), ("x", "y", "z"), 6, construction_budget("mult")),
+        (CONSTRUCTIONS["wp-f2"].build(), ("a", "a^-1", "b", "b^-1"), 4, construction_budget("wp-f2")),
+        (identity_loop_machine(), ("a",), 300, default_policy),
+    ],
+)
+def test_chunked_verdicts_merge_in_word_order(monkeypatch, workers, machine, alphabet, max_len, policy):
+    # first-symbol chunks for two or more symbols, length strides for one;
+    # the stand-in pool runs the chunks in this process
+    from gramata import simulate
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+    _RecordingPool.requested = []
+    assert _shared(machine, alphabet, max_len, policy, workers) == _shared(machine, alphabet, max_len, policy)
+    assert _RecordingPool.requested == [min(workers, len(alphabet) if len(alphabet) > 1 else max_len + 1)]
+
+
+def test_shared_search_memory_guard(monkeypatch):
+    from gramata.errors import MemoryGuard
+
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "5")
+    with pytest.raises(MemoryGuard):
+        enumerate_words(build_mult(), 4, construction_budget("mult"))
+
+
+def test_shared_search_unknown_symbol_before_any_oracle_call():
+    calls = []
+
+    def member(word):
+        calls.append(word)
+        return False
+
+    with pytest.raises(UnknownSymbol):
+        equiv_check(build_mult(), member, ("x", "y", "w"), 3, construction_budget("mult"))
+    assert calls == []
+    # the empty word alone needs no symbol
+    assert equiv_check(build_mult(), member, ("w",), 0, construction_budget("mult")).checked == 1
+
+
+def test_shared_search_verifies_each_accept_once(monkeypatch):
+    from gramata import simulate
+
+    verified = []
+    real = simulate._verify_certificate
+
+    def counting(efa, word, certificate):
+        verified.append(word)
+        real(efa, word, certificate)
+
+    monkeypatch.setattr(simulate, "_verify_certificate", counting)
+    result = enumerate_words(build_mult(), 6, construction_budget("mult"))
+    assert verified == result.words and len(result.words) == 16
