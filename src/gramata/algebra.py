@@ -1,16 +1,21 @@
 """Exact-arithmetic register groups and the embeddings between them.
 
 Every element is an immutable value with structural equality: free-group
-words are kept reduced, rationals normalized, matrices are tuples of
-Fractions, Heisenberg elements live in their (x, y, z) normal form.
-Registers are compared bit-exactly, so nothing here may ever touch floats.
+words are kept reduced, rationals normalized, matrices are integer
+numerator rows over one common denominator in lowest terms, Heisenberg
+elements live in their (x, y, z) normal form. Registers are compared
+bit-exactly, so nothing here may ever touch floats.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -49,54 +54,70 @@ def parse_rational(text):
     return rat_normalize(num, den)
 
 
-class Matrix:
-    """Immutable square matrix over the rationals."""
+@cache
+def _identity_num(dim):
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
-    __slots__ = ("rows", "_hash")
+
+class Matrix:
+    """Immutable square matrix over the rationals, held as integer numerator
+    rows `num` over one positive common denominator `den` in lowest terms:
+    entry (i, j) is num[i][j] / den. The pair is canonical, so equality and
+    hashing compare it directly."""
+
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise GramataError("matrix must be square and non-empty")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash(rows))
+        for row in rows:
+            for x in row:
+                if not isinstance(x, (int, Fraction)):
+                    raise GramataError(f"matrix entries must be int or Fraction, got {x!r}")
+        # the lcm of the entries' reduced denominators leaves the numerators
+        # and den without a common factor, so the pair is in lowest terms
+        den = lcm(*(x.denominator for row in rows for x in row))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        _fill_matrix(self, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     def __reduce__(self):
-        return (Matrix, (self.rows,))
+        return (_matrix, (self.num, self.den))
 
-    @classmethod
-    def _from_rows(cls, rows):
-        # internal: rows are already tuples of Fractions
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "_hash", hash(rows))
-        return m
+    @property
+    def rows(self):
+        """The entries as tuples of Fractions."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.num)
 
     @classmethod
     def identity(cls, dim):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)))
+        return _matrix(_identity_num(dim), 1)
 
     def __mul__(self, other):
-        if not isinstance(other, Matrix) or other.dim != self.dim:
+        if not isinstance(other, Matrix) or len(other.num) != len(self.num):
             return NotImplemented
-        if self.dim == 2:
-            (a, b), (c, d) = self.rows
-            (e, f), (g, h) = other.rows
-            return Matrix._from_rows(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
-        a, b = self.rows, other.rows
-        n = self.dim
-        cols = tuple(zip(*b))
-        return Matrix._from_rows(
-            tuple(tuple(sum(a[i][k] * cols[j][k] for k in range(n)) for j in range(n)) for i in range(n))
-        )
+        den = self.den * other.den
+        if len(self.num) == 2:
+            (a, b), (c, d) = self.num
+            (e, f), (g, h) = other.num
+            p, q, r, s = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            if den != 1:
+                k = gcd(den, p, q, r, s)
+                if k != 1:
+                    p, q, r, s, den = p // k, q // k, r // k, s // k, den // k
+            return _matrix(((p, q), (r, s)), den)
+        cols = list(zip(*other.num))
+        num = tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in self.num])
+        return _matrix(num, 1) if den == 1 else _reduced_matrix(num, den)
 
     def __pow__(self, exp):
         if exp < 0:
@@ -111,54 +132,89 @@ class Matrix:
         return result
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return self._hash
 
     def is_identity(self):
-        return all(self.rows[i][j] == (1 if i == j else 0) for i in range(self.dim) for j in range(self.dim))
+        return self.den == 1 and self.num == _identity_num(len(self.num))
 
     def det(self):
-        """Exact determinant via rational Gaussian elimination."""
-        n = self.dim
-        rows = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                rows[col], rows[pivot] = rows[pivot], rows[col]
-                det = -det
-            det *= rows[col][col]
-            inv = 1 / rows[col][col]
-            for r in range(col + 1, n):
-                factor = rows[r][col] * inv
-                if factor:
-                    for c in range(col, n):
-                        rows[r][c] -= factor * rows[col][c]
-        return det
+        """Exact determinant: det(num / den) = det(num) / den**n, with det(num)
+        by fraction-free Bareiss elimination."""
+        n = len(self.num)
+        rows = [list(row) for row in self.num]
+        sign, prev = 1, 1
+        for k in range(n - 1):
+            if rows[k][k] == 0:
+                pivot = next((r for r in range(k + 1, n) if rows[r][k] != 0), None)
+                if pivot is None:
+                    return Fraction(0)
+                rows[k], rows[pivot] = rows[pivot], rows[k]
+                sign = -sign
+            pk, row_k = rows[k][k], rows[k]
+            for i in range(k + 1, n):
+                row_i = rows[i]
+                f = row_i[k]
+                for j in range(k + 1, n):
+                    # exact: every entry is a minor of num (Bareiss, 1968)
+                    row_i[j] = (pk * row_i[j] - f * row_k[j]) // prev
+            prev = pk
+        return Fraction(sign * rows[n - 1][n - 1], self.den**n)
 
     def inverse(self):
-        """Exact inverse by Gauss-Jordan elimination."""
-        n = self.dim
-        aug = [list(self.rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        """Exact inverse by fraction-free Gauss-Jordan elimination of
+        [num | I] to [d I | R], where R = d num^-1; then
+        (num / den)^-1 = den R / d."""
+        n = len(self.num)
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
+        prev = 1
+        for k in range(n):
+            pivot = next((r for r in range(k, n) if aug[r][k] != 0), None)
             if pivot is None:
                 raise SingularMatrix("matrix is not invertible")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return Matrix(tuple(tuple(row[n:]) for row in aug))
+            aug[k], aug[pivot] = aug[pivot], aug[k]
+            pk, row_k = aug[k][k], aug[k]
+            for i in range(n):
+                if i != k:
+                    f = aug[i][k]
+                    aug[i] = [(pk * x - f * y) // prev for x, y in zip(aug[i], row_k)]
+            prev = pk
+        den = self.den
+        return _reduced_matrix(tuple(tuple(den * x for x in row[n:]) for row in aug), prev)
 
     def __repr__(self):
         return f"Matrix({format_matrix(self)})"
+
+
+# The internal constructors below fill the slots through their descriptors,
+# which skips Matrix.__init__'s normalization and the immutability guard.
+_new = object.__new__
+_set_num, _set_den, _set_matrix_hash = Matrix.num.__set__, Matrix.den.__set__, Matrix._hash.__set__
+
+
+def _fill_matrix(m, num, den):
+    _set_num(m, num)
+    _set_den(m, den)
+    _set_matrix_hash(m, hash((num, den)))
+    return m
+
+
+def _matrix(num, den):
+    """Matrix num / den from integer rows already in lowest terms, den > 0."""
+    return _fill_matrix(_new(Matrix), num, den)
+
+
+def _reduced_matrix(num, den):
+    """Matrix num / den from integer rows over any nonzero den."""
+    if den < 0:
+        num, den = tuple([tuple([-x for x in row]) for row in num]), -den
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num, den = tuple([tuple([x // g for x in row]) for row in num]), den // g
+    return _matrix(num, den)
 
 
 def determinant(m):
@@ -176,8 +232,8 @@ class Word:
 
     def __init__(self, letters=()):
         letters = _reduce_letters(letters)
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(letters))
+        _set_letters(self, letters)
+        _set_word_hash(self, hash(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -192,10 +248,17 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        a, b = self.letters, other.letters
+        # both operands are reduced, so cancellation only happens where the
+        # left word's tail meets the right word's head
+        i, j, n = len(a), 0, len(b)
+        while i and j < n and a[i - 1][0] == b[j][0] and a[i - 1][1] != b[j][1]:
+            i -= 1
+            j += 1
+        return _word(a[:i] + b[j:] if j else a + b)
 
     def inverse(self):
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def is_identity(self):
         return not self.letters
@@ -211,6 +274,18 @@ class Word:
 
     def __repr__(self):
         return f"Word({format_word(self)!r})"
+
+
+_set_letters, _set_word_hash = Word.letters.__set__, Word._hash.__set__
+
+
+def _word(letters):
+    """Word from letters that are already a reduced tuple of (index, +-1)
+    pairs, with no re-check (the internal constructor of the product)."""
+    w = _new(Word)
+    _set_letters(w, letters)
+    _set_word_hash(w, hash(letters))
+    return w
 
 
 def _reduce_letters(letters):
@@ -262,14 +337,21 @@ HEIS_B = Heis(1, 0, 0)
 HEIS_C = Heis(0, 0, 1)
 
 
+# builds a Heis from a 3-tuple without the generated Python-level __new__
+_heis_new = tuple.__new__
+
+
 def heis_mul(g, h):
     # closed-form law: (b^x a^y c^z)(b^x' a^y' c^z') = b^(x+x') a^(y+y') c^(z+z'+y*x')
-    return Heis(g.x + h.x, g.y + h.y, g.z + h.z + g.y * h.x)
+    gx, gy, gz = g
+    hx, hy, hz = h
+    return _heis_new(Heis, (gx + hx, gy + hy, gz + hz + gy * hx))
 
 
 def heis_inverse(g):
     # solve g * inv = identity in the closed form
-    return Heis(-g.x, -g.y, -g.z + g.x * g.y)
+    x, y, z = g
+    return _heis_new(Heis, (-x, -y, x * y - z))
 
 
 def heis_to_matrix(t):
@@ -356,8 +438,9 @@ class FreeGroup(Group):
     def check(self, g):
         if not isinstance(g, Word):
             raise ElementGroupMismatch(f"expected a free-group word, got {g!r}")
-        if any(i >= self.rank or i < 0 for i, _ in g.letters):
-            raise ElementGroupMismatch(f"generator index outside rank {self.rank}")
+        # the product trusts checked words, so an index must be a real int
+        if not all(isinstance(i, int) and 0 <= i < self.rank for i, _ in g.letters):
+            raise ElementGroupMismatch(f"generator index must be an int in range({self.rank})")
 
     def format_element(self, g):
         return format_word(g)
@@ -459,7 +542,7 @@ class MatrixGroup(Group):
     def check(self, g):
         if not isinstance(g, Matrix) or g.dim != self.dim:
             raise ElementGroupMismatch(f"expected a {self.dim}x{self.dim} matrix, got {g!r}")
-        if self.field == "Z" and any(x.denominator != 1 for row in g.rows for x in row):
+        if self.field == "Z" and g.den != 1:
             raise ElementGroupMismatch("integer matrix required")
         d = g.det()
         if self.det == DET_ONE:
@@ -500,6 +583,8 @@ class HeisenbergGroup(Group):
     def identity(self):
         return HEIS_IDENTITY
 
+    # a plain (self, g, h) method like every group's: perfbench's tracer
+    # wraps the class's own `mul`, so staticmethod(heis_mul) would break it
     def mul(self, g, h):
         return heis_mul(g, h)
 
@@ -510,8 +595,8 @@ class HeisenbergGroup(Group):
         return g.x == 0 and g.y == 0 and g.z == 0
 
     def check(self, g):
-        if not isinstance(g, Heis):
-            raise ElementGroupMismatch(f"expected a Heisenberg triple, got {g!r}")
+        if not (isinstance(g, Heis) and all(isinstance(v, int) for v in g)):
+            raise ElementGroupMismatch(f"expected an integer Heisenberg triple, got {g!r}")
 
     def format_element(self, g):
         return format_heis(g)
@@ -699,19 +784,21 @@ BS_A = Matrix(((1, 0), (-1, 1)))
 BS_B = Matrix(((Fraction(1, 2), 0), (0, 1)))
 
 
+_SANOV_LETTERS = {
+    (0, 1): SANOV_A,
+    (0, -1): SANOV_A.inverse(),
+    (1, 1): SANOV_B,
+    (1, -1): SANOV_B.inverse(),
+}
+
+
 def sanov_embed(w):
     """Image of a rank-2 free word under g0 -> [[1,2],[0,1]], g1 -> [[1,0],[2,1]]."""
-    gens = {
-        (0, 1): SANOV_A,
-        (0, -1): SANOV_A.inverse(),
-        (1, 1): SANOV_B,
-        (1, -1): SANOV_B.inverse(),
-    }
     out = Matrix.identity(2)
     for letter in w.letters:
         if letter[0] not in (0, 1):
             raise ElementGroupMismatch("sanov embedding is defined on rank-2 words")
-        out = out * gens[letter]
+        out = out * _SANOV_LETTERS[letter]
     return out
 
 

@@ -47,12 +47,13 @@ def random_element(group, rng, bound=50):
         return Heis(rng.randint(-bound, bound), rng.randint(-bound, bound), rng.randint(-bound, bound))
     if isinstance(group, MatrixGroup):
         # random product of a few elementary shears: entries stay around the
-        # bound and every det constraint is respected
+        # bound and every det constraint is respected; over Q the shear
+        # factors are proper fractions too
         m = Matrix.identity(group.dim)
         for _ in range(rng.randint(0, 4)):
             i, j = rng.sample(range(group.dim), 2)
             shear = [[Fraction(int(r == c)) for c in range(group.dim)] for r in range(group.dim)]
-            shear[i][j] = Fraction(rng.randint(-3, 3))
+            shear[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3) if group.field == "Q" else 1)
             m = m * Matrix(shear)
         return m
     if isinstance(group, DirectProduct):
@@ -66,6 +67,7 @@ ALL_GROUPS = [
     PositiveRationals(),
     MatrixGroup(2, "Q", "one"),
     MatrixGroup(2, "Z", "pm1"),
+    MatrixGroup(3, "Q"),
     HeisenbergGroup(),
     DirectProduct(FreeGroup(2), FreeAbelian(2)),
 ]

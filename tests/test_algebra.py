@@ -1,4 +1,6 @@
 import itertools
+import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -155,6 +157,26 @@ def test_element_group_mismatch():
         DirectProduct(FreeGroup(2), FreeAbelian(1)).check((Word(), (0,), (0,)))
     with pytest.raises(ElementGroupMismatch):
         DirectProduct(FreeGroup(2), FreeAbelian(1)).check((Word(), Heis(0, 0, 0)))
+
+
+@pytest.mark.parametrize("entry", [0.1, 1.0, "1/2", Decimal("0.5"), None], ids=repr)
+def test_matrix_rejects_non_exact_entries(entry):
+    # a float would be silently held as its binary expansion
+    with pytest.raises(GramataError):
+        Matrix(((entry, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("index", [0.5, 1.0, Fraction(1), "0"], ids=repr)
+def test_free_check_rejects_non_int_generator_index(index):
+    # the product trusts checked words, so check demands int indices
+    with pytest.raises(ElementGroupMismatch):
+        FreeGroup(2).check(Word(((index, 1),)))
+
+
+@pytest.mark.parametrize("coords", [(0.5, 0, 0), (0, Fraction(1), 0), (0, 0, 1.0)], ids=repr)
+def test_heis_check_rejects_non_int_coordinates(coords):
+    with pytest.raises(ElementGroupMismatch):
+        HeisenbergGroup().check(Heis(*coords))
 
 
 def test_element_group_mismatch_caught_at_the_boundary():
@@ -384,3 +406,213 @@ def test_compact_group_grammar_rejects_non_positive_sizes(text):
     # the same positive-integer check as the file grammar
     with pytest.raises(GramataError):
         parse_group_compact(text)
+
+
+# --- differential tests against a reference model ----------------------------
+# The reference keeps the straightforward representations: matrices as rows
+# of Fractions multiplied and inverted entry by entry (Gauss-Jordan), free
+# words reduced by rescanning the whole concatenation, Heisenberg elements as
+# plain triples under the closed-form law.
+
+
+def _ref_det(rows):
+    """Determinant by rational Gaussian elimination."""
+    n = len(rows)
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, n):
+                rows[r][c] -= factor * rows[col][c]
+    return det
+
+
+def _ref_matrix_inverse(rows):
+    """Inverse by rational Gauss-Jordan elimination, or None if singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _ref_reduce(letters):
+    out = []
+    for g, s in letters:
+        if out and out[-1] == (g, -s):
+            out.pop()
+        else:
+            out.append((g, s))
+    return tuple(out)
+
+
+def _ref(group, g):
+    """g in the reference representation."""
+    if isinstance(group, MatrixGroup):
+        return g.rows
+    if isinstance(group, FreeGroup):
+        return g.letters
+    if isinstance(group, HeisenbergGroup):
+        return tuple(g)
+    if isinstance(group, DirectProduct):
+        return (_ref(group.left, g[0]), _ref(group.right, g[1]))
+    return g  # Z^k vectors and positive Fractions are their own reference
+
+
+def _from_ref(group, r):
+    """The element the public constructors build from a reference value."""
+    if isinstance(group, MatrixGroup):
+        return Matrix(r)
+    if isinstance(group, FreeGroup):
+        return Word(r)
+    if isinstance(group, HeisenbergGroup):
+        return Heis(*r)
+    if isinstance(group, DirectProduct):
+        return (_from_ref(group.left, r[0]), _from_ref(group.right, r[1]))
+    return r
+
+
+def _ref_mul(group, a, b):
+    if isinstance(group, MatrixGroup):
+        n = len(a)
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
+    if isinstance(group, FreeGroup):
+        return _ref_reduce(a + b)
+    if isinstance(group, HeisenbergGroup):
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[1] * b[0])
+    if isinstance(group, FreeAbelian):
+        return tuple(x + y for x, y in zip(a, b))
+    if isinstance(group, PositiveRationals):
+        return a * b
+    return (_ref_mul(group.left, a[0], b[0]), _ref_mul(group.right, a[1], b[1]))
+
+
+def _ref_inverse(group, a):
+    if isinstance(group, MatrixGroup):
+        return _ref_matrix_inverse(a)
+    if isinstance(group, FreeGroup):
+        return tuple((g, -s) for g, s in reversed(a))
+    if isinstance(group, HeisenbergGroup):
+        return (-a[0], -a[1], a[0] * a[1] - a[2])
+    if isinstance(group, FreeAbelian):
+        return tuple(-x for x in a)
+    if isinstance(group, PositiveRationals):
+        return 1 / a
+    return (_ref_inverse(group.left, a[0]), _ref_inverse(group.right, a[1]))
+
+
+def _assert_same_element(group, g, r):
+    """g is the reference value r, equal to and hashing like the element
+    built from r, and survives a pickle round trip (the worker pool pickles
+    machines and their registers)."""
+    assert _ref(group, g) == r
+    built = _from_ref(group, r)
+    assert g == built and hash(g) == hash(built)
+    restored = pickle.loads(pickle.dumps(g))
+    assert restored == g and hash(restored) == hash(g)
+    assert _ref(group, restored) == r
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+def test_group_ops_match_reference_model(group, rng):
+    elems = [random_element(group, rng) for _ in range(40)] + [group.identity()]
+    refs = [_ref(group, g) for g in elems]
+    identity_ref = _ref(group, group.identity())
+    for g, r in zip(elems, refs):
+        group.check(g)
+        assert group.is_identity(g) == (r == identity_ref)
+        _assert_same_element(group, g, r)
+        _assert_same_element(group, group.inverse(g), _ref_inverse(group, r))
+    for (g, r), (h, s) in itertools.product(list(zip(elems, refs))[:12], repeat=2):
+        assert (g == h) == (r == s)
+        _assert_same_element(group, group.mul(g, h), _ref_mul(group, r, s))
+        # h = g^-1 k cancels g completely inside the product g h = k
+        k = group.mul(group.inverse(g), h)
+        _assert_same_element(group, group.mul(g, k), s)
+        assert group.is_identity(group.mul(g, group.inverse(g)))
+
+
+def test_word_product_cancels_at_the_boundary_only():
+    a, b = Word(((0, 1), (1, 1), (0, -1))), Word(((0, 1), (1, -1), (1, 1)))
+    assert (a * b).letters == ((0, 1), (1, 1))
+    assert (a * Word()).letters == a.letters and (Word() * a).letters == a.letters
+    assert (a * a.inverse()).is_identity()
+
+
+def test_matrix_is_integer_rows_over_one_denominator():
+    m = Matrix(((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 4))))
+    assert (m.num, m.den) == (((3, 2), (0, 3)), 6)
+    assert m.rows == ((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(1, 2)))
+    assert (Matrix(((2, 4), (6, 8))).num, Matrix(((2, 4), (6, 8))).den) == (((2, 4), (6, 8)), 1)
+    # a product whose denominators cancel comes back to den 1
+    p = qplus_embed(Fraction(2, 3)) * qplus_embed(Fraction(3, 2))
+    assert (p.num, p.den) == (((1, 0), (0, 1)), 1) and p.is_identity()
+    assert p == Matrix.identity(2) and hash(p) == hash(Matrix.identity(2))
+    # identity numerators over a denominator are a scalar matrix, not I
+    half = Matrix(((Fraction(1, 2), 0), (0, Fraction(1, 2))))
+    assert half.num == Matrix.identity(2).num and not half.is_identity()
+
+
+_small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _square_rows(draw):
+    """Square Fraction rows, dim 1..4; about half are made singular by
+    setting one row to a multiple (possibly 0) of another."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_small_fractions, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(_small_fractions)
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@settings(deadline=None)
+@given(_square_rows())
+def test_bareiss_det_and_inverse_match_gauss_jordan(rows):
+    m = Matrix(rows)
+    assert m.det() == _ref_det(rows)
+    want = _ref_matrix_inverse(rows)
+    if want is None:
+        assert m.det() == 0
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+    else:
+        inv = m.inverse()
+        assert inv.rows == want
+        assert inv == Matrix(want) and hash(inv) == hash(Matrix(want))
+        assert (m * inv).is_identity()
+
+
+def test_bareiss_handles_zero_pivots():
+    # pivots that vanish mid-elimination force row swaps in both routines
+    for rows in [
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+        ((1, 1, 1), (1, 1, 2), (1, 2, 1)),
+        ((0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, Fraction(1, 3))),
+    ]:
+        m = Matrix(rows)
+        assert m.det() == _ref_det(rows)
+        assert m.inverse().rows == _ref_matrix_inverse(rows)
+    singular = ((1, 2, 3), (2, 4, 6), (0, 0, 1))
+    assert Matrix(singular).det() == 0 == _ref_det(singular)
+    with pytest.raises(SingularMatrix):
+        Matrix(singular).inverse()
