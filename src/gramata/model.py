@@ -71,12 +71,17 @@ class EFA:
 
     @cached_property
     def moves(self):
-        """(state, symbol or None) -> the transitions applicable there:
-        epsilon moves first, then the symbol's moves, each in transition
-        order. None stands for the end of the input."""
+        """(state, symbol or None) -> the moves applicable there, compiled
+        as (target, advances, register, transition): advances is 1 for a
+        symbol move and 0 for an epsilon move, and register is None when it
+        is the identity, so that a search skips the product. Epsilon moves
+        come first, then the symbol's moves, each in transition order. None
+        stands for the end of the input."""
+        is_identity = self.group.is_identity
         own = {}
         for t in self.transitions:
-            own.setdefault((t.source, t.symbol), []).append(t)
+            move = (t.target, 0 if t.symbol is None else 1, None if is_identity(t.register) else t.register, t)
+            own.setdefault((t.source, t.symbol), []).append(move)
         return {
             (q, s): tuple(own.get((q, None), []) + (own.get((q, s), []) if s is not None else []))
             for q in self.states

@@ -185,7 +185,7 @@ def _checked_word(word, alphabet):
 def _distances_to_accept(efa, word):
     """Register-ignoring distance from each (state, position) to acceptance,
     via backward breadth-first search over the machine's source table."""
-    sources = efa.sources
+    sources = efa.sources.get
     n = len(word)
     dist = {(q, n): 0 for q in efa.accepting}
     frontier = list(dist)
@@ -194,13 +194,14 @@ def _distances_to_accept(efa, word):
         d += 1
         nxt = []
         for q, p in frontier:
-            prev = [(src, p) for src in sources.get((q, None), ())]
-            if p:
-                prev += [(src, p - 1) for src in sources.get((q, word[p - 1]), ())]
-            for node in prev:
-                if node not in dist:
-                    dist[node] = d
-                    nxt.append(node)
+            for src in sources((q, None), ()):
+                if (src, p) not in dist:
+                    dist[src, p] = d
+                    nxt.append((src, p))
+            for src in sources((q, word[p - 1]), ()) if p else ():
+                if (src, p - 1) not in dist:
+                    dist[src, p - 1] = d
+                    nxt.append((src, p - 1))
         frontier = nxt
     return dist
 
@@ -210,10 +211,8 @@ def step(efa, config, word):
     q, pos, reg = config
     # a symbol outside the alphabet leaves only the epsilon moves
     moves = efa.moves.get((q, word[pos] if pos < len(word) else None), efa.moves[(q, None)])
-    return {
-        Configuration(t.target, pos if t.symbol is None else pos + 1, efa.group.mul(reg, t.register))
-        for t in moves
-    }
+    mul = efa.group.mul
+    return {Configuration(target, pos + adv, reg if r is None else mul(reg, r)) for target, adv, r, _ in moves}
 
 
 def accepts(efa, word, policy=default_policy, *, dedup=True):
@@ -256,21 +255,22 @@ def _search_bfs(efa, word, budget, dist):
     depth = 0
     while frontier and depth < budget:
         depth += 1
+        slack = budget - depth  # the most moves a child may still need
         nxt = []
         for config in frontier:
             stats.expanded += 1
             q, pos, reg = config
-            for t in moves[(q, symbols[pos])]:
-                npos = pos if t.symbol is None else pos + 1
-                remaining = dist.get((t.target, npos))
-                if remaining is None or depth + remaining > budget:
+            for target, adv, r, t in moves[(q, symbols[pos])]:
+                npos = pos + adv
+                remaining = dist.get((target, npos))
+                if remaining is None or remaining > slack:
                     continue
-                child_reg = mul(reg, t.register)
-                child = (t.target, npos, child_reg)
+                child_reg = reg if r is None else mul(reg, r)
+                child = (target, npos, child_reg)
                 if child in parents:
                     continue
                 parents[child] = (config, t)
-                if t.target in accepting and npos == n and is_identity(child_reg):
+                if target in accepting and npos == n and is_identity(child_reg):
                     stats.accept_depth = depth
                     stats.max_depth = depth
                     return stats, _unwind(parents, child)
@@ -286,49 +286,50 @@ def _search_bfs(efa, word, budget, dist):
 def _search_dfs(efa, word, budget, dist):
     """The same bounded search without duplicate pruning (verdict oracle for
     the deduplication-soundness check). The tree can be millions of nodes,
-    so the loop leans on locals and flat stack frames."""
-    group = efa.group
+    so each (state, position) compiles on first visit into capped moves (cap
+    = budget - distance, the deepest depth the move may be taken at; next
+    position, register, transition, child key, accepts there), targets that
+    cannot accept dropped. Frames are iterators over them, and a child with
+    no move under the budget is counted but never pushed."""
     n = len(word)
     accepting = efa.accepting
-    is_identity = group.is_identity
-    mul = group.mul
-    dist_get = dist.get
-    table = efa.moves
+    is_identity = efa.group.is_identity
+    mul = efa.group.mul
+    moves = efa.moves
     symbols = word + (None,)
+    capped = {}  # (state, position) -> (the largest cap, the capped moves)
 
-    stats = SearchStats()
-    # frames: [position, register, moves, next-move index]
-    stack = [[0, group.identity(), table[(efa.initial, symbols[0])], 0]]
-    expanded = 0
-    max_depth = 0
+    def compile_moves(key):
+        q, pos = key
+        entries = []
+        for target, adv, r, t in moves[(q, symbols[pos])]:
+            npos = pos + adv
+            remaining = dist.get((target, npos))
+            if remaining is not None:
+                entries.append((budget - remaining, npos, r, t, (target, npos), npos == n and target in accepting))
+        capped[key] = compiled = (max((e[0] for e in entries), default=-1), entries)
+        return compiled
+
+    stack = [(iter(compile_moves((efa.initial, 0))[1]), efa.group.identity(), 1, None)]
+    expanded = max_depth = 0
     while stack:
-        frame = stack[-1]
-        moves = frame[2]
-        idx = frame[3]
-        if idx >= len(moves):
+        it, reg, depth, _ = stack[-1]
+        for cap, npos, r, t, key, final in it:
+            if depth > cap:
+                continue
+            child = reg if r is None else mul(reg, r)
+            expanded += 1
+            if depth > max_depth:
+                max_depth = depth
+            if final and is_identity(child):
+                return SearchStats(expanded, max_depth, depth), tuple(f[3] for f in stack[1:]) + (t,)
+            top, entries = capped.get(key) or compile_moves(key)
+            if top > depth:
+                stack.append((iter(entries), child, depth + 1, t))
+                break
+        else:
             stack.pop()
-            continue
-        frame[3] = idx + 1
-        t = moves[idx]
-        depth = len(stack)
-        npos = frame[0] if t.symbol is None else frame[0] + 1
-        # once depth reaches the budget, remaining >= 0 prunes everything
-        remaining = dist_get((t.target, npos))
-        if remaining is None or depth + remaining > budget:
-            continue
-        reg = mul(frame[1], t.register)
-        expanded += 1
-        if depth > max_depth:
-            max_depth = depth
-        if npos == n and t.target in accepting and is_identity(reg):
-            stats.expanded = expanded
-            stats.max_depth = max_depth
-            stats.accept_depth = depth
-            return stats, tuple(f[2][f[3] - 1] for f in stack)
-        stack.append([npos, reg, table[(t.target, symbols[npos])], 0])
-    stats.expanded = expanded
-    stats.max_depth = max_depth
-    return stats, None
+    return SearchStats(expanded, max_depth), None
 
 
 def _unwind(parents, config):
@@ -342,18 +343,17 @@ def _unwind(parents, config):
 
 
 def _verify_certificate(efa, word, certificate):
-    """Re-multiply the register product along the claimed accepting path."""
+    """Replay the claimed accepting path through the move table, re-multiplying its registers."""
     group = efa.group
+    symbols = word + (None,)
     state, pos, reg = efa.initial, 0, group.identity()
     for t in certificate:
-        if t.source != state:
-            raise GramataError("unsound certificate: broken path")
-        if t.symbol is not None:
-            if pos >= len(word) or word[pos] != t.symbol:
-                raise GramataError("unsound certificate: symbol mismatch")
-            pos += 1
-        state = t.target
-        reg = group.mul(reg, t.register)
+        move = next((m for m in efa.moves[(state, symbols[pos])] if m[3] == t), None)
+        if move is None:
+            raise GramataError(f"unsound certificate: no move {t.source} {t.symbol or '~'} {t.target} at {pos}")
+        state, adv, r, _ = move
+        pos += adv
+        reg = reg if r is None else group.mul(reg, r)
     if state not in efa.accepting or pos != len(word) or not group.is_identity(reg):
         raise GramataError("unsound certificate: not accepting")
 
@@ -533,11 +533,10 @@ class _PrefixSearch:
             for keys, table in ((front, eps), (below, sym)):
                 for pkey in keys:
                     g = pkey[1]
-                    for t in table[pkey[0]]:
-                        q = t.target
+                    for q, _, r, t in table[pkey[0]]:
                         if d > cap[q]:
                             continue
-                        key = (q, mul(g, t.register))
+                        key = (q, g if r is None else mul(g, r))
                         if key in links:
                             continue
                         links[key] = (pkey, t)
@@ -565,10 +564,10 @@ class _PrefixSearch:
             d, q = heapq.heappop(heap)
             if d > best[q]:
                 continue
-            for t in self.eps[q]:
-                if best.get(t.target, d + 2) > d + 1:
-                    best[t.target] = d + 1
-                    heapq.heappush(heap, (d + 1, t.target))
+            for target, _, _, _ in self.eps[q]:
+                if best.get(target, d + 2) > d + 1:
+                    best[target] = d + 1
+                    heapq.heappush(heap, (d + 1, target))
         return tuple(sorted(best.items()))
 
     def _step_projection(self, projection, symbol):
@@ -578,9 +577,9 @@ class _PrefixSearch:
             best = {}
             moves = self.sym[symbol]
             for q, d in projection:
-                for t in moves[q]:
-                    if best.get(t.target, d + 2) > d + 1:
-                        best[t.target] = d + 1
+                for target, _, _, _ in moves[q]:
+                    if best.get(target, d + 2) > d + 1:
+                        best[target] = d + 1
             child = self.projection_steps[key] = self._close_projection(best)
         return child
 
@@ -726,14 +725,14 @@ def reachable_register_count(efa, max_len, policy=default_policy):
     pairs reachable while consuming any input of length at most l, within
     the depth budget policy(l)."""
     mul = efa.group.mul
-    outgoing = {}
-    for t in efa.transitions:
-        outgoing.setdefault(t.source, []).append(t)
+    moves = efa.moves
+    # each state's epsilon moves, then every move of it that reads a symbol
+    every = {q: moves[(q, None)] + tuple(m for s in efa.alphabet for m in moves[(q, s)] if m[1]) for q in efa.states}
 
     def expand(node, depth):
         q, k, reg = node
-        moves = outgoing.get(q, ()) if k < max_len else efa.moves[(q, None)]
-        return [((t.target, k if t.symbol is None else k + 1, mul(reg, t.register)), depth + 1) for t in moves]
+        out = every[q] if k < max_len else moves[(q, None)]
+        return [((target, k + adv, reg if r is None else mul(reg, r)), depth + 1) for target, adv, r, _ in out]
 
     # (state, symbols consumed, register) -> min depth
     root = (efa.initial, 0, efa.group.identity())

@@ -1,0 +1,77 @@
+"""Every decider against a brute-force reference on random machines over
+every register group."""
+
+import random
+
+import pytest
+from conftest import ALL_GROUPS, random_element
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gramata.model import EFA, Transition
+from gramata.simulate import Verdict, _language_verdicts, _verify_certificate, accepts, all_words, constant_policy
+
+
+def reference_decide(efa, word, budget):
+    """(verdict, d_min) by brute force. The configurations at each exact
+    depth d <= budget are built as one set per depth, with no dedup across
+    depths and no pruning; d_min is the breadth-first distance to (accepting
+    state, |word|) in the register-ignoring projection."""
+    group, n = efa.group, len(word)
+
+    def successors(q, p):
+        return [
+            (t, p + (t.symbol is not None))
+            for t in efa.transitions
+            if t.source == q and (t.symbol is None or (p < n and t.symbol == word[p]))
+        ]
+
+    layers = [{(efa.initial, 0, group.identity())}]
+    for _ in range(budget):
+        layers.append({(t.target, np, group.mul(g, t.register)) for q, p, g in layers[-1] for t, np in successors(q, p)})
+    accepted = any(q in efa.accepting and p == n and group.is_identity(g) for layer in layers for q, p, g in layer)
+    seen, frontier, d = {(efa.initial, 0)}, [(efa.initial, 0)], 0
+    while frontier and not any(q in efa.accepting and p == n for q, p in frontier):
+        frontier = [node for q, p in frontier for t, np in successors(q, p) if (node := (t.target, np)) not in seen]
+        seen.update(frontier)
+        d += 1
+    d_min = d if frontier else None
+    if accepted:
+        return Verdict.ACCEPT, d_min
+    return (Verdict.BUDGET_EXHAUSTED if d_min is not None and d_min > budget else Verdict.REJECT), d_min
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_decider_matches_the_reference(group, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = random_element(group, rng)
+    # the identity and an inverse pair, so that accepting paths exist
+    registers = [group.identity(), g, group.inverse(g), random_element(group, rng)]
+    states = [f"s{i}" for i in range(data.draw(st.integers(1, 4), label="states"))]
+    alphabet = ("a", "b", "c")[: data.draw(st.integers(1, 3), label="letters")]
+    transition = st.builds(
+        Transition,
+        st.sampled_from(states),
+        st.sampled_from((None,) + alphabet),
+        st.sampled_from(states),
+        st.sampled_from(registers),
+    )
+    transitions = data.draw(st.lists(transition, max_size=6), label="transitions")
+    initial = data.draw(st.sampled_from(states), label="initial")
+    accepting = data.draw(st.lists(st.sampled_from(states), max_size=2), label="accepting")
+    machine = EFA(group, states, alphabet, transitions, initial, accepting)
+    budget = data.draw(st.integers(1, 5), label="budget")
+    policy = constant_policy(budget)
+
+    shared = _language_verdicts(machine, alphabet, 3, policy)
+    for word, verdict in zip(all_words(alphabet, 3), shared, strict=True):
+        expected, d_min = reference_decide(machine, word, budget)
+        assert verdict is expected, word
+        for dedup in (True, False):
+            result = accepts(machine, word, policy, dedup=dedup)
+            assert result.verdict is expected, (word, dedup)
+            if result.certificate is not None:
+                _verify_certificate(machine, word, result.certificate)
+            assert (result.verdict is Verdict.BUDGET_EXHAUSTED) == (d_min is not None and d_min > budget)

@@ -1,14 +1,17 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramata.algebra import FreeAbelian, Matrix
 from gramata.constructions import CONSTRUCTIONS, build_mult, build_upow, construction_budget, oracle
-from gramata.errors import UnknownSymbol
+from gramata.errors import GramataError, UnknownSymbol
 from gramata.model import EFA, Transition
 from gramata.simulate import (
     Configuration,
     Verdict,
+    _verify_certificate,
     accepts,
     all_words,
     constant_policy,
@@ -278,6 +281,55 @@ def test_search_stats_pinned(name, text, verdict, with_dedup, without_dedup, cer
         assert (result.stats.expanded, result.stats.max_depth, result.stats.accept_depth) == stats
         path = result.certificate and "; ".join(f"{t.source} {t.symbol or '~'} {t.target}" for t in result.certificate)
         assert path == certificate
+
+
+# sha256 over "machine|word|dedup|verdict|expanded|max_depth|accept_depth|
+# certificate" lines for every corpus machine x every word <= 4 x both dedup
+# modes, recorded from the searches before they read compiled move tables
+SEARCH_DIGEST = "1403dc6f8e937af8873684d382469c67606b0f3850ab373be404d25d0591c0c6"
+
+
+def test_search_digest_pinned():
+    digest = hashlib.sha256()
+    for name, spec in sorted(CONSTRUCTIONS.items()):
+        machine = spec.build()
+        for word in all_words(machine.alphabet, 4):
+            for dedup in (True, False):
+                r = accepts(machine, word, spec.budget, dedup=dedup)
+                path = r.certificate and "; ".join(f"{t.source} {t.symbol or '~'} {t.target}" for t in r.certificate)
+                stats = f"{r.stats.expanded}|{r.stats.max_depth}|{r.stats.accept_depth}"
+                digest.update(f"{name}|{' '.join(word)}|{dedup}|{r.verdict}|{stats}|{path}\n".encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
+
+
+def test_identity_registers_cost_no_product(monkeypatch):
+    calls = []
+    real = FreeAbelian.mul
+    monkeypatch.setattr(FreeAbelian, "mul", lambda self, g, h: calls.append(h) or real(self, g, h))
+    loops = [Transition("q", s, "q", (0,)) for s in ("a", "b")]
+    machine = EFA(FreeAbelian(1), ["q"], ["a", "b"], loops, "q", ["q"])
+    for dedup in (True, False):
+        assert accepts(machine, ("a", "b", "a"), dedup=dedup).accepted
+    # two letters: the prefix-shared language search
+    assert enumerate_words(machine, 3).words == list(all_words(("a", "b"), 3))
+    assert reachable_register_count(machine, 3) == [1] * 4
+    assert step(machine, Configuration("q", 0, (0,)), ("a",)) == {Configuration("q", 1, (0,))}
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        # an epsilon loop the machine does not have, with an identity register
+        (Transition("q", None, "q", (0,)), Transition("q", "a", "q", (0,))),
+        (Transition("p", "a", "q", (0,)),),  # a broken path
+        (Transition("q", "b", "q", (0,)),),  # the wrong symbol
+        (),  # not accepting: the input is not consumed
+    ],
+)
+def test_forged_certificate_is_refused(certificate):
+    with pytest.raises(GramataError, match="unsound certificate"):
+        _verify_certificate(identity_loop_machine(), ("a",), certificate)
 
 
 class _RecordingPool:
