@@ -393,6 +393,14 @@ class Group:
         """The product g*h of two checked elements."""
         raise NotImplementedError
 
+    def right_mul(self, h):
+        """The right action g -> g*h of one checked element h, compiled once
+        for the searches. It may return another representation of the
+        product than mul, equal and with the same hash, which every
+        operation of the group accepts but check() need not."""
+        mul = self.mul
+        return lambda g: mul(g, h)
+
     def inverse(self, g):
         """The inverse of a checked element."""
         raise NotImplementedError
@@ -429,6 +437,9 @@ class FreeGroup(Group):
     def mul(self, g, h):
         return g * h
 
+    def right_mul(self, h):
+        return lambda g: g * h
+
     def inverse(self, g):
         return g.inverse()
 
@@ -460,10 +471,20 @@ class FreeAbelian(Group):
         return (0,) * self.k
 
     def mul(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(operator.add, g, h))
+
+    def right_mul(self, h):
+        if self.k == 1:
+            (h0,) = h
+            return lambda g: (g[0] + h0,)
+        if self.k == 2:
+            h0, h1 = h
+            return lambda g: (g[0] + h0, g[1] + h1)
+        add = operator.add
+        return lambda g: tuple(map(add, g, h))
 
     def inverse(self, g):
-        return tuple(-a for a in g)
+        return tuple(map(operator.neg, g))
 
     def is_identity(self, g):
         return all(a == 0 for a in g)
@@ -496,6 +517,9 @@ class PositiveRationals(Group):
 
     def mul(self, g, h):
         return g * h
+
+    def right_mul(self, h):
+        return lambda g: g * h
 
     def inverse(self, g):
         return 1 / g
@@ -532,6 +556,9 @@ class MatrixGroup(Group):
 
     def mul(self, g, h):
         return g * h
+
+    def right_mul(self, h):
+        return lambda g: g * h
 
     def inverse(self, g):
         return g.inverse()
@@ -588,11 +615,30 @@ class HeisenbergGroup(Group):
     def mul(self, g, h):
         return heis_mul(g, h)
 
+    def right_mul(self, h):
+        # the product as a plain int triple: building a Heis costs more than
+        # the arithmetic, and a triple equals and hashes like its Heis
+        hx, hy, hz = h
+        if hx == 0:
+
+            def act(g):
+                x, y, z = g
+                return (x, y + hy, z + hz)
+
+        else:
+
+            def act(g):
+                x, y, z = g
+                return (x + hx, y + hy, z + hz + y * hx)
+
+        return act
+
     def inverse(self, g):
         return heis_inverse(g)
 
     def is_identity(self, g):
-        return g.x == 0 and g.y == 0 and g.z == 0
+        # a Heis or a plain triple from right_mul
+        return g == HEIS_IDENTITY
 
     def check(self, g):
         if not (isinstance(g, Heis) and all(isinstance(v, int) for v in g)):
@@ -618,6 +664,10 @@ class DirectProduct(Group):
 
     def mul(self, g, h):
         return (self.left.mul(g[0], h[0]), self.right.mul(g[1], h[1]))
+
+    def right_mul(self, h):
+        left, right = self.left.right_mul(h[0]), self.right.right_mul(h[1])
+        return lambda g: (left(g[0]), right(g[1]))
 
     def inverse(self, g):
         return (self.left.inverse(g[0]), self.right.inverse(g[1]))

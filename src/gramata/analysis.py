@@ -54,9 +54,8 @@ def _symmetric_gens(group, gens):
 def growth(group, gens, radius):
     """Exact ball cardinalities on the Cayley graph, radii 0..radius. Only
     the elements are stored, no word or parent per element."""
-    sym_gens = [elem for _, elem in _symmetric_gens(group, gens)]
-    mul = group.mul
-    _, counts = bfs_layers(group.identity(), lambda g, _: [(mul(g, s), None) for s in sym_gens], radius)
+    actions = [group.right_mul(elem) for _, elem in _symmetric_gens(group, gens)]
+    _, counts = bfs_layers(group.identity(), lambda g, _: [(act(g), None) for act in actions], radius)
     return GrowthTable(tuple(counts))
 
 

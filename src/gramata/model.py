@@ -67,20 +67,28 @@ class EFA:
         object.__setattr__(self, "accepting", frozenset(accepting))
 
     # The transition tables are built once per machine, on first use, and
-    # travel with it when it is pickled to worker processes.
+    # rebuilt in each worker process: the compiled actions do not pickle.
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("moves", None)
+        state.pop("sources", None)
+        return state
 
     @cached_property
     def moves(self):
         """(state, symbol or None) -> the moves applicable there, compiled
-        as (target, advances, register, transition): advances is 1 for a
-        symbol move and 0 for an epsilon move, and register is None when it
+        as (target, advances, action, transition): advances is 1 for a
+        symbol move and 0 for an epsilon move, and action is the register's
+        right action group.right_mul(register), or None when the register
         is the identity, so that a search skips the product. Epsilon moves
         come first, then the symbol's moves, each in transition order. None
         stands for the end of the input."""
-        is_identity = self.group.is_identity
+        group = self.group
         own = {}
         for t in self.transitions:
-            move = (t.target, 0 if t.symbol is None else 1, None if is_identity(t.register) else t.register, t)
+            action = None if group.is_identity(t.register) else group.right_mul(t.register)
+            move = (t.target, 0 if t.symbol is None else 1, action, t)
             own.setdefault((t.source, t.symbol), []).append(move)
         return {
             (q, s): tuple(own.get((q, None), []) + (own.get((q, s), []) if s is not None else []))

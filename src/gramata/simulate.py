@@ -212,7 +212,7 @@ def step(efa, config, word):
     # a symbol outside the alphabet leaves only the epsilon moves
     moves = efa.moves.get((q, word[pos] if pos < len(word) else None), efa.moves[(q, None)])
     mul = efa.group.mul
-    return {Configuration(target, pos + adv, reg if r is None else mul(reg, r)) for target, adv, r, _ in moves}
+    return {Configuration(target, pos + adv, reg if r is None else mul(reg, t.register)) for target, adv, r, t in moves}
 
 
 def accepts(efa, word, policy=default_policy, *, dedup=True):
@@ -243,7 +243,6 @@ def _search_bfs(efa, word, budget, dist):
     n = len(word)
     accepting = efa.accepting
     is_identity = group.is_identity
-    mul = group.mul
     moves = efa.moves
     symbols = word + (None,)  # the symbol under the cursor, None at the end
     guard = _mem_guard()
@@ -265,7 +264,7 @@ def _search_bfs(efa, word, budget, dist):
                 remaining = dist.get((target, npos))
                 if remaining is None or remaining > slack:
                     continue
-                child_reg = reg if r is None else mul(reg, r)
+                child_reg = reg if r is None else r(reg)
                 child = (target, npos, child_reg)
                 if child in parents:
                     continue
@@ -288,13 +287,12 @@ def _search_dfs(efa, word, budget, dist):
     the deduplication-soundness check). The tree can be millions of nodes,
     so each (state, position) compiles on first visit into capped moves (cap
     = budget - distance, the deepest depth the move may be taken at; next
-    position, register, transition, child key, accepts there), targets that
+    position, action, transition, child key, accepts there), targets that
     cannot accept dropped. Frames are iterators over them, and a child with
     no move under the budget is counted but never pushed."""
     n = len(word)
     accepting = efa.accepting
     is_identity = efa.group.is_identity
-    mul = efa.group.mul
     moves = efa.moves
     symbols = word + (None,)
     capped = {}  # (state, position) -> (the largest cap, the capped moves)
@@ -317,7 +315,7 @@ def _search_dfs(efa, word, budget, dist):
         for cap, npos, r, t, key, final in it:
             if depth > cap:
                 continue
-            child = reg if r is None else mul(reg, r)
+            child = reg if r is None else r(reg)
             expanded += 1
             if depth > max_depth:
                 max_depth = depth
@@ -343,7 +341,9 @@ def _unwind(parents, config):
 
 
 def _verify_certificate(efa, word, certificate):
-    """Replay the claimed accepting path through the move table, re-multiplying its registers."""
+    """Replay the claimed accepting path through the move table,
+    re-multiplying its registers with the group's mul, not the searches'
+    compiled actions."""
     group = efa.group
     symbols = word + (None,)
     state, pos, reg = efa.initial, 0, group.identity()
@@ -353,7 +353,7 @@ def _verify_certificate(efa, word, certificate):
             raise GramataError(f"unsound certificate: no move {t.source} {t.symbol or '~'} {t.target} at {pos}")
         state, adv, r, _ = move
         pos += adv
-        reg = reg if r is None else group.mul(reg, r)
+        reg = reg if r is None else group.mul(reg, t.register)
     if state not in efa.accepting or pos != len(word) or not group.is_identity(reg):
         raise GramataError("unsound certificate: not accepting")
 
@@ -504,7 +504,6 @@ class _PrefixSearch:
         cap = self.caps[r]
         accepting = self.efa.accepting if r == 0 else ()
         is_identity = self.efa.group.is_identity
-        mul = self.efa.group.mul
         eps = self.eps
         limit = self.guard - self.stored
         links = {}
@@ -536,7 +535,7 @@ class _PrefixSearch:
                     for q, _, r, t in table[pkey[0]]:
                         if d > cap[q]:
                             continue
-                        key = (q, g if r is None else mul(g, r))
+                        key = (q, g if r is None else r(g))
                         if key in links:
                             continue
                         links[key] = (pkey, t)
@@ -724,7 +723,6 @@ def reachable_register_count(efa, max_len, policy=default_policy):
     """Per length l <= max_len: the number of distinct (state, register)
     pairs reachable while consuming any input of length at most l, within
     the depth budget policy(l)."""
-    mul = efa.group.mul
     moves = efa.moves
     # each state's epsilon moves, then every move of it that reads a symbol
     every = {q: moves[(q, None)] + tuple(m for s in efa.alphabet for m in moves[(q, s)] if m[1]) for q in efa.states}
@@ -732,7 +730,7 @@ def reachable_register_count(efa, max_len, policy=default_policy):
     def expand(node, depth):
         q, k, reg = node
         out = every[q] if k < max_len else moves[(q, None)]
-        return [((target, k + adv, reg if r is None else mul(reg, r)), depth + 1) for target, adv, r, _ in out]
+        return [((target, k + adv, reg if r is None else r(reg)), depth + 1) for target, adv, r, _ in out]
 
     # (state, symbols consumed, register) -> min depth
     root = (efa.initial, 0, efa.group.identity())

@@ -1,8 +1,10 @@
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gramata.algebra import (
     DirectProduct,
@@ -18,6 +20,14 @@ from gramata.algebra import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
+
+# HYPOTHESIS_PROFILE=ci runs every property on 200 reproducible examples,
+# the random-machine fuzzing of test_reference.py included, which Tier-1
+# keeps at 60 per group
+settings.register_profile("ci", max_examples=200, derandomize=True)
+CI_PROFILE = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
+if CI_PROFILE:
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -548,6 +548,25 @@ def test_group_ops_match_reference_model(group, rng):
         assert group.is_identity(group.mul(g, group.inverse(g)))
 
 
+@pytest.mark.parametrize("group", ALL_GROUPS + [DirectProduct(HeisenbergGroup(), FreeAbelian(1))], ids=repr)
+def test_right_mul_matches_mul(group, rng):
+    # small coordinates too, so that Heisenberg registers with x = 0 and
+    # products equal to the identity come up often
+    elems = [random_element(group, rng, bound) for bound in (50, 2) for _ in range(12)] + [group.identity()]
+    for g, h in itertools.product(elems, repeat=2):
+        act, product = group.right_mul(h)(g), group.mul(g, h)
+        assert act == product and hash(act) == hash(product)
+        assert group.is_identity(act) == group.is_identity(product)
+    for a, b, c in zip(elems, elems[8:], elems[16:]):
+        acted = multiplied = group.identity()
+        for h in (a, b, c):
+            acted, multiplied = group.right_mul(h)(acted), group.mul(multiplied, h)
+        assert acted == multiplied and hash(acted) == hash(multiplied)
+        assert group.is_identity(acted) == group.is_identity(multiplied)
+        one = group.right_mul(group.inverse(a))(a)
+        assert group.is_identity(one) and one == group.identity()
+
+
 def test_word_product_cancels_at_the_boundary_only():
     a, b = Word(((0, 1), (1, 1), (0, -1))), Word(((0, 1), (1, -1), (1, 1)))
     assert (a * b).letters == ((0, 1), (1, 1))

@@ -269,8 +269,20 @@ def test_growth_memory_guard_checked_on_insert(monkeypatch):
             produced.add(product)
             return product
 
+        def right_mul(self, h):
+            # growth multiplies by compiled right actions
+            act = super().right_mul(h)
+
+            def counted(g):
+                product = act(g)
+                produced.add(product)
+                return product
+
+            return counted
+
     group = CountingFreeGroup(4)
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "1000")
     with pytest.raises(MemoryGuard):
         growth(group, gens_of(FreeGroup(4)), 4)  # the radius-4 ball has 3,201 elements
-    assert len(produced | {group.identity()}) <= 1001 + 7
+    # at least the 1,001 stored elements went through the counted products
+    assert 1001 <= len(produced | {group.identity()}) <= 1001 + 7

@@ -4,12 +4,20 @@ every register group."""
 import random
 
 import pytest
-from conftest import ALL_GROUPS, random_element
+from conftest import ALL_GROUPS, CI_PROFILE, random_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramata.model import EFA, Transition
-from gramata.simulate import Verdict, _language_verdicts, _verify_certificate, accepts, all_words, constant_policy
+from gramata.model import EFA, Transition, parse_efa, serialize_efa
+from gramata.simulate import (
+    Verdict,
+    _language_verdicts,
+    _verify_certificate,
+    accepts,
+    all_words,
+    constant_policy,
+    reachable_register_count,
+)
 
 
 def reference_decide(efa, word, budget):
@@ -41,9 +49,27 @@ def reference_decide(efa, word, budget):
     return (Verdict.BUDGET_EXHAUSTED if d_min is not None and d_min > budget else Verdict.REJECT), d_min
 
 
+def reference_register_counts(efa, max_len, budget):
+    """Per length l <= max_len, the distinct (state, register) pairs of the
+    configurations (state, symbols read <= l, register) at any exact depth
+    <= budget, built as one set per depth over any symbols, as above."""
+    group = efa.group
+    layers = [{(efa.initial, 0, group.identity())}]
+    for _ in range(budget):
+        layers.append(
+            {
+                (t.target, k + (t.symbol is not None), group.mul(g, t.register))
+                for q, k, g in layers[-1]
+                for t in efa.transitions
+                if t.source == q and (t.symbol is None or k < max_len)
+            }
+        )
+    return [len({(q, g) for layer in layers for q, k, g in layer if k <= length}) for length in range(max_len + 1)]
+
+
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
 def test_every_decider_matches_the_reference(group, data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     g = random_element(group, rng)
@@ -65,7 +91,11 @@ def test_every_decider_matches_the_reference(group, data):
     budget = data.draw(st.integers(1, 5), label="budget")
     policy = constant_policy(budget)
 
-    shared = _language_verdicts(machine, alphabet, 3, policy)
+    shared = list(_language_verdicts(machine, alphabet, 3, policy))
+    parsed = parse_efa(serialize_efa(machine))
+    assert parsed == machine and serialize_efa(parsed) == serialize_efa(machine)
+    assert list(_language_verdicts(parsed, alphabet, 3, policy)) == shared
+    assert reachable_register_count(machine, 3, policy) == reference_register_counts(machine, 3, budget)
     for word, verdict in zip(all_words(alphabet, 3), shared, strict=True):
         expected, d_min = reference_decide(machine, word, budget)
         assert verdict is expected, word

@@ -303,9 +303,18 @@ def test_search_digest_pinned():
 
 
 def test_identity_registers_cost_no_product(monkeypatch):
+    # searches multiply by compiled right actions, the public paths by mul:
+    # both count, and so does compiling an action
     calls = []
-    real = FreeAbelian.mul
-    monkeypatch.setattr(FreeAbelian, "mul", lambda self, g, h: calls.append(h) or real(self, g, h))
+    real_mul, real_right_mul = FreeAbelian.mul, FreeAbelian.right_mul
+
+    def right_mul(self, h):
+        calls.append(h)
+        act = real_right_mul(self, h)
+        return lambda g: calls.append(h) or act(g)
+
+    monkeypatch.setattr(FreeAbelian, "mul", lambda self, g, h: calls.append(h) or real_mul(self, g, h))
+    monkeypatch.setattr(FreeAbelian, "right_mul", right_mul)
     loops = [Transition("q", s, "q", (0,)) for s in ("a", "b")]
     machine = EFA(FreeAbelian(1), ["q"], ["a", "b"], loops, "q", ["q"])
     for dedup in (True, False):
