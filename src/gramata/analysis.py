@@ -2,10 +2,14 @@
 time-complexity argument.
 
 The growth function is computed by exact breadth-first search over group
-elements; dissimilarity uses either the constructive witness family (each
-ball element's shortest word, distinguished by appending inverses) or an
-exact maximum-clique search over the dissimilarity graph on small
-instances.
+elements, sphere by sphere: with a symmetric generating set every neighbour
+of an element at radius r lies at radius r-1, r or r+1, so growth() keeps
+only the previous, current and new sphere, and skips each element's product
+back to the element that found it. The memory guard still counts the whole
+ball and its layers. Dissimilarity uses either the constructive witness
+family (each ball element's shortest word, distinguished by appending
+inverses) or an exact maximum-clique search over the dissimilarity graph on
+small instances.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from typing import Optional
 
 from . import algebra
 from .constructions import standard_generators, wp_oracle
-from .errors import GramataError, InstanceTooLarge
-from .simulate import all_words, bfs_layers, default_policy, reachable_register_count
+from .errors import GramataError, InstanceTooLarge, MemoryGuard
+from .simulate import all_words, bfs_layers, default_policy, mem_guard, reachable_register_count
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,42 @@ def _symmetric_gens(group, gens):
 
 
 def growth(group, gens, radius):
-    """Exact ball cardinalities on the Cayley graph, radii 0..radius. Only
-    the elements are stored, no word or parent per element."""
-    actions = [group.right_mul(elem) for _, elem in _symmetric_gens(group, gens)]
-    _, counts = bfs_layers(group.identity(), lambda g, _: [(act(g), None) for act in actions], radius)
+    """Exact ball cardinalities on the Cayley graph, radii 0..radius.
+
+    A breadth-first search over spheres. The generating set is symmetric, so
+    the sphere at radius r+1 is the neighbours of sphere r that lie neither
+    in sphere r-1 nor in sphere r; only those three spheres are stored, each
+    element with the index of the generator that leads back to the element
+    that found it. That product lands in the previous sphere, so it is
+    skipped. The memory guard counts every element found, checked on each
+    insert, plus each recorded layer, exactly as bfs_layers does, so it
+    fires at the same element even though the ball is not stored."""
+    sym_gens = _symmetric_gens(group, gens)
+    index = {elem: i for i, (_, elem) in enumerate(sym_gens)}
+    moves = [(group.right_mul(elem), index[group.inverse(elem)]) for _, elem in sym_gens]
+    # plans[i]: the (action, back index) pairs of an element found through
+    # the inverse of generator i; the last plan, for the identity, skips none
+    plans = [tuple(m for j, m in enumerate(moves) if j != i) for i in range(len(moves))]
+    plans.append(tuple(moves))
+    guard = mem_guard()
+    prev, cur = {}, {group.identity(): len(moves)}
+    total = 1
+    counts = [1]
+    for _ in range(radius):
+        new = {}
+        for g, skip in cur.items():
+            for act, back in plans[skip]:
+                h = act(g)
+                if h in prev or h in cur or h in new:
+                    continue
+                new[h] = back
+                total += 1
+                if total > guard:
+                    raise MemoryGuard(f"search stored more than {guard} elements")
+        counts.append(total)
+        if total + len(counts) > guard:
+            raise MemoryGuard(f"search stored more than {guard} elements and layer counts")
+        prev, cur = cur, new
     return GrowthTable(tuple(counts))
 
 

@@ -39,11 +39,32 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+def _certificate_steps(machine, certificate):
+    """The accepting path, one step per transition, each with the register
+    after it, replayed with the group's public mul."""
+    group = machine.group
+    reg = group.identity()
+    steps = []
+    for t in certificate:
+        reg = group.mul(reg, t.register)
+        steps.append(
+            {
+                "source": t.source,
+                "symbol": t.symbol if t.symbol is not None else model.EPSILON_TOKEN,
+                "target": t.target,
+                "register": group.format_element(t.register),
+                "after": group.format_element(reg),
+            }
+        )
+    return steps
+
+
 def _cmd_run(args):
     machine = model.load_efa(args.file)
     word = tokenize_word(args.word, machine.alphabet)
     result = simulate.accepts(machine, word, _policy_from_args(args))
     stats = result.stats
+    steps = None if result.certificate is None else _certificate_steps(machine, result.certificate)
     payload = {
         "word": format_word(word),
         "verdict": str(result.verdict),
@@ -52,15 +73,14 @@ def _cmd_run(args):
             "max_depth": stats.max_depth,
             "accept_depth": stats.accept_depth,
         },
+        "certificate": steps,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"{result.verdict}",
-            f"expanded={stats.expanded} max_depth={stats.max_depth} accept_depth={stats.accept_depth}",
-        ],
-    )
+    lines = [
+        f"{result.verdict}",
+        f"expanded={stats.expanded} max_depth={stats.max_depth} accept_depth={stats.accept_depth}",
+    ]
+    lines.extend("\t".join(step.values()) for step in steps or ())
+    _emit(args, payload, lines)
     return _VERDICT_EXIT[result.verdict]
 
 

@@ -39,7 +39,7 @@ from .errors import GramataError, MemoryGuard, UnknownSymbol
 DEFAULT_MEM_GUARD = 10**7
 
 
-def _mem_guard():
+def mem_guard():
     """The most elements one search may store: GRAMATA_MEM_GUARD, else 10^7."""
     value = os.environ.get("GRAMATA_MEM_GUARD")
     if not value:
@@ -61,7 +61,7 @@ def bfs_layers(root, expand, depth, data=None):
     checked once per layer, so a ball that stops growing still cannot loop
     without limit. Returns the stored nodes, node -> data, in order of
     discovery, and the number stored after each layer (root's first)."""
-    guard = _mem_guard()
+    guard = mem_guard()
     seen = {root: data}
     layer = [root]
     sizes = [1]
@@ -245,7 +245,7 @@ def _search_bfs(efa, word, budget, dist):
     is_identity = group.is_identity
     moves = efa.moves
     symbols = word + (None,)  # the symbol under the cursor, None at the end
-    guard = _mem_guard()
+    guard = mem_guard()
 
     root = (efa.initial, 0, group.identity())
     stats = SearchStats()
@@ -437,7 +437,7 @@ class _PrefixSearch:
         }
         self.lb = _fewest_moves_to_accept(efa, max_len)
         self.root = (efa.initial, group.identity())
-        self.guard = _mem_guard()
+        self.guard = mem_guard()
         self.stored = 0  # configurations in the levels along the current trie path
         self.path = []  # those levels' parent links, root first
         self.word = []  # the current prefix

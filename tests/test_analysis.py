@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from gramata.algebra import HEIS_A, HEIS_B, FreeAbelian, FreeGroup, HeisenbergGroup
+from gramata.algebra import (
+    HEIS_A,
+    HEIS_B,
+    FreeAbelian,
+    FreeGroup,
+    HeisenbergGroup,
+    Matrix,
+    parse_group_compact,
+)
 from gramata.analysis import (
     _pair_work,
     ball_with_words,
@@ -17,6 +25,8 @@ from gramata.constructions import CONSTRUCTIONS, NamedOracle, oracle, standard_g
 from gramata.errors import GramataError, InstanceTooLarge, MemoryGuard
 from gramata.model import EFA, Transition
 from gramata.simulate import all_words
+
+from conftest import ALL_GROUPS, random_element
 
 
 def gens_of(group):
@@ -52,6 +62,118 @@ def test_growth_memory_guard(monkeypatch):
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "10")
     with pytest.raises(MemoryGuard):
         growth(FreeGroup(2), gens_of(FreeGroup(2)), 4)
+
+
+def _reference_counts(group, gens, radius):
+    """Ball cardinalities from a layered BFS over the public mul that stores
+    every element of the ball: the reference for growth's sphere search."""
+    elems = [g[1] if isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str) else g for g in gens]
+    sym = elems + [group.inverse(g) for g in elems]
+    ball = {group.identity()}
+    layer = [group.identity()]
+    counts = [1]
+    for _ in range(radius):
+        nxt = []
+        for g in layer:
+            for s in sym:
+                h = group.mul(g, s)
+                if h not in ball:
+                    ball.add(h)
+                    nxt.append(h)
+        counts.append(len(ball))
+        layer = nxt
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec_text())
+def test_growth_matches_full_ball_reference(group, rng):
+    for k in (1, 2, 3):
+        gens = [random_element(group, rng, bound=5) for _ in range(k)]
+        radius = 4 if k < 3 else 3
+        assert growth(group, gens, radius).counts == _reference_counts(group, gens, radius), gens
+
+
+_F2_A, _F2_B = (g for _, g in standard_generators(FreeGroup(2)))
+
+
+@pytest.mark.parametrize(
+    "spec, gens, radius",
+    [
+        # an involution: the generator is its own inverse and its own way back
+        ("matq:2", [Matrix([[-1, 0], [0, 1]]), Matrix([[1, 1], [0, 1]])], 6),
+        ("matq:2", [Matrix([[-1, 0], [0, 1]])], 4),
+        # the identity as a generator: every product by it stays in its sphere
+        ("zk:2", [(0, 0), (1, 0), (0, 1)], 5),
+        ("free:2", [FreeGroup(2).identity()], 3),
+        # a generator with its inverse, and a duplicated generator
+        ("zk:1", [(1,), (-1,)], 5),
+        ("zk:2", [(1, 0), (1, 0), (0, 1)], 5),
+        ("free:2", [("a", _F2_A), ("a2", _F2_A), ("b^-1", _F2_B.inverse()), ("b", _F2_B)], 4),
+    ],
+)
+def test_growth_matches_reference_on_degenerate_generating_sets(spec, gens, radius):
+    group = parse_group_compact(spec)
+    assert growth(group, gens, radius).counts == _reference_counts(group, gens, radius)
+
+
+def test_growth_matches_reference_on_a_product_and_on_heisenberg_triples():
+    group = parse_group_compact("prod(free:2,zk:1)")
+    gens = gens_of(group)
+    assert growth(group, gens, 4).counts == _reference_counts(group, gens, 4)
+    # growth multiplies by right_mul actions, which build plain int triples;
+    # the reference multiplies Heis elements with the public mul
+    heis = HeisenbergGroup()
+    for gens in ([("a", HEIS_A), ("b", HEIS_B)], gens_of(heis)):
+        assert growth(heis, gens, 8).counts == _reference_counts(heis, gens, 8)
+
+
+def test_growth_skips_each_elements_product_back_to_its_parent():
+    # F2 with 4 symmetric generators: the identity takes 4 products, every
+    # other expanded element 3, so radius 3 expands |B(2)| = 17 elements
+    # with 4 + 16 * 3 = 52 products instead of 17 * 4 = 68
+    products = []
+
+    class CountingFreeGroup(FreeGroup):
+        def right_mul(self, h):
+            act = super().right_mul(h)
+
+            def counted(g):
+                products.append(g)
+                return act(g)
+
+            return counted
+
+    group = CountingFreeGroup(2)
+    assert growth(group, gens_of(FreeGroup(2)), 3).counts == (1, 5, 17, 53)
+    assert len(products) == 52
+
+
+@pytest.mark.parametrize(
+    "guard, radius, raised",
+    [
+        # |B_F2(5)| = 485 elements plus 6 recorded layers make 491
+        ("491", 5, None),
+        ("490", 5, "elements and layer counts"),
+        ("485", 5, "elements and layer counts"),
+        ("484", 5, "elements$"),
+        ("491", 6, "elements$"),
+    ],
+)
+def test_growth_memory_guard_raise_point(monkeypatch, guard, radius, raised):
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", guard)
+    if raised is None:
+        assert growth(FreeGroup(2), gens_of(FreeGroup(2)), radius).counts[-1] == 485
+    else:
+        with pytest.raises(MemoryGuard, match=f"more than {guard} {raised}"):
+            growth(FreeGroup(2), gens_of(FreeGroup(2)), radius)
+
+
+def test_growth_memory_guard_on_a_ball_that_stops_growing(monkeypatch):
+    # the ball of the trivial generator is {0}: only the recorded layers grow
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "50")
+    assert growth(FreeAbelian(1), [(0,)], 48).counts == (1,) * 49
+    with pytest.raises(MemoryGuard, match="and layer counts"):
+        growth(FreeAbelian(1), [(0,)], 49)
 
 
 def test_ball_with_words_are_shortest():

@@ -39,6 +39,31 @@ def test_run_json(upow_file, capsys):
     assert payload["stats"]["accept_depth"] is not None
 
 
+def test_run_prints_its_certificate(corpus_dir, capsys):
+    argv = ["run", str(corpus_dir / "mult.efa"), "xyyzz", "--budget-policy", "mult"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Accept"
+    assert lines[1].startswith("expanded=")
+    steps = [line.split("\t") for line in lines[2:]]
+    assert len(steps) == 12
+    assert steps[0] == ["m0", "x", "m0", "H(0,1,0)", "H(0,1,0)"]
+    assert steps[-1][4] == "H(0,0,0)"  # the accepting register is the identity
+
+    assert main(argv + ["--json"]) == 0
+    certificate = json.loads(capsys.readouterr().out)["certificate"]
+    assert [list(step.values()) for step in certificate] == steps
+    assert "".join(step["symbol"] for step in certificate).replace("~", "") == "xyyzz"
+    assert all(a["target"] == b["source"] for a, b in zip(certificate, certificate[1:]))
+
+
+def test_run_without_accept_has_no_certificate(upow_file, capsys):
+    assert main(["run", upow_file, "aaa", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["certificate"] is None
+    assert main(["run", upow_file, "aaa"]) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_enum(corpus_dir, capsys):
     code = main(["enum", str(corpus_dir / "oddpow.efa"), "--max-len", "9", "--budget-policy", "oddpow"])
     assert code == 0
