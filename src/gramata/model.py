@@ -97,6 +97,13 @@ class EFA:
         }
 
     @cached_property
+    def deterministic(self):
+        """No epsilon move, and at most one transition per (state, symbol):
+        every run of the machine on a word is then a single path."""
+        keys = [(t.source, t.symbol) for t in self.transitions]
+        return all(s is not None for _, s in keys) and len(set(keys)) == len(keys)
+
+    @cached_property
     def sources(self):
         """(state, symbol or None) -> the states with a transition on that
         symbol into the state: the backward table of the distance search."""

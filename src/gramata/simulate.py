@@ -236,50 +236,102 @@ def accepts(efa, word, policy=default_policy, *, dedup=True):
 
 
 def _search_bfs(efa, word, budget, dist):
-    """Breadth-first search over (state, position, register) tuples that
-    stores each configuration once, with its parent link for the
-    certificate."""
-    group = efa.group
+    """Breadth-first search over (state, position, register) configurations
+    that stores each one once, with its parent link for the certificate.
+    Like _search_dfs, each (state, position) compiles on its first
+    expansion into capped moves (cap, action, transition, the target's
+    register -> parent link dict, target key, accepts there), so a move
+    costs one register hash. That expansion is at its least depth, so a
+    move capped below it is dropped, and so is a target that cannot accept.
+    A deterministic machine has one path and runs on it, with nothing to
+    compile."""
+    if efa.deterministic:
+        return _run_path(efa, word, budget, dist)
     n = len(word)
     accepting = efa.accepting
-    is_identity = group.is_identity
+    is_identity = efa.group.is_identity
     moves = efa.moves
     symbols = word + (None,)  # the symbol under the cursor, None at the end
     guard = mem_guard()
-
-    root = (efa.initial, 0, group.identity())
-    stats = SearchStats()
-    parents = {root: None}
-    frontier = [root]
-    depth = 0
+    key, reg = (efa.initial, 0), efa.group.identity()
+    capped = {}  # (state, position) -> its capped moves
+    # (state, position) -> register -> (parent key, parent register, transition), None for the root
+    seen = {key: {reg: None}}
+    stored = 1
+    expanded = max_depth = depth = 0
+    frontier = [(key, reg)]
     while frontier and depth < budget:
         depth += 1
-        slack = budget - depth  # the most moves a child may still need
         nxt = []
-        for config in frontier:
-            stats.expanded += 1
-            q, pos, reg = config
-            for target, adv, r, t in moves[(q, symbols[pos])]:
-                npos = pos + adv
-                remaining = dist.get((target, npos))
-                if remaining is None or remaining > slack:
+        for key, reg in frontier:
+            expanded += 1
+            entries = capped.get(key)
+            if entries is None:
+                q, pos = key
+                entries = capped[key] = []
+                for target, adv, r, t in moves[(q, symbols[pos])]:
+                    tkey = (target, pos + adv)
+                    remaining = dist.get(tkey)
+                    if remaining is not None and budget - remaining >= depth:
+                        final = tkey[1] == n and target in accepting
+                        entries.append((budget - remaining, r, t, seen.setdefault(tkey, {}), tkey, final))
+            for cap, r, t, regs, tkey, final in entries:
+                if depth > cap:  # the target is too far from acceptance
                     continue
-                child_reg = reg if r is None else r(reg)
-                child = (target, npos, child_reg)
-                if child in parents:
+                child = reg if r is None else r(reg)
+                if child in regs:
                     continue
-                parents[child] = (config, t)
-                if target in accepting and npos == n and is_identity(child_reg):
-                    stats.accept_depth = depth
-                    stats.max_depth = depth
-                    return stats, _unwind(parents, child)
-                if len(parents) > guard:
+                regs[child] = (key, reg, t)
+                stored += 1
+                if final and is_identity(child):
+                    path = []
+                    link = regs[child]
+                    while link is not None:
+                        key, reg, t = link
+                        path.append(t)
+                        link = seen[key][reg]
+                    path.reverse()
+                    return SearchStats(expanded, depth, depth), tuple(path)
+                if stored > guard:
                     raise MemoryGuard(f"search stored more than {guard} elements")
-                nxt.append(child)
+                nxt.append((tkey, child))
         if nxt:
-            stats.max_depth = depth
+            max_depth = depth
         frontier = nxt
-    return stats, None
+    return SearchStats(expanded, max_depth), None
+
+
+def _run_path(efa, word, budget, dist):
+    """_search_bfs on a deterministic machine: each depth's frontier is at
+    most one configuration, at the position equal to its depth, so the
+    search follows that one path with the same pruning, counters, memory
+    guard and certificate."""
+    n = len(word)
+    accepting = efa.accepting
+    moves = efa.moves
+    symbols = word + (None,)  # None at the end of the input, which has no move
+    guard = mem_guard()
+    q, reg = efa.initial, efa.group.identity()
+    path = []
+    expanded = max_depth = 0
+    for pos in range(min(n + 1, budget)):
+        expanded += 1
+        move = moves[(q, symbols[pos])]
+        if not move:
+            break
+        q, _, r, t = move[0]
+        depth = pos + 1
+        remaining = dist.get((q, depth))
+        if remaining is None or remaining > budget - depth:
+            break
+        reg = reg if r is None else r(reg)
+        path.append(t)
+        if depth == n and q in accepting and efa.group.is_identity(reg):
+            return SearchStats(expanded, depth, depth), tuple(path)
+        if depth + 1 > guard:  # the root and the path so far
+            raise MemoryGuard(f"search stored more than {guard} elements")
+        max_depth = depth
+    return SearchStats(expanded, max_depth), None
 
 
 def _search_dfs(efa, word, budget, dist):
@@ -328,16 +380,6 @@ def _search_dfs(efa, word, budget, dist):
         else:
             stack.pop()
     return SearchStats(expanded, max_depth), None
-
-
-def _unwind(parents, config):
-    path = []
-    while parents[config] is not None:
-        parent, t = parents[config]
-        path.append(t)
-        config = parent
-    path.reverse()
-    return tuple(path)
 
 
 def _verify_certificate(efa, word, certificate):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -178,3 +179,30 @@ def test_validate_matches_parse_acceptance():
     assert validate(bad)
     with pytest.raises(EfaParseError):
         parse_efa(serialize_efa(bad))
+
+
+def test_deterministic_machines():
+    corpus = {name: spec.build() for name, spec in CONSTRUCTIONS.items()}
+    assert sorted(name for name, m in corpus.items() if m.deterministic) == [
+        "qplus-eqcount",
+        "qplus-eqcount-sl2q",
+        "wp-f2",
+        "wp-heis",
+        "wp-z",
+    ]
+    assert sum(not m.deterministic for m in corpus.values()) == 6
+
+    group = FreeAbelian(1)
+    loops = [Transition("q", "a", "q", (1,)), Transition("q", "b", "q", (0,))]
+
+    def machine(transitions):
+        return EFA(group, ["q", "r"], ["a", "b"], transitions, "q", ["q"])
+
+    assert machine(loops).deterministic
+    assert machine([]).deterministic  # no transitions at all
+    assert not machine(loops + [Transition("q", None, "r", (0,))]).deterministic  # one epsilon move
+    assert not machine(loops + [Transition("q", "a", "r", (0,))]).deterministic  # two moves on (q, a)
+    for m in (machine(loops), machine(loops + [Transition("q", "a", "r", (0,))])):
+        expected = m.deterministic
+        assert pickle.loads(pickle.dumps(m)).deterministic is expected
+        assert parse_efa(serialize_efa(m)).deterministic is expected

@@ -501,3 +501,42 @@ def test_shared_search_verifies_each_accept_once(monkeypatch):
     monkeypatch.setattr(simulate, "_verify_certificate", counting)
     result = enumerate_words(build_mult(), 6, construction_budget("mult"))
     assert verified == result.words and len(result.words) == 16
+
+
+# --- the path run of deterministic machines -------------------------------------
+
+DETERMINISTIC = ["qplus-eqcount", "qplus-eqcount-sl2q", "wp-f2", "wp-heis", "wp-z"]
+
+
+@pytest.mark.parametrize("guard, first_raise", [(3, 3), (6, 6)])
+def test_path_run_memory_guard(monkeypatch, guard, first_raise):
+    # the root and the path's configurations count against the guard, as in
+    # the breadth-first search
+    from gramata.errors import MemoryGuard
+
+    machine = CONSTRUCTIONS["wp-z"].build()
+    assert machine.deterministic
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", str(guard))
+    for k in range(1, first_raise + 3):
+        if k < first_raise:
+            assert accepts(machine, ("a",) * k).verdict is Verdict.REJECT, k
+        else:
+            with pytest.raises(MemoryGuard):
+                accepts(machine, ("a",) * k)
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_path_run_matches_the_compiled_search(name):
+    from gramata.simulate import _distances_to_accept, _run_path, _search_bfs
+
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    assert machine.deterministic
+    compiled = spec.build()
+    compiled.__dict__["deterministic"] = False  # force the general kernel
+    policies = [constant_policy(d) for d in range(1, 7)] + [spec.budget]
+    for word in all_words(machine.alphabet, 3 if name == "wp-heis" else 4):
+        dist = _distances_to_accept(machine, word)
+        for policy in policies:
+            budget = max(1, policy(len(word)))
+            assert _run_path(machine, word, budget, dist) == _search_bfs(compiled, word, budget, dist), (word, budget)
