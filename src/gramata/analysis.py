@@ -108,20 +108,25 @@ def ball_with_words(group, gens, radius):
     return words
 
 
-def growth_exponent_estimate(table):
-    """Least-squares slope of log(count) against log(radius) over the upper
-    half of the table. Diagnostic only; this is the one place floats appear."""
-    radius = table.radius
-    if radius < 3:
-        raise GramataError("growth-exponent estimate needs at least 4 radii")
-    lo = max(1, radius // 2)
-    xs = [math.log(r) for r in range(lo, radius + 1)]
-    ys = [math.log(table.counts[r]) for r in range(lo, radius + 1)]
+def log_log_slope(points):
+    """Least-squares slope of log(y) against log(x) over (x, y) points.
+    Diagnostic only; the fits are the one place floats appear."""
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     sxx = sum((x - mean_x) ** 2 for x in xs)
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     return sxy / sxx
+
+
+def growth_exponent_estimate(table):
+    """log_log_slope of count against radius over the upper half of the
+    table."""
+    radius = table.radius
+    if radius < 3:
+        raise GramataError("growth-exponent estimate needs at least 4 radii")
+    return log_log_slope([(r, table.counts[r]) for r in range(max(1, radius // 2), radius + 1)])
 
 
 @dataclass

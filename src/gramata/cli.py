@@ -39,24 +39,19 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _certificate_steps(machine, certificate):
+def _certificate_steps(group, result):
     """The accepting path, one step per transition, each with the register
-    after it, replayed with the group's public mul."""
-    group = machine.group
-    reg = group.identity()
-    steps = []
-    for t in certificate:
-        reg = group.mul(reg, t.register)
-        steps.append(
-            {
-                "source": t.source,
-                "symbol": t.symbol if t.symbol is not None else model.EPSILON_TOKEN,
-                "target": t.target,
-                "register": group.format_element(t.register),
-                "after": group.format_element(reg),
-            }
-        )
-    return steps
+    after it, as the certificate check replayed them."""
+    return [
+        {
+            "source": t.source,
+            "symbol": t.symbol if t.symbol is not None else model.EPSILON_TOKEN,
+            "target": t.target,
+            "register": group.format_element(t.register),
+            "after": group.format_element(reg),
+        }
+        for t, reg in zip(result.certificate, result.registers)
+    ]
 
 
 def _cmd_run(args):
@@ -64,7 +59,7 @@ def _cmd_run(args):
     word = tokenize_word(args.word, machine.alphabet)
     result = simulate.accepts(machine, word, _policy_from_args(args))
     stats = result.stats
-    steps = None if result.certificate is None else _certificate_steps(machine, result.certificate)
+    steps = None if result.certificate is None else _certificate_steps(machine.group, result)
     payload = {
         "word": format_word(word),
         "verdict": str(result.verdict),
@@ -254,7 +249,7 @@ def build_parser():
     def common(p, budget=True, workers=False):
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
         if budget:
-            p.add_argument("--budget", type=_int_at_least(0), default=None, help="constant depth budget")
+            p.add_argument("--budget", type=_int_at_least(1), default=None, help="constant depth budget")
             p.add_argument(
                 "--budget-policy",
                 default="default",

@@ -7,7 +7,6 @@ registry.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import tempfile
@@ -72,17 +71,9 @@ def corpus_dir():
 
 def _equiv_experiment(name, max_len):
     spec = CONSTRUCTIONS[name]
-    machine = spec.build()
-    report = equiv_check(
-        machine,
-        oracle(spec.oracle_name),
-        oracle(spec.oracle_name).alphabet,
-        max_len,
-        spec.budget,
-        name=name,
-    )
-    lines = report.lines()
-    return report.clean, lines
+    language = oracle(spec.oracle_name)
+    report = equiv_check(spec.build(), language, language.alphabet, max_len, spec.budget, name=name)
+    return report.clean, report.lines()
 
 
 def _run_upow_equiv():
@@ -341,11 +332,7 @@ def _run_theorem_probe():
     lines = report.lines()
 
     # polynomial boundedness: log-log fit of the configuration column over n=2..14
-    pts = [(r.n, r.configurations) for r in report.rows if 2 <= r.n <= 14]
-    xs = [math.log(n) for n, _ in pts]
-    ys = [math.log(c) for _, c in pts]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    slope = analysis.log_log_slope([(r.n, r.configurations) for r in report.rows if 2 <= r.n <= 14])
     lines.append(f"configuration-count fit exponent over n=2..14: {slope:.2f} (must be <= 5)")
 
     crossing = report.crossing

@@ -17,6 +17,9 @@ from . import algebra
 from .errors import EfaParseError, GramataError
 
 EPSILON = None
+# stands for any one symbol in EFA.sources: a tuple, so that it equals
+# itself after a pickle and never equals a symbol, which is a string
+ANY = ("any symbol",)
 EPSILON_TOKEN = "~"
 _RESERVED_TOKENS = {EPSILON_TOKEN, "#"}
 
@@ -105,11 +108,14 @@ class EFA:
 
     @cached_property
     def sources(self):
-        """(state, symbol or None) -> the states with a transition on that
-        symbol into the state: the backward table of the distance search."""
+        """(state, symbol) -> the states with a transition on that symbol
+        into the state, where the symbol None is the empty input and ANY
+        is every symbol: the backward table of the distance search."""
         table = {}
         for t in self.transitions:
             table.setdefault((t.target, t.symbol), []).append(t.source)
+            if t.symbol is not None:
+                table.setdefault((t.target, ANY), []).append(t.source)
         return table
 
 

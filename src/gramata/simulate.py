@@ -35,6 +35,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import GramataError, MemoryGuard, UnknownSymbol
+from .model import ANY
 
 DEFAULT_MEM_GUARD = 10**7
 
@@ -145,6 +146,7 @@ class RunResult:
     verdict: Verdict
     stats: SearchStats
     certificate: Optional[tuple] = None  # transitions of the accepting path
+    registers: Optional[tuple] = None  # the register after each of them
 
     @property
     def accepted(self):
@@ -182,28 +184,45 @@ def _checked_word(word, alphabet):
     return word
 
 
-def _distances_to_accept(efa, word):
-    """Register-ignoring distance from each (state, position) to acceptance,
-    via backward breadth-first search over the machine's source table."""
+def _distances_to_accept(efa, reads):
+    """dist[r][q]: the fewest transitions from state q, with r symbols still
+    to read, to an accepting state with none left (q is missing from
+    dist[r] if there is no such path), registers ignored. The r-th symbol
+    from the end is read through the key reads[r - 1] of efa.sources: a
+    word's symbols reversed give its distances, and [ANY] * length a lower
+    bound on them for every word of that length. One backward breadth-first
+    search over (state, r)."""
     sources = efa.sources.get
-    n = len(word)
-    dist = {(q, n): 0 for q in efa.accepting}
-    frontier = list(dist)
+    top = len(reads)
+    dist = [{} for _ in range(top + 1)]
+    dist[0] = dict.fromkeys(efa.accepting, 0)
+    frontier = [(q, 0) for q in efa.accepting]
     d = 0
     while frontier:
         d += 1
         nxt = []
-        for q, p in frontier:
+        for q, r in frontier:
+            here = dist[r]
             for src in sources((q, None), ()):
-                if (src, p) not in dist:
-                    dist[src, p] = d
-                    nxt.append((src, p))
-            for src in sources((q, word[p - 1]), ()) if p else ():
-                if (src, p - 1) not in dist:
-                    dist[src, p - 1] = d
-                    nxt.append((src, p - 1))
+                if src not in here:
+                    here[src] = d
+                    nxt.append((src, r))
+            if r < top:
+                up = dist[r + 1]
+                for src in sources((q, reads[r]), ()):
+                    if src not in up:
+                        up[src] = d
+                        nxt.append((src, r + 1))
         frontier = nxt
     return dist
+
+
+def _unaccepted_verdict(d_min, budget):
+    """The verdict of a search that found no acceptance: BudgetExhausted
+    when acceptance needs more transitions than the budget, else Reject."""
+    if d_min is not None and d_min > budget:
+        return Verdict.BUDGET_EXHAUSTED
+    return Verdict.REJECT
 
 
 def step(efa, config, word):
@@ -219,8 +238,7 @@ def accepts(efa, word, policy=default_policy, *, dedup=True):
     """Run the machine on a word under a depth budget."""
     word = _checked_word(word, efa.alphabet)
     budget = max(1, policy(len(word)))
-    dist = _distances_to_accept(efa, word)
-    d_min = dist.get((efa.initial, 0))
+    dist = _distances_to_accept(efa, word[::-1])
 
     if not word and efa.initial in efa.accepting:
         stats, certificate = SearchStats(accept_depth=0), ()  # the empty path accepts
@@ -228,11 +246,8 @@ def accepts(efa, word, policy=default_policy, *, dedup=True):
         search = _search_bfs if dedup else _search_dfs
         stats, certificate = search(efa, word, budget, dist)
     if certificate is not None:
-        _verify_certificate(efa, word, certificate)
-        return RunResult(Verdict.ACCEPT, stats, certificate)
-    if d_min is not None and d_min > budget:
-        return RunResult(Verdict.BUDGET_EXHAUSTED, stats)
-    return RunResult(Verdict.REJECT, stats)
+        return RunResult(Verdict.ACCEPT, stats, certificate, _verify_certificate(efa, word, certificate))
+    return RunResult(_unaccepted_verdict(dist[len(word)].get(efa.initial), budget), stats)
 
 
 def _search_bfs(efa, word, budget, dist):
@@ -271,7 +286,7 @@ def _search_bfs(efa, word, budget, dist):
                 entries = capped[key] = []
                 for target, adv, r, t in moves[(q, symbols[pos])]:
                     tkey = (target, pos + adv)
-                    remaining = dist.get(tkey)
+                    remaining = dist[n - pos - adv].get(target)
                     if remaining is not None and budget - remaining >= depth:
                         final = tkey[1] == n and target in accepting
                         entries.append((budget - remaining, r, t, seen.setdefault(tkey, {}), tkey, final))
@@ -321,7 +336,7 @@ def _run_path(efa, word, budget, dist):
             break
         q, _, r, t = move[0]
         depth = pos + 1
-        remaining = dist.get((q, depth))
+        remaining = dist[n - depth].get(q)
         if remaining is None or remaining > budget - depth:
             break
         reg = reg if r is None else r(reg)
@@ -354,7 +369,7 @@ def _search_dfs(efa, word, budget, dist):
         entries = []
         for target, adv, r, t in moves[(q, symbols[pos])]:
             npos = pos + adv
-            remaining = dist.get((target, npos))
+            remaining = dist[n - npos].get(target)
             if remaining is not None:
                 entries.append((budget - remaining, npos, r, t, (target, npos), npos == n and target in accepting))
         capped[key] = compiled = (max((e[0] for e in entries), default=-1), entries)
@@ -385,10 +400,11 @@ def _search_dfs(efa, word, budget, dist):
 def _verify_certificate(efa, word, certificate):
     """Replay the claimed accepting path through the move table,
     re-multiplying its registers with the group's mul, not the searches'
-    compiled actions."""
+    compiled actions. Returns the register after each step."""
     group = efa.group
     symbols = word + (None,)
     state, pos, reg = efa.initial, 0, group.identity()
+    registers = []
     for t in certificate:
         move = next((m for m in efa.moves[(state, symbols[pos])] if m[3] == t), None)
         if move is None:
@@ -396,8 +412,10 @@ def _verify_certificate(efa, word, certificate):
         state, adv, r, _ = move
         pos += adv
         reg = reg if r is None else group.mul(reg, t.register)
+        registers.append(reg)
     if state not in efa.accepting or pos != len(word) or not group.is_identity(reg):
         raise GramataError("unsound certificate: not accepting")
+    return tuple(registers)
 
 
 @dataclass
@@ -425,32 +443,6 @@ class _Level(NamedTuple):
     base: int
 
 
-def _fewest_moves_to_accept(efa, max_len):
-    """lb[r][q]: the fewest transitions from state q that consume exactly r
-    symbols, any symbols, and end in an accepting state (q is missing from
-    lb[r] if there is no such path). It is a lower bound on the distance
-    to acceptance whatever the rest of the word, found by one backward
-    breadth-first search over (state, r)."""
-    sources = efa.sources
-    lb = [{} for _ in range(max_len + 1)]
-    lb[0] = dict.fromkeys(efa.accepting, 0)
-    frontier = [(q, 0) for q in efa.accepting]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for q, r in frontier:
-            prev = [(src, r) for src in sources.get((q, None), ())]
-            if r < max_len:
-                prev += [(src, r + 1) for s in efa.alphabet for src in sources.get((q, s), ())]
-            for src, k in prev:
-                if src not in lb[k]:
-                    lb[k][src] = d
-                    nxt.append((src, k))
-        frontier = nxt
-    return lb
-
-
 class _PrefixSearch:
     """The verdicts of every word of one length from one search over the
     trie of those words: Thompson's NFA simulation (CACM 1968) lifted to
@@ -462,7 +454,8 @@ class _PrefixSearch:
     level applies one symbol's moves to the parent's layers and closes
     under epsilon moves, depth by depth. A configuration at depth d with r
     symbols still to read is pruned when d + lb[r][q] exceeds the word
-    length's budget, which is admissible, so the leaves see exactly the
+    length's budget, lb being the distance table over any symbols. That
+    is admissible, so the leaves see exactly the
     accepting configurations that accepts() would find. The
     register-ignoring projection (state -> minimum depth) is carried along
     the same trie to give each word's d_min, which decides BudgetExhausted
@@ -477,7 +470,7 @@ class _PrefixSearch:
         self.sym = {
             s: {q: efa.moves[(q, s)][len(self.eps[q]) :] for q in efa.states} for s in alphabet
         }
-        self.lb = _fewest_moves_to_accept(efa, max_len)
+        self.lb = _distances_to_accept(efa, [ANY] * max_len)
         self.root = (efa.initial, group.identity())
         self.guard = mem_guard()
         self.stored = 0  # configurations in the levels along the current trie path
@@ -626,9 +619,7 @@ class _PrefixSearch:
 
     def _unaccepted(self, projection):
         d_min = min((d for q, d in projection if q in self.efa.accepting), default=None)
-        if d_min is not None and d_min > self.budget:
-            return Verdict.BUDGET_EXHAUSTED
-        return Verdict.REJECT
+        return _unaccepted_verdict(d_min, self.budget)
 
     def _dead(self, projection, r):
         """The verdicts of the words of r more symbols below a node with no

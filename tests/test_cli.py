@@ -179,6 +179,8 @@ def test_bad_compact_group_exit_code(spec, capsys):
         ["dissim", "--oracle", "UPOW", "--max-len", "-1"],
         ["probe", "--experiment", "theorem-growth-probe-h", "--max-len", "-4"],
         ["growth", "--group", "free:2", "--radius", "two"],
+        # a verdict is relative to its budget, so a budget of 0 is not run as 1
+        ["run", "corpus/upow.efa", "aa", "--budget", "0"],
     ],
 )
 def test_out_of_range_integer_flags_exit_3(argv, capsys):

@@ -2,15 +2,17 @@
 every register group."""
 
 import random
+from itertools import product
 
 import pytest
 from conftest import ALL_GROUPS, CI_PROFILE, random_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramata.model import EFA, Transition, parse_efa, serialize_efa
+from gramata.model import ANY, EFA, Transition, parse_efa, serialize_efa
 from gramata.simulate import (
     Verdict,
+    _distances_to_accept,
     _language_verdicts,
     _verify_certificate,
     accepts,
@@ -67,10 +69,8 @@ def reference_register_counts(efa, max_len, budget):
     return [len({(q, g) for layer in layers for q, k, g in layer if k <= length}) for length in range(max_len + 1)]
 
 
-@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
-@given(data=st.data())
-@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
-def test_every_decider_matches_the_reference(group, data):
+def draw_machine(group, data):
+    """A random machine over the group, on one to three letters."""
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     g = random_element(group, rng)
     # the identity and an inverse pair, so that accepting paths exist
@@ -93,6 +93,15 @@ def test_every_decider_matches_the_reference(group, data):
     accepting = data.draw(st.lists(st.sampled_from(states), max_size=2), label="accepting")
     machine = EFA(group, states, alphabet, transitions, initial, accepting)
     assert machine.deterministic or not deterministic
+    return machine
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_every_decider_matches_the_reference(group, data):
+    machine = draw_machine(group, data)
+    alphabet = machine.alphabet
     budget = data.draw(st.integers(1, 5), label="budget")
     policy = constant_policy(budget)
 
@@ -110,3 +119,21 @@ def test_every_decider_matches_the_reference(group, data):
             if result.certificate is not None:
                 _verify_certificate(machine, word, result.certificate)
             assert (result.verdict is Verdict.BUDGET_EXHAUSTED) == (d_min is not None and d_min > budget)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_distance_table_matches_the_reference(group, data):
+    # one table serves both deciders: a word's symbols reversed give its
+    # d_min, and ANY reads give the least distance over all words
+    machine = draw_machine(group, data)
+    lower = _distances_to_accept(machine, [ANY] * 3)
+    for r in range(4):
+        tables = [_distances_to_accept(machine, word[::-1])[r] for word in product(machine.alphabet, repeat=r)]
+        for q in machine.states:
+            found = [table[q] for table in tables if q in table]
+            assert lower[r].get(q) == min(found, default=None), (r, q)
+    for word in all_words(machine.alphabet, 3):
+        _, d_min = reference_decide(machine, word, 1)
+        assert _distances_to_accept(machine, word[::-1])[len(word)].get(machine.initial) == d_min, word

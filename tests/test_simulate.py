@@ -536,7 +536,7 @@ def test_path_run_matches_the_compiled_search(name):
     compiled.__dict__["deterministic"] = False  # force the general kernel
     policies = [constant_policy(d) for d in range(1, 7)] + [spec.budget]
     for word in all_words(machine.alphabet, 3 if name == "wp-heis" else 4):
-        dist = _distances_to_accept(machine, word)
+        dist = _distances_to_accept(machine, word[::-1])
         for policy in policies:
             budget = max(1, policy(len(word)))
             assert _run_path(machine, word, budget, dist) == _search_bfs(compiled, word, budget, dist), (word, budget)
