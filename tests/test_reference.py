@@ -13,6 +13,7 @@ from gramata.model import ANY, EFA, Transition, parse_efa, serialize_efa
 from gramata.simulate import (
     Verdict,
     _distances_to_accept,
+    _EpsilonTails,
     _language_verdicts,
     _verify_certificate,
     accepts,
@@ -51,13 +52,13 @@ def reference_decide(efa, word, budget):
     return (Verdict.BUDGET_EXHAUSTED if d_min is not None and d_min > budget else Verdict.REJECT), d_min
 
 
-def reference_register_counts(efa, max_len, budget):
+def reference_register_counts(efa, max_len, budgets):
     """Per length l <= max_len, the distinct (state, register) pairs of the
     configurations (state, symbols read <= l, register) at any exact depth
-    <= budget, built as one set per depth over any symbols, as above."""
+    <= budgets[l], built as one set per depth over any symbols, as above."""
     group = efa.group
     layers = [{(efa.initial, 0, group.identity())}]
-    for _ in range(budget):
+    for _ in range(max(budgets)):
         layers.append(
             {
                 (t.target, k + (t.symbol is not None), group.mul(g, t.register))
@@ -66,7 +67,10 @@ def reference_register_counts(efa, max_len, budget):
                 if t.source == q and (t.symbol is None or k < max_len)
             }
         )
-    return [len({(q, g) for layer in layers for q, k, g in layer if k <= length}) for length in range(max_len + 1)]
+    return [
+        len({(q, g) for layer in layers[: budgets[length] + 1] for q, k, g in layer if k <= length})
+        for length in range(max_len + 1)
+    ]
 
 
 def draw_machine(group, data):
@@ -102,15 +106,21 @@ def draw_machine(group, data):
 def test_every_decider_matches_the_reference(group, data):
     machine = draw_machine(group, data)
     alphabet = machine.alphabet
-    budget = data.draw(st.integers(1, 5), label="budget")
-    policy = constant_policy(budget)
+    if data.draw(st.booleans(), label="per length"):
+        # a budget per length that need not be monotone, such as (4, 1, 5, 2)
+        budgets = data.draw(st.tuples(*[st.integers(1, 5)] * 4), label="budgets")
+        policy = budgets.__getitem__
+    else:
+        budget = data.draw(st.integers(1, 5), label="budget")
+        budgets, policy = (budget,) * 4, constant_policy(budget)
 
     shared = list(_language_verdicts(machine, alphabet, 3, policy))
     parsed = parse_efa(serialize_efa(machine))
     assert parsed == machine and serialize_efa(parsed) == serialize_efa(machine)
     assert list(_language_verdicts(parsed, alphabet, 3, policy)) == shared
-    assert reachable_register_count(machine, 3, policy) == reference_register_counts(machine, 3, budget)
+    assert reachable_register_count(machine, 3, policy) == reference_register_counts(machine, 3, budgets)
     for word, verdict in zip(all_words(alphabet, 3), shared, strict=True):
+        budget = budgets[len(word)]
         expected, d_min = reference_decide(machine, word, budget)
         assert verdict is expected, word
         for dedup in (True, False):
@@ -137,3 +147,48 @@ def test_distance_table_matches_the_reference(group, data):
     for word in all_words(machine.alphabet, 3):
         _, d_min = reference_decide(machine, word, 1)
         assert _distances_to_accept(machine, word[::-1])[len(word)].get(machine.initial) == d_min, word
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_epsilon_tails_replay_to_acceptance(group, data):
+    # the backward half of the language search, checked forward through
+    # the public mul and inverse
+    machine = draw_machine(group, data)
+    depth = data.draw(st.integers(0, 5), label="depth")
+    table = _EpsilonTails(machine)
+    while table.depth < depth:
+        table.grow(10**7, 10**7)
+    tails = table.entries
+    identity = group.identity()
+    epsilon = [t for t in machine.transitions if t.symbol is None]
+
+    def accepting(config):
+        return config[0] in machine.accepting and group.is_identity(config[1])
+
+    for f in machine.accepting:
+        assert tails[(f, identity)][0] == 0
+    for config, (k, _, _) in tails.items():
+        assert 0 <= k <= depth
+        assert (k == 0) == accepting(config), config
+        # k moves along the next links replay to an accepting identity
+        # configuration, each through a transition of the machine
+        here = config
+        for steps_left in range(k, 0, -1):
+            left, t, nxt = tails[here]
+            assert left == steps_left and t in epsilon and t.source == here[0]
+            here = (t.target, group.mul(here[1], t.register))
+            assert here == nxt, (config, t)
+        assert accepting(here) and tails[here][0] == 0
+        # no shorter path: no accepting configuration within k - 1 moves
+        layer = {config}
+        for _ in range(k - 1):
+            layer = {(t.target, group.mul(g, t.register)) for q, g in layer for t in epsilon if t.source == q}
+            assert not any(accepting(c) for c in layer), config
+        # and every epsilon move into it starts at a tail of at most k + 1
+        if k < depth:
+            for t in epsilon:
+                if t.target == config[0]:
+                    source = (t.source, group.mul(config[1], group.inverse(t.register)))
+                    assert source in tails and tails[source][0] <= k + 1, (config, t)

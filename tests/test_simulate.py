@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramata.algebra import FreeAbelian, Matrix
+from gramata.algebra import FreeAbelian, FreeGroup, Matrix
 from gramata.constructions import CONSTRUCTIONS, build_mult, build_upow, construction_budget, oracle
 from gramata.errors import GramataError, UnknownSymbol
 from gramata.model import EFA, Transition
 from gramata.simulate import (
     Configuration,
     Verdict,
+    _PrefixSearch,
     _verify_certificate,
     accepts,
     all_words,
@@ -81,6 +82,14 @@ def test_accepts_odd_power():
     policy = construction_budget("oddpow")
     assert accepts(m, ("a", "a"), policy).verdict is Verdict.ACCEPT
     assert accepts(m, ("a",) * 4, policy).verdict is Verdict.REJECT
+
+
+def test_constant_policy_below_one_is_refused():
+    with pytest.raises(GramataError, match="at least 1"):
+        constant_policy(0)
+    # the least budget still takes the loop's one move
+    result = accepts(identity_loop_machine(), ("a",), constant_policy(1))
+    assert result.verdict is Verdict.ACCEPT and result.stats.accept_depth == 1
 
 
 def test_accepts_unknown_symbol():
@@ -417,6 +426,16 @@ def test_shared_search_matches_per_word_search_under_a_tight_budget(name, depth)
         assert any(v is Verdict.REJECT and s is Verdict.ACCEPT for v, s in zip(expected, shipped)), words
 
 
+def test_shared_search_matches_per_word_search_under_a_budget_that_is_not_monotone():
+    # lengths 2 and 4 leave 16 moves after their symbols, the last length
+    # only 4: the tails must reach as deep as the budget of any length allows
+    machine = build_mult()
+    policy = (4, 3, 18, 5, 20, 9, 10).__getitem__
+    expected = _per_word(machine, machine.alphabet, 6, policy)
+    assert {Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED} <= set(expected[1:])
+    assert _shared(machine, machine.alphabet, 6, policy) == expected
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_shared_search_matches_per_word_search_on_random_machines(data):
@@ -472,6 +491,83 @@ def test_shared_search_memory_guard(monkeypatch):
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "5")
     with pytest.raises(MemoryGuard):
         enumerate_words(build_mult(), 4, construction_budget("mult"))
+
+
+def _f2_loop_machine(register):
+    # q a f [register], and epsilon loops on both generators of F2 and their
+    # inverses at the accepting state f; b has no move
+    group = FreeGroup(2)
+    loops = [Transition("f", None, "f", group.parse_element(g)) for g in ("g0", "g0^-1", "g1", "g1^-1")]
+    read = Transition("q", "a", "f", group.parse_element(register))
+    return EFA(group, ["q", "f"], ["a", "b"], [read] + loops, "q", ["f"])
+
+
+def test_shared_search_grows_the_epsilon_tails_only_as_far_as_its_words_need():
+    # under the default budget, a table of every tail the budget allows
+    # would be the F2 ball of radius 24 or more, far past the memory guard;
+    # the one lookup a reaches at distance 0
+    machine = _f2_loop_machine("e")
+    assert enumerate_words(machine, 3).words == [("a",)]
+    search = _PrefixSearch(machine, machine.alphabet, 3, default_policy)
+    assert [v for length in range(4) for v in search.verdicts(length, machine.alphabet)].count(Verdict.ACCEPT) == 1
+    assert len(search.tails.entries) == 1
+
+
+def test_shared_search_looks_up_no_tail_of_the_empty_word_past_its_budget():
+    # q reaches f by 4 epsilon moves, past the budget of 3: the empty word's
+    # lookup is pruned, as a search per word prunes it, and grows nothing
+    machine = _f2_loop_machine("e")
+    chain = [Transition(a, None, b, machine.group.identity()) for a, b in zip("qxyz", "xyzf")]
+    machine = EFA(
+        machine.group, [*machine.states, "x", "y", "z"], machine.alphabet, [*machine.transitions, *chain], "q", ["f"]
+    )
+    search = _PrefixSearch(machine, machine.alphabet, 0, constant_policy(3))
+    assert list(search.verdicts(0, machine.alphabet)) == [Verdict.BUDGET_EXHAUSTED]
+    assert len(search.tails.entries) == 1
+
+
+def test_shared_search_grows_no_epsilon_tails_its_word_cannot_enter():
+    # a reaches p, whose one epsilon move leaves g0 in the register: no
+    # tail. The loops on s are behind b, and a table grown for a's miss
+    # until the budget ran out would hold the F2 ball of radius 35
+    group = FreeGroup(2)
+    transitions = [
+        Transition("q", "a", "p", group.identity()),
+        Transition("q", "b", "s", group.identity()),
+        Transition("p", None, "f", group.parse_element("g0")),
+        Transition("s", None, "f", group.identity()),
+    ] + [Transition("s", None, "s", group.parse_element(g)) for g in ("g0", "g0^-1", "g1", "g1^-1")]
+    machine = EFA(group, ["q", "p", "s", "f"], ["a", "b"], transitions, "q", ["f"])
+    search = _PrefixSearch(machine, machine.alphabet, 1, default_policy)
+    assert list(search.verdicts(1, machine.alphabet)) == [Verdict.REJECT, Verdict.ACCEPT]
+    # f, then p and s one move back, then s's loops, where p has no path
+    assert len(search.tails.entries) == 7
+    assert enumerate_words(machine, 1).words == [("b",)]
+
+
+def test_shared_search_epsilon_tails_count_against_the_memory_guard(monkeypatch):
+    # the forward search stores the root alone; a needs the tail of g0^4,
+    # found in the F2 ball of radius 4, 161 entries
+    from gramata.errors import MemoryGuard
+
+    machine = _f2_loop_machine("g0 g0 g0 g0")
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "100")
+    with pytest.raises(MemoryGuard, match="more than 100 elements"):
+        enumerate_words(machine, 1)
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "162")
+    assert enumerate_words(machine, 1).words == [("a",)]
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "161")
+    with pytest.raises(MemoryGuard):
+        enumerate_words(machine, 1)
+    # the tails stay stored for the later words: with a loop on b at q, ba
+    # needs them, the root and the level below b, 163 elements
+    loop = Transition("q", "b", "q", machine.group.identity())
+    machine = EFA(machine.group, machine.states, machine.alphabet, machine.transitions + (loop,), "q", ["f"])
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "163")
+    assert enumerate_words(machine, 2).words == [("a",), ("b", "a")]
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "162")
+    with pytest.raises(MemoryGuard):
+        enumerate_words(machine, 2)
 
 
 def test_shared_search_unknown_symbol_before_any_oracle_call():
