@@ -71,11 +71,12 @@ class EFA:
 
     # The transition tables are built once per machine, on first use. The
     # move table is rebuilt in each worker process: its compiled actions do
-    # not pickle.
+    # not pickle. The distance memo starts afresh there too.
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("moves", None)
+        state.pop("distance_levels", None)
         return state
 
     @cached_property
@@ -117,6 +118,14 @@ class EFA:
             if t.symbol is not None:
                 table.setdefault((t.target, ANY), []).append(t.source)
         return table
+
+    @cached_property
+    def distance_levels(self):
+        """The memo of the distance levels that simulate's deciders look up
+        through sources, filled as they need them (DistanceLevels)."""
+        from .simulate import DistanceLevels  # simulate imports this module
+
+        return DistanceLevels(self)
 
 
 def validate(efa):

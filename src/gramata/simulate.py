@@ -29,7 +29,6 @@ lookups need.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import os
@@ -200,36 +199,105 @@ def _checked_word(word, alphabet):
     return word
 
 
+def _close_unit(best, nexts):
+    """Close a state -> distance map under unit-weight moves, in place, and
+    return it: best[t] becomes the least of its own entry and best[q] + 1
+    over every q with t in nexts[q]. nexts lists only states with a move.
+    The states are taken in order of distance, one bucket per distance."""
+    pending = {}
+    for q, d in best.items():
+        if q in nexts:
+            pending.setdefault(d, []).append(q)
+    d = min(pending, default=0)
+    while pending:
+        for q in pending.pop(d, ()):
+            if best[q] == d:  # else it was queued again at a smaller distance
+                for t in nexts[q]:
+                    if best.get(t, d + 2) > d + 1:
+                        best[t] = d + 1
+                        if t in nexts:
+                            pending.setdefault(d + 1, []).append(t)
+        d += 1
+    return best
+
+
+# the most levels a machine's DistanceLevels holds: it starts over when full
+DISTANCE_LEVELS = 4096
+
+
+class DistanceLevels:
+    """The memo of _distances_to_accept on one machine, kept in
+    EFA.distance_levels. A level is dist[r], state -> distance, and depends
+    only on the last r reads: the graph of (state, r) is layered by r, so
+    dist[r] is one backward step of the read reads[r - 1] from dist[r - 1],
+    closed under epsilon moves. Each level is interned by its sorted items,
+    and steps[i][read] is the index of the level one read above level i:
+    an on-the-fly determinisation of the reversed, register-ignoring
+    machine, where ANY and the symbols are read keys alike. The levels are
+    shared between calls, so their users only read them. At most
+    DISTANCE_LEVELS levels are held; a miss that finds the memo full starts
+    it over from the root level and the level at hand."""
+
+    def __init__(self, efa):
+        self.sources = efa.sources
+        self.eps_sources = {q: states for (q, s), states in efa.sources.items() if s is None}
+        self.root = _close_unit(dict.fromkeys(efa.accepting, 0), self.eps_sources)
+        self.levels = []  # index -> level
+        self.index = {}  # a level's sorted items -> its index
+        self.steps = []  # index -> read key -> the next level's index
+        self._start()
+
+    def _start(self):
+        # cleared in place, so that a walk's references to them stay valid
+        self.levels.clear()
+        self.index.clear()
+        self.steps.clear()
+        self._intern(self.root)
+
+    def _intern(self, level):
+        key = tuple(sorted(level.items()))
+        i = self.index.get(key)
+        if i is None:
+            i = self.index[key] = len(self.levels)
+            self.levels.append(level)
+            self.steps.append({})
+        return i
+
+    def step(self, i, level, read):
+        """The index of the level one read above level, whose index is i,
+        computed and interned."""
+        if len(self.levels) >= DISTANCE_LEVELS:
+            self._start()
+            i = self._intern(level)
+        best = {}
+        sources = self.sources.get
+        for q, d in level.items():
+            for src in sources((q, read), ()):
+                if best.get(src, d + 2) > d + 1:
+                    best[src] = d + 1
+        j = self.steps[i][read] = self._intern(_close_unit(best, self.eps_sources))
+        return j
+
+
 def _distances_to_accept(efa, reads):
     """dist[r][q]: the fewest transitions from state q, with r symbols still
     to read, to an accepting state with none left (q is missing from
     dist[r] if there is no such path), registers ignored. The r-th symbol
     from the end is read through the key reads[r - 1] of efa.sources: a
     word's symbols reversed give its distances, and [ANY] * length a lower
-    bound on them for every word of that length. One backward breadth-first
-    search over (state, r)."""
-    sources = efa.sources.get
-    top = len(reads)
-    dist = [{} for _ in range(top + 1)]
-    dist[0] = dict.fromkeys(efa.accepting, 0)
-    frontier = [(q, 0) for q in efa.accepting]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for q, r in frontier:
-            here = dist[r]
-            for src in sources((q, None), ()):
-                if src not in here:
-                    here[src] = d
-                    nxt.append((src, r))
-            if r < top:
-                up = dist[r + 1]
-                for src in sources((q, reads[r]), ()):
-                    if src not in up:
-                        up[src] = d
-                        nxt.append((src, r + 1))
-        frontier = nxt
+    bound on them for every word of that length. The levels come from the
+    machine's memo (DistanceLevels), one lookup per read, and are shared:
+    the caller only reads them."""
+    memo = efa.distance_levels
+    levels, steps = memo.levels, memo.steps
+    i = 0
+    level = levels[0]
+    dist = [level]
+    for read in reads:
+        j = steps[i].get(read)
+        i = memo.step(i, level, read) if j is None else j
+        level = levels[i]
+        dist.append(level)
     return dist
 
 
@@ -549,6 +617,7 @@ class _PrefixSearch:
         self.alphabet = alphabet
         self.policy = policy
         self.eps = {q: efa.moves[(q, None)] for q in efa.states}
+        self.eps_targets = {q: [m[0] for m in moves] for q, moves in self.eps.items() if moves}
         self.sym = {
             s: {q: efa.moves[(q, s)][len(self.eps[q]) :] for q in efa.states} for s in alphabet
         }
@@ -716,19 +785,9 @@ class _PrefixSearch:
         return _Level(links, layers[start:], base + start)
 
     def _close_projection(self, best):
-        """Close a state -> depth map under epsilon moves (unit weights, in
-        depth order) and freeze it as a sorted tuple of pairs."""
-        heap = [(d, q) for q, d in best.items()]
-        heapq.heapify(heap)
-        while heap:
-            d, q = heapq.heappop(heap)
-            if d > best[q]:
-                continue
-            for target, _, _, _ in self.eps[q]:
-                if best.get(target, d + 2) > d + 1:
-                    best[target] = d + 1
-                    heapq.heappush(heap, (d + 1, target))
-        return tuple(sorted(best.items()))
+        """Close a state -> depth map under epsilon moves and freeze it as a
+        sorted tuple of pairs."""
+        return tuple(sorted(_close_unit(best, self.eps_targets).items()))
 
     def _step_projection(self, projection, symbol):
         key = (projection, symbol)

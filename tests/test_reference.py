@@ -52,6 +52,34 @@ def reference_decide(efa, word, budget):
     return (Verdict.BUDGET_EXHAUSTED if d_min is not None and d_min > budget else Verdict.REJECT), d_min
 
 
+def reference_distances(efa, reads):
+    """The table of simulate._distances_to_accept from one backward
+    breadth-first search over (state, r), all levels at once."""
+    sources = efa.sources.get
+    top = len(reads)
+    dist = [{} for _ in range(top + 1)]
+    dist[0] = dict.fromkeys(efa.accepting, 0)
+    frontier = [(q, 0) for q in efa.accepting]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for q, r in frontier:
+            here = dist[r]
+            for src in sources((q, None), ()):
+                if src not in here:
+                    here[src] = d
+                    nxt.append((src, r))
+            if r < top:
+                up = dist[r + 1]
+                for src in sources((q, reads[r]), ()):
+                    if src not in up:
+                        up[src] = d
+                        nxt.append((src, r + 1))
+        frontier = nxt
+    return dist
+
+
 def reference_register_counts(efa, max_len, budgets):
     """Per length l <= max_len, the distinct (state, register) pairs of the
     configurations (state, symbols read <= l, register) at any exact depth
@@ -100,11 +128,37 @@ def draw_machine(group, data):
     return machine
 
 
-@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
-@given(data=st.data())
-@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
-def test_every_decider_matches_the_reference(group, data):
-    machine = draw_machine(group, data)
+def draw_epsilon_machine(group, data):
+    """A random machine over the group, on one to three letters, whose one
+    accepting state f is entered only by epsilon moves with a register other
+    than the identity, from a non-accepting initial state: every accepting
+    path ends in an epsilon tail that must cancel what came before it."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = random_element(group, rng)
+    while group.is_identity(g):
+        g = random_element(group, rng)
+    h = random_element(group, rng)
+    registers = [group.identity(), g, group.inverse(g), h]
+    into_f = [x for x in registers if not group.is_identity(x)]
+    states = [f"s{i}" for i in range(data.draw(st.integers(1, 3), label="states"))]
+    alphabet = ("a", "b", "c")[: data.draw(st.integers(1, 3), label="letters")]
+    inner = st.builds(
+        Transition,
+        st.sampled_from(states),
+        st.sampled_from((None,) + alphabet),
+        st.sampled_from(states),
+        st.sampled_from(registers),
+    )
+    tail = st.builds(Transition, st.sampled_from(states + ["f"]), st.none(), st.just("f"), st.sampled_from(into_f))
+    transitions = data.draw(st.lists(inner, max_size=5), label="transitions")
+    transitions += data.draw(st.lists(tail, min_size=1, max_size=3), label="tails")
+    return EFA(group, states + ["f"], alphabet, transitions, "s0", ["f"])
+
+
+def check_deciders(machine, data):
+    """Every decider against reference_decide on every word up to length
+    3, and the parse round trip and the register count against theirs,
+    under a drawn budget."""
     alphabet = machine.alphabet
     if data.draw(st.booleans(), label="per length"):
         # a budget per length that need not be monotone, such as (4, 1, 5, 2)
@@ -134,6 +188,13 @@ def test_every_decider_matches_the_reference(group, data):
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
 @given(data=st.data())
 @settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_every_decider_matches_the_reference(group, data):
+    check_deciders(draw_machine(group, data), data)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
 def test_distance_table_matches_the_reference(group, data):
     # one table serves both deciders: a word's symbols reversed give its
     # d_min, and ANY reads give the least distance over all words
@@ -149,13 +210,10 @@ def test_distance_table_matches_the_reference(group, data):
         assert _distances_to_accept(machine, word[::-1])[len(word)].get(machine.initial) == d_min, word
 
 
-@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
-@given(data=st.data())
-@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
-def test_epsilon_tails_replay_to_acceptance(group, data):
-    # the backward half of the language search, checked forward through
-    # the public mul and inverse
-    machine = draw_machine(group, data)
+def check_epsilon_tails(machine, data):
+    """The backward half of the language search, grown to a drawn depth,
+    checked forward through the public mul and inverse."""
+    group = machine.group
     depth = data.draw(st.integers(0, 5), label="depth")
     table = _EpsilonTails(machine)
     while table.depth < depth:
@@ -192,3 +250,40 @@ def test_epsilon_tails_replay_to_acceptance(group, data):
                 if t.target == config[0]:
                     source = (t.source, group.mul(config[1], group.inverse(t.register)))
                     assert source in tails and tails[source][0] <= k + 1, (config, t)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_epsilon_tails_replay_to_acceptance(group, data):
+    check_epsilon_tails(draw_machine(group, data), data)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_machines_that_accept_only_through_epsilon_moves(group, data):
+    machine = draw_epsilon_machine(group, data)
+    check_deciders(machine, data)
+    check_epsilon_tails(machine, data)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_memoized_distance_levels_match_one_backward_search(group, data):
+    # every table of one machine, in a drawn order and twice over, each
+    # after a decider that reads it (a word's search prunes in one pass and
+    # not in the other): the levels are shared by all of them, so a caller
+    # that wrote into one would fail a later comparison
+    machine = draw_machine(group, data)
+    policy = constant_policy(data.draw(st.integers(1, 5), label="budget"))
+    words = list(all_words(machine.alphabet, 3)) + [None]  # None: the ANY reads of the language search
+    for k, word in enumerate(data.draw(st.permutations(words), label="order") * 2):
+        if word is None:
+            reads = (ANY,) * 3
+            list(_language_verdicts(machine, machine.alphabet, 3, policy))
+        else:
+            reads = word[::-1]
+            accepts(machine, word, policy, dedup=k % 2 == 0)
+        assert _distances_to_accept(machine, reads) == reference_distances(machine, reads), reads

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from gramata.constructions import CONSTRUCTIONS, build_mult, build_upow, constru
 from gramata.errors import GramataError, UnknownSymbol
 from gramata.model import EFA, Transition
 from gramata.simulate import (
+    DISTANCE_LEVELS,
     Configuration,
     Verdict,
+    _distances_to_accept,
     _PrefixSearch,
     _verify_certificate,
     accepts,
@@ -623,7 +626,7 @@ def test_path_run_memory_guard(monkeypatch, guard, first_raise):
 
 @pytest.mark.parametrize("name", DETERMINISTIC)
 def test_path_run_matches_the_compiled_search(name):
-    from gramata.simulate import _distances_to_accept, _run_path, _search_bfs
+    from gramata.simulate import _run_path, _search_bfs
 
     spec = CONSTRUCTIONS[name]
     machine = spec.build()
@@ -636,3 +639,33 @@ def test_path_run_matches_the_compiled_search(name):
         for policy in policies:
             budget = max(1, policy(len(word)))
             assert _run_path(machine, word, budget, dist) == _search_bfs(compiled, word, budget, dist), (word, budget)
+
+
+# --- the distance memo ------------------------------------------------------------
+
+
+def test_distance_memo_stays_within_its_bound():
+    # a word three times longer than the memo may hold: wp-z has one state,
+    # accepting, and every symbol loops on it, so dist[r] is {w0: r}
+    machine = CONSTRUCTIONS["wp-z"].build()
+    n = 3 * DISTANCE_LEVELS + 1
+    word = ("a", "a^-1") * (n // 2) + ("a",)
+    memo = machine.distance_levels
+    assert _distances_to_accept(machine, word[::-1]) == [{"w0": r} for r in range(n + 1)]
+    assert len(memo.levels) == len(memo.index) == len(memo.steps) <= DISTANCE_LEVELS
+    # d_min = n decides BudgetExhausted against Reject (the register is 1)
+    assert accepts(machine, word, constant_policy(n - 1)).verdict is Verdict.BUDGET_EXHAUSTED
+    assert accepts(machine, word, constant_policy(n)).verdict is Verdict.REJECT
+    assert accepts(machine, ("a", "a^-1")).accepted
+    assert len(memo.levels) <= DISTANCE_LEVELS
+
+
+def test_pickled_machine_carries_no_distance_memo():
+    spec = CONSTRUCTIONS["mult"]
+    machine = spec.build()
+    word = tuple("zxyyzxxyz")
+    decided = accepts(machine, word, spec.budget)
+    assert "distance_levels" in vars(machine)
+    copy = pickle.loads(pickle.dumps(machine))
+    assert "distance_levels" not in vars(copy) and "moves" not in vars(copy)
+    assert accepts(copy, word, spec.budget) == decided
