@@ -438,7 +438,19 @@ class FreeGroup(Group):
         return g * h
 
     def right_mul(self, h):
-        return lambda g: g * h
+        if len(h.letters) != 1:
+            return lambda g: g * h
+        # one letter: the product cancels g's last letter or appends it
+        tail = h.letters
+        inverse = (tail[0][0], -tail[0][1])
+
+        def act(g):
+            letters = g.letters
+            if letters and letters[-1] == inverse:
+                return _word(letters[:-1])
+            return _word(letters + tail)
+
+        return act
 
     def inverse(self, g):
         return g.inverse()

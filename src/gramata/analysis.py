@@ -4,17 +4,16 @@ time-complexity argument.
 The growth function is computed by exact breadth-first search over group
 elements, sphere by sphere: with a symmetric generating set every neighbour
 of an element at radius r lies at radius r-1, r or r+1, so growth() keeps
-only the previous, current and new sphere, and skips each element's product
-back to the element that found it. The memory guard still counts the whole
-ball and its layers. Dissimilarity uses either the constructive witness
-family (each ball element's shortest word, distinguished by appending
-inverses) or an exact maximum-clique search over the dissimilarity graph on
-small instances.
+only the current and the new sphere, each element with a mask of its back
+generators, and skips every product back into the previous sphere. The
+memory guard still counts the whole ball and its layers. Dissimilarity uses
+either the constructive witness family (each ball element's shortest word,
+distinguished by appending inverses) or an exact maximum-clique search over
+the dissimilarity graph on small instances.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -59,39 +58,49 @@ def growth(group, gens, radius):
     """Exact ball cardinalities on the Cayley graph, radii 0..radius.
 
     A breadth-first search over spheres. The generating set is symmetric, so
-    the sphere at radius r+1 is the neighbours of sphere r that lie neither
-    in sphere r-1 nor in sphere r; only those three spheres are stored, each
-    element with the index of the generator that leads back to the element
-    that found it. That product lands in the previous sphere, so it is
-    skipped. The memory guard counts every element found, checked on each
-    insert, plus each recorded layer, exactly as bfs_layers does, so it
-    fires at the same element even though the ball is not stored."""
+    every neighbour of sphere r lies in sphere r-1, r or r+1. Only the
+    current and the new sphere are stored, each element with a mask of its
+    back generators: a product g*s that lands in the new sphere sets the bit
+    of s^-1 in its mask, and a product by a generator in the mask is
+    skipped. An element of sphere r-1 skips only products into sphere r-2,
+    so each product from sphere r back into sphere r-1 is the inverse of one
+    that set a bit; every product left lands in sphere r or r+1. Elements
+    are found in the order of a search that stores the ball, and the memory
+    guard counts every element found, checked on each insert, plus each
+    recorded layer, exactly as bfs_layers does, so it fires at the same
+    element."""
     sym_gens = _symmetric_gens(group, gens)
     index = {elem: i for i, (_, elem) in enumerate(sym_gens)}
-    moves = [(group.right_mul(elem), index[group.inverse(elem)]) for _, elem in sym_gens]
-    # plans[i]: the (action, back index) pairs of an element found through
-    # the inverse of generator i; the last plan, for the identity, skips none
-    plans = [tuple(m for j, m in enumerate(moves) if j != i) for i in range(len(moves))]
-    plans.append(tuple(moves))
+    # (action, bit of the generator, bit of its inverse): the inverse of an
+    # involution is its own bit, and an identity generator lands in cur
+    moves = [
+        (group.right_mul(elem), 1 << i, 1 << index[group.inverse(elem)])
+        for i, (_, elem) in enumerate(sym_gens)
+    ]
     guard = mem_guard()
-    prev, cur = {}, {group.identity(): len(moves)}
+    cur = {group.identity(): 0}
     total = 1
     counts = [1]
     for _ in range(radius):
         new = {}
-        for g, skip in cur.items():
-            for act, back in plans[skip]:
-                h = act(g)
-                if h in prev or h in cur or h in new:
+        get = new.get
+        for g, mask in cur.items():
+            for act, bit, back in moves:
+                if mask & bit:
                     continue
-                new[h] = back
-                total += 1
-                if total > guard:
-                    raise MemoryGuard(f"search stored more than {guard} elements")
+                h = act(g)
+                found = get(h)
+                if found is not None:
+                    new[h] = found | back
+                elif h not in cur:
+                    new[h] = back
+                    total += 1
+                    if total > guard:
+                        raise MemoryGuard(f"search stored more than {guard} elements")
         counts.append(total)
         if total + len(counts) > guard:
             raise MemoryGuard(f"search stored more than {guard} elements and layer counts")
-        prev, cur = cur, new
+        cur = new
     return GrowthTable(tuple(counts))
 
 
@@ -162,14 +171,18 @@ def dissimilarity_lower_bound(group, gens, n):
     witnesses = sorted(words.values(), key=lambda w: (len(w), w))
     member = wp_oracle(group, _named_gens(gens)).member
 
-    for w1, w2 in itertools.combinations(witnesses, 2):
+    # each w1 and its distinguisher are verified once, before its first pair
+    for i, w1 in enumerate(witnesses[:-1]):
         v = _invert_word(w1)
-        if len(w1) + len(v) > n or len(w2) + len(v) > n:
+        if len(w1) + len(v) > n:
             raise GramataError("witness verification: distinguisher too long")
-        if not member(w1 + v) or member(w2 + v):
-            raise GramataError(
-                f"witness verification failed for {w1!r} vs {w2!r}"
-            )
+        if not member(w1 + v):
+            raise GramataError(f"witness verification failed for {w1!r} vs {witnesses[i + 1]!r}")
+        for w2 in witnesses[i + 1 :]:
+            if len(w2) + len(v) > n:
+                raise GramataError("witness verification: distinguisher too long")
+            if member(w2 + v):
+                raise GramataError(f"witness verification failed for {w1!r} vs {w2!r}")
     return DissimilarityReport(n=n, lower_bound=len(witnesses), witnesses=witnesses)
 
 

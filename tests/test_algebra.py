@@ -565,6 +565,31 @@ def test_right_mul_matches_mul(group, rng):
         assert group.is_identity(one) and one == group.identity()
 
 
+@pytest.mark.parametrize("letter", [(0, 1), (0, -1), (1, 1), (1, -1)])
+def test_one_letter_free_action_matches_mul(letter):
+    # a one-letter action cancels the word's last letter or appends its own
+    group = FreeGroup(2)
+    h = Word((letter,))
+    other = (1 - letter[0], 1)
+    inverse = (letter[0], -letter[1])
+    act = group.right_mul(h)
+    words = [
+        Word(),
+        Word((inverse,)),
+        Word((other, inverse)),
+        Word((letter,)),
+        Word((inverse, other)),
+        Word((other, (letter[0], 1), (letter[0], 1), other)),
+    ]
+    for g in words:
+        product = act(g)
+        assert product == group.mul(g, h) and hash(product) == hash(group.mul(g, h))
+        assert product.letters == (g * h).letters
+        group.check(product)
+    assert group.is_identity(act(Word((inverse,))))
+    assert act(Word((other, inverse))).letters == (other,)
+
+
 def test_word_product_cancels_at_the_boundary_only():
     a, b = Word(((0, 1), (1, 1), (0, -1))), Word(((0, 1), (1, -1), (1, 1)))
     assert (a * b).letters == ((0, 1), (1, 1))

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -11,7 +13,9 @@ from gramata.algebra import (
     Matrix,
     parse_group_compact,
 )
+from gramata import analysis
 from gramata.analysis import (
+    _invert_word,
     _pair_work,
     ball_with_words,
     dissimilarity_exact,
@@ -64,25 +68,46 @@ def test_growth_memory_guard(monkeypatch):
         growth(FreeGroup(2), gens_of(FreeGroup(2)), 4)
 
 
-def _reference_counts(group, gens, radius):
-    """Ball cardinalities from a layered BFS over the public mul that stores
-    every element of the ball: the reference for growth's sphere search."""
+def _reference_radii(group, gens, radius):
+    """Each element of the ball mapped to its radius, from a layered BFS over
+    the public mul that stores every element of the ball: the reference for
+    growth's sphere search."""
     elems = [g[1] if isinstance(g, tuple) and len(g) == 2 and isinstance(g[0], str) else g for g in gens]
     sym = elems + [group.inverse(g) for g in elems]
-    ball = {group.identity()}
+    radii = {group.identity(): 0}
     layer = [group.identity()]
-    counts = [1]
-    for _ in range(radius):
+    for r in range(1, radius + 1):
         nxt = []
         for g in layer:
             for s in sym:
                 h = group.mul(g, s)
-                if h not in ball:
-                    ball.add(h)
+                if h not in radii:
+                    radii[h] = r
                     nxt.append(h)
-        counts.append(len(ball))
         layer = nxt
-    return tuple(counts)
+    return radii
+
+
+def _reference_counts(group, gens, radius):
+    radii = _reference_radii(group, gens, radius)
+    return tuple(sum(1 for r in radii.values() if r <= k) for k in range(radius + 1))
+
+
+def _counting(group, products):
+    """A copy of group whose right actions record each (element, product)."""
+
+    def right_mul(self, h):
+        act = type(group).right_mul(self, h)
+
+        def counted(g):
+            product = act(g)
+            products.append((g, product))
+            return product
+
+        return counted
+
+    cls = type(f"Counting{type(group).__name__}", (type(group),), {"right_mul": right_mul})
+    return cls(*(getattr(group, f.name) for f in dataclasses.fields(group)))
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec_text())
@@ -96,21 +121,21 @@ def test_growth_matches_full_ball_reference(group, rng):
 _F2_A, _F2_B = (g for _, g in standard_generators(FreeGroup(2)))
 
 
-@pytest.mark.parametrize(
-    "spec, gens, radius",
-    [
-        # an involution: the generator is its own inverse and its own way back
-        ("matq:2", [Matrix([[-1, 0], [0, 1]]), Matrix([[1, 1], [0, 1]])], 6),
-        ("matq:2", [Matrix([[-1, 0], [0, 1]])], 4),
-        # the identity as a generator: every product by it stays in its sphere
-        ("zk:2", [(0, 0), (1, 0), (0, 1)], 5),
-        ("free:2", [FreeGroup(2).identity()], 3),
-        # a generator with its inverse, and a duplicated generator
-        ("zk:1", [(1,), (-1,)], 5),
-        ("zk:2", [(1, 0), (1, 0), (0, 1)], 5),
-        ("free:2", [("a", _F2_A), ("a2", _F2_A), ("b^-1", _F2_B.inverse()), ("b", _F2_B)], 4),
-    ],
-)
+_DEGENERATE_GENERATING_SETS = [
+    # an involution: the generator is its own inverse and its own way back
+    ("matq:2", [Matrix([[-1, 0], [0, 1]]), Matrix([[1, 1], [0, 1]])], 6),
+    ("matq:2", [Matrix([[-1, 0], [0, 1]])], 4),
+    # the identity as a generator: every product by it stays in its sphere
+    ("zk:2", [(0, 0), (1, 0), (0, 1)], 5),
+    ("free:2", [FreeGroup(2).identity()], 3),
+    # a generator with its inverse, and a duplicated generator
+    ("zk:1", [(1,), (-1,)], 5),
+    ("zk:2", [(1, 0), (1, 0), (0, 1)], 5),
+    ("free:2", [("a", _F2_A), ("a2", _F2_A), ("b^-1", _F2_B.inverse()), ("b", _F2_B)], 4),
+]
+
+
+@pytest.mark.parametrize("spec, gens, radius", _DEGENERATE_GENERATING_SETS)
 def test_growth_matches_reference_on_degenerate_generating_sets(spec, gens, radius):
     group = parse_group_compact(spec)
     assert growth(group, gens, radius).counts == _reference_counts(group, gens, radius)
@@ -146,6 +171,39 @@ def test_growth_skips_each_elements_product_back_to_its_parent():
     group = CountingFreeGroup(2)
     assert growth(group, gens_of(FreeGroup(2)), 3).counts == (1, 5, 17, 53)
     assert len(products) == 52
+
+
+def _assert_no_product_back_into_the_previous_sphere(group, gens, radius):
+    products = []
+    assert growth(_counting(group, products), gens, radius).counts == _reference_counts(group, gens, radius)
+    radii = _reference_radii(group, gens, radius)
+    assert products
+    for g, h in products:
+        assert radii[g] < radius and radii[h] >= radii[g], (gens, g, h)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.spec_text())
+def test_growth_multiplies_no_element_back_into_the_previous_sphere(group, rng):
+    # the generating sets of test_growth_matches_full_ball_reference
+    for k in (1, 2, 3):
+        gens = [random_element(group, rng, bound=5) for _ in range(k)]
+        _assert_no_product_back_into_the_previous_sphere(group, gens, 4 if k < 3 else 3)
+
+
+@pytest.mark.parametrize("spec, gens, radius", _DEGENERATE_GENERATING_SETS)
+def test_growth_multiplies_no_element_back_on_degenerate_generating_sets(spec, gens, radius):
+    _assert_no_product_back_into_the_previous_sphere(parse_group_compact(spec), gens, radius)
+
+
+@pytest.mark.parametrize("radius, products", [(1, 4), (2, 16), (3, 36), (6, 144)])
+def test_growth_of_z2_takes_4_r_squared_products(radius, products):
+    # sphere k > 0 of Z^2 has 4 elements on the axes with one back generator
+    # each and 4(k - 1) off them with two, so it takes 8k + 4 products and
+    # the identity 4
+    recorded = []
+    group = _counting(FreeAbelian(2), recorded)
+    growth(group, gens_of(FreeAbelian(2)), radius)
+    assert len(recorded) == products == 4 * radius**2
 
 
 @pytest.mark.parametrize(
@@ -329,6 +387,53 @@ def test_witness_set_verified_pairwise_by_oracle_only():
     report = dissimilarity_lower_bound(HeisenbergGroup(), gens_of(HeisenbergGroup()), 4)
     ball = growth(HeisenbergGroup(), gens_of(HeisenbergGroup()), 2).counts[2]
     assert report.lower_bound == ball
+
+
+def _patch_wp_oracle(monkeypatch, wrap):
+    """Make dissimilarity_lower_bound verify through wrap(member)."""
+    real = analysis.wp_oracle
+
+    def patched(group, gens, name=None):
+        oracle_ = real(group, gens, name)
+        return NamedOracle(oracle_.name, oracle_.alphabet, wrap(oracle_.member))
+
+    monkeypatch.setattr(analysis, "wp_oracle", patched)
+
+
+def test_witness_verification_asks_the_oracle_once_per_witness_and_once_per_pair(monkeypatch):
+    calls = []
+
+    def wrap(member):
+        return lambda word: calls.append(word) or member(word)
+
+    _patch_wp_oracle(monkeypatch, wrap)
+    report = dissimilarity_lower_bound(FreeGroup(2), gens_of(FreeGroup(2)), 8)
+    # |B_F2(4)| = 161 witnesses: 12,880 pairs and 160 witnesses with a later one
+    assert report.lower_bound == 161
+    assert len(calls) == 12880 + 160
+
+
+# no earlier pair's w2 + v spells the same symbols as the chosen one
+@pytest.mark.parametrize("first, second", [(0, 16), (3, 10), (5, 12)])
+@pytest.mark.parametrize("wrong_on", ["w1 + v", "w2 + v"])
+def test_witness_verification_names_the_pair_an_oracle_is_wrong_on(monkeypatch, first, second, wrong_on):
+    group, gens = FreeGroup(2), gens_of(FreeGroup(2))
+    witnesses = dissimilarity_lower_bound(group, gens, 4).witnesses
+    w1, w2 = witnesses[first], witnesses[second]
+    v = _invert_word(w1)
+    # the oracle is wrong on w1 + v from the first pair of w1 on, so the
+    # failure names that first pair; wrong on w2 + v it names (w1, w2)
+    if wrong_on == "w1 + v":
+        wrong, w2 = w1 + v, witnesses[first + 1]
+    else:
+        wrong = w2 + v
+
+    def wrap(member):
+        return lambda word: (not member(word)) if word == wrong else member(word)
+
+    _patch_wp_oracle(monkeypatch, wrap)
+    with pytest.raises(GramataError, match=re.escape(f"failed for {w1!r} vs {w2!r}")):
+        dissimilarity_lower_bound(group, gens, 4)
 
 
 # --- lemma and theorem checks ----------------------------------------------------
