@@ -225,21 +225,26 @@ def format_matrix(m):
     return "[" + ",".join("[" + ",".join(format_rational(x) for x in row) + "]" for row in m.rows) + "]"
 
 
-class Word:
-    """Reduced word in a free group: letters are (generator index, sign)."""
+class Word(tuple):
+    """Reduced word in a free group, a tuple of letter codes: generator i
+    is 2i and its inverse 2i + 1, so neighbours a, b cancel exactly when
+    a ^ 1 == b. Equality, hashing, slicing and concatenation are the
+    tuple's own, in C, and no other module reads the codes: `letters` is
+    the (generator index, sign) view. Codes are not signed (+-(i + 1)),
+    because CPython hashes -1 and -2 alike, which crowds signed words into
+    fewer hashes."""
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
 
-    def __init__(self, letters=()):
-        letters = _reduce_letters(letters)
-        _set_letters(self, letters)
-        _set_word_hash(self, hash(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
+    def __new__(cls, letters=()):
+        return _tuple_new(cls, _reduce_letters(letters))
 
     def __reduce__(self):
         return (Word, (self.letters,))
+
+    @property
+    def letters(self):
+        return tuple([(c >> 1, -1 if c & 1 else 1) for c in self])
 
     @classmethod
     def generator(cls, index, sign=1):
@@ -248,62 +253,54 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        a, b = self.letters, other.letters
         # both operands are reduced, so cancellation only happens where the
         # left word's tail meets the right word's head
-        i, j, n = len(a), 0, len(b)
-        while i and j < n and a[i - 1][0] == b[j][0] and a[i - 1][1] != b[j][1]:
+        i, j, n = len(self), 0, len(other)
+        while i and j < n and self[i - 1] ^ 1 == other[j]:
             i -= 1
             j += 1
-        return _word(a[:i] + b[j:] if j else a + b)
+        return _tuple_new(Word, self[:i] + other[j:] if j else self + other)
+
+    def __rmul__(self, other):
+        # k * word is no group operation; refuse the tuple's repetition
+        return NotImplemented
 
     def inverse(self):
-        return _word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _tuple_new(Word, [c ^ 1 for c in reversed(self)])
 
     def is_identity(self):
-        return not self.letters
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return self._hash
+        return not self
 
     def __repr__(self):
         return f"Word({format_word(self)!r})"
 
 
-_set_letters, _set_word_hash = Word.letters.__set__, Word._hash.__set__
-
-
-def _word(letters):
-    """Word from letters that are already a reduced tuple of (index, +-1)
-    pairs, with no re-check (the internal constructor of the product)."""
-    w = _new(Word)
-    _set_letters(w, letters)
-    _set_word_hash(w, hash(letters))
-    return w
+# builds a Word or a Heis from a tuple without its Python-level __new__
+# (for a Word: codes that are already reduced, with no re-check)
+_tuple_new = tuple.__new__
 
 
 def _reduce_letters(letters):
+    """The reduced codes of (generator index, sign) letters."""
     out = []
     for g, s in letters:
+        # the product trusts a word's codes, so an index must be a real int
+        if not isinstance(g, int) or g < 0:
+            raise ElementGroupMismatch(f"generator index must be a non-negative int, got {g!r}")
         if s not in (1, -1):
             raise GramataError(f"letter sign must be +-1, got {s}")
-        if out and out[-1][0] == g and out[-1][1] == -s:
+        c = 2 * g + (s == -1)
+        if out and out[-1] == c ^ 1:
             out.pop()
         else:
-            out.append((g, s))
-    return tuple(out)
+            out.append(c)
+    return out
 
 
 def format_word(w):
-    if not w.letters:
+    if not w:
         return "e"
-    return " ".join(f"g{g}" if s == 1 else f"g{g}^-1" for g, s in w.letters)
+    return " ".join(f"g{c >> 1}^-1" if c & 1 else f"g{c >> 1}" for c in w)
 
 
 def parse_word(text, rank):
@@ -337,21 +334,17 @@ HEIS_B = Heis(1, 0, 0)
 HEIS_C = Heis(0, 0, 1)
 
 
-# builds a Heis from a 3-tuple without the generated Python-level __new__
-_heis_new = tuple.__new__
-
-
 def heis_mul(g, h):
     # closed-form law: (b^x a^y c^z)(b^x' a^y' c^z') = b^(x+x') a^(y+y') c^(z+z'+y*x')
     gx, gy, gz = g
     hx, hy, hz = h
-    return _heis_new(Heis, (gx + hx, gy + hy, gz + hz + gy * hx))
+    return _tuple_new(Heis, (gx + hx, gy + hy, gz + hz + gy * hx))
 
 
 def heis_inverse(g):
     # solve g * inv = identity in the closed form
     x, y, z = g
-    return _heis_new(Heis, (-x, -y, x * y - z))
+    return _tuple_new(Heis, (-x, -y, x * y - z))
 
 
 def heis_to_matrix(t):
@@ -438,17 +431,16 @@ class FreeGroup(Group):
         return g * h
 
     def right_mul(self, h):
-        if len(h.letters) != 1:
+        if len(h) != 1:
             return lambda g: g * h
         # one letter: the product cancels g's last letter or appends it
-        tail = h.letters
-        inverse = (tail[0][0], -tail[0][1])
+        tail = tuple(h)
+        inverse = tail[0] ^ 1
 
         def act(g):
-            letters = g.letters
-            if letters and letters[-1] == inverse:
-                return _word(letters[:-1])
-            return _word(letters + tail)
+            if g and g[-1] == inverse:
+                return _tuple_new(Word, g[:-1])
+            return _tuple_new(Word, g + tail)
 
         return act
 
@@ -456,13 +448,13 @@ class FreeGroup(Group):
         return g.inverse()
 
     def is_identity(self, g):
-        return not g.letters
+        return not g
 
     def check(self, g):
         if not isinstance(g, Word):
             raise ElementGroupMismatch(f"expected a free-group word, got {g!r}")
-        # the product trusts checked words, so an index must be a real int
-        if not all(isinstance(i, int) and 0 <= i < self.rank for i, _ in g.letters):
+        # Word() admits only non-negative int indices; the rank bounds them
+        if g and max(g) >= 2 * self.rank:
             raise ElementGroupMismatch(f"generator index must be an int in range({self.rank})")
 
     def format_element(self, g):
@@ -503,7 +495,8 @@ class FreeAbelian(Group):
         return all(a == 0 for a in g)
 
     def check(self, g):
-        if not (isinstance(g, tuple) and len(g) == self.k and all(isinstance(a, int) for a in g)):
+        # a plain tuple: a Word is a tuple of int codes too, but no vector
+        if not (type(g) is tuple and len(g) == self.k and all(isinstance(a, int) for a in g)):
             raise ElementGroupMismatch(f"expected an integer {self.k}-vector, got {g!r}")
 
     def format_element(self, g):
@@ -682,7 +675,8 @@ class DirectProduct(Group):
         return self.left.is_identity(g[0]) and self.right.is_identity(g[1])
 
     def check(self, g):
-        if not (isinstance(g, tuple) and len(g) == 2):
+        # a plain tuple, as for FreeAbelian: a two-letter Word is no pair
+        if not (type(g) is tuple and len(g) == 2):
             raise ElementGroupMismatch(f"expected a pair, got {g!r}")
         self.left.check(g[0])
         self.right.check(g[1])
@@ -840,21 +834,17 @@ BS_A = Matrix(((1, 0), (-1, 1)))
 BS_B = Matrix(((Fraction(1, 2), 0), (0, 1)))
 
 
-_SANOV_LETTERS = {
-    (0, 1): SANOV_A,
-    (0, -1): SANOV_A.inverse(),
-    (1, 1): SANOV_B,
-    (1, -1): SANOV_B.inverse(),
-}
+# indexed by letter code: g0, g0^-1, g1, g1^-1
+_SANOV_LETTERS = (SANOV_A, SANOV_A.inverse(), SANOV_B, SANOV_B.inverse())
 
 
 def sanov_embed(w):
     """Image of a rank-2 free word under g0 -> [[1,2],[0,1]], g1 -> [[1,0],[2,1]]."""
+    if w and max(w) > 3:
+        raise ElementGroupMismatch("sanov embedding is defined on rank-2 words")
     out = Matrix.identity(2)
-    for letter in w.letters:
-        if letter[0] not in (0, 1):
-            raise ElementGroupMismatch("sanov embedding is defined on rank-2 words")
-        out = out * _SANOV_LETTERS[letter]
+    for c in w:
+        out = out * _SANOV_LETTERS[c]
     return out
 
 

@@ -268,17 +268,26 @@ def wp_oracle(group, gens, name=None):
 # --- arithmetic language oracles ----------------------------------------------
 
 
-def _blocks(word, order):
-    """Split word into runs following the given symbol order; None if the
-    order is violated."""
-    counts = [0] * len(order)
+def _ranks(order):
+    """Each symbol's position in a block order, the table _blocks reads."""
+    return {sym: i for i, sym in enumerate(order)}
+
+
+_XYZ, _XY, _ABC = _ranks(("x", "y", "z")), _ranks(("x", "y")), _ranks(("a", "b", "c"))
+
+
+def _blocks(word, ranks):
+    """Split word into runs following the symbol order that ranks numbers;
+    None if the order is violated, at the first symbol that is foreign or
+    ranks below its predecessor."""
+    counts = [0] * len(ranks)
     i = 0
     for sym in word:
-        while i < len(order) and sym != order[i]:
-            i += 1
-        if i == len(order):
+        r = ranks.get(sym, -1)
+        if r < i:
             return None
-        counts[i] += 1
+        i = r
+        counts[r] += 1
     return counts
 
 
@@ -296,7 +305,7 @@ def _oddpow_member(word):
 
 
 def _mult_member(word):
-    counts = _blocks(word, ("x", "y", "z"))
+    counts = _blocks(word, _XYZ)
     if counts is None:
         return False
     p, q, r = counts
@@ -313,7 +322,7 @@ def _composite_member(word):
 
 
 def _multiple_member(word):
-    counts = _blocks(word, ("x", "y"))
+    counts = _blocks(word, _XY)
     if counts is None:
         return False
     p, m = counts
@@ -323,7 +332,7 @@ def _multiple_member(word):
 
 
 def _multiple_pos_member(word):
-    counts = _blocks(word, ("x", "y"))
+    counts = _blocks(word, _XY)
     if counts is None:
         return False
     p, m = counts
@@ -331,7 +340,7 @@ def _multiple_pos_member(word):
 
 
 def _anbncn_member(word):
-    counts = _blocks(word, ("a", "b", "c"))
+    counts = _blocks(word, _ABC)
     return counts is not None and counts[0] == counts[1] == counts[2]
 
 

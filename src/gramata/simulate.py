@@ -922,22 +922,20 @@ class EquivReport:
 
 def equiv_check(efa, oracle, alphabet, max_len, policy=default_policy, workers=1, name=""):
     """Exhaustively compare machine verdicts against a membership predicate."""
-    report = EquivReport(
-        machine_name=name or "machine",
-        oracle_name=getattr(oracle, "name", "oracle"),
-        max_len=max_len,
-        checked=0,
-    )
     member = oracle.member if hasattr(oracle, "member") else oracle
     verdicts = _language_verdicts(efa, alphabet, max_len, policy, workers)
+    accept, exhausted = Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED
+    checked, mismatches, undecided = 0, [], []
+    # the oracle answers every word, an undecided one too
     for word, verdict in zip(all_words(alphabet, max_len), verdicts, strict=True):
-        report.checked += 1
+        checked += 1
         expected = bool(member(word))
-        if verdict is Verdict.BUDGET_EXHAUSTED:
-            report.budget_exhausted.append(word)
-        elif (verdict is Verdict.ACCEPT) != expected:
-            report.mismatches.append((word, expected, verdict))
-    return report
+        if verdict is exhausted:
+            undecided.append(word)
+        elif (verdict is accept) != expected:
+            mismatches.append((word, expected, verdict))
+    oracle_name = getattr(oracle, "name", "oracle")
+    return EquivReport(name or "machine", oracle_name, max_len, checked, mismatches, undecided)
 
 
 def reachable_register_count(efa, max_len, policy=default_policy):

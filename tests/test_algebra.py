@@ -597,6 +597,88 @@ def test_word_product_cancels_at_the_boundary_only():
     assert (a * a.inverse()).is_identity()
 
 
+def _letter_lists(rank):
+    letter = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+    return st.tuples(st.just(rank), st.lists(st.lists(letter, max_size=12), min_size=3, max_size=3))
+
+
+_ranked_letters = st.integers(1, 3).flatmap(_letter_lists)
+
+
+@given(_ranked_letters)
+def test_word_algebra_matches_letter_pair_reduction(drawn):
+    # the reference is free reduction over (index, sign) pairs, the
+    # `letters` view, independent of the codes
+    rank, raw = drawn
+    group = FreeGroup(rank)
+    refs = [_ref_reduce(letters) for letters in raw]
+    words = [Word(letters) for letters in raw]
+    for w, r in zip(words, refs):
+        group.check(w)
+        assert w.letters == r and len(w) == len(r)
+        assert w.is_identity() == group.is_identity(w) == (r == ())
+        assert w.inverse().letters == tuple((g, -s) for g, s in reversed(r))
+        assert w == Word(r) and hash(w) == hash(Word(r))
+        restored = pickle.loads(pickle.dumps(w))
+        assert type(restored) is Word and restored == w and hash(restored) == hash(w)
+        assert restored.letters == r
+    for (g, r), (h, s) in itertools.product(list(zip(words, refs)), repeat=2):
+        assert (g == h) == (r == s)
+        if r == s:
+            assert hash(g) == hash(h)
+        want = _ref_reduce(r + s)
+        for product in (g * h, group.mul(g, h), group.right_mul(h)(g)):
+            assert type(product) is Word and product.letters == want
+            assert product == Word(want) and hash(product) == hash(Word(want))
+            assert product.is_identity() == (want == ())
+        # one-letter factors take right_mul's cancel-or-append path
+        for letter in s:
+            one = Word((letter,))
+            assert group.right_mul(one)(g).letters == _ref_reduce(r + (letter,))
+
+
+def test_word_hashes_spread_over_the_f2_ball():
+    from gramata.analysis import ball_with_words
+    from gramata.constructions import standard_generators
+
+    f2 = FreeGroup(2)
+    ball = ball_with_words(f2, standard_generators(f2), 6)
+    assert len(ball) == 1457
+    assert len({hash(w) for w in ball}) == 1457
+    # signed codes +-(i + 1) would collide, since hash(-1) == hash(-2)
+    assert len({hash(tuple(s * (g + 1) for g, s in w.letters)) for w in ball}) == 827
+
+
+@pytest.mark.parametrize("index", [0.5, 1.0, Fraction(1), "0", -1, None], ids=repr)
+def test_word_rejects_an_index_without_a_code(index):
+    with pytest.raises(ElementGroupMismatch):
+        Word(((index, 1),))
+
+
+def test_free_abelian_check_rejects_a_word():
+    # the codes of a b are the int tuple (0, 2), which is no vector
+    FreeAbelian(2).check((0, 2))
+    with pytest.raises(ElementGroupMismatch):
+        FreeAbelian(2).check(Word(((0, 1), (1, 1))))
+
+
+def test_direct_product_check_rejects_a_word():
+    product = DirectProduct(FreeAbelian(1), FreeAbelian(1))
+    product.check(((0,), (0,)))
+    with pytest.raises(ElementGroupMismatch):
+        product.check((Word.generator(0), (0,)))
+    with pytest.raises(ElementGroupMismatch):
+        DirectProduct(FreeAbelian(1), FreeGroup(2)).check(Word(((0, 1), (1, 1))))
+
+
+def test_int_times_word_raises():
+    w = Word(((0, 1), (1, -1)))
+    with pytest.raises(TypeError):
+        3 * w
+    with pytest.raises(TypeError):
+        w * 3
+
+
 def test_matrix_is_integer_rows_over_one_denominator():
     m = Matrix(((Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 4))))
     assert (m.num, m.den) == (((3, 2), (0, 3)), 6)

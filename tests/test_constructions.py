@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from gramata.algebra import (
 from gramata.constructions import (
     CONSTRUCTIONS,
     NamedOracle,
+    _blocks,
+    _ranks,
     build_anbncn,
     build_composite,
     build_mult,
@@ -35,7 +38,15 @@ from gramata.constructions import (
 )
 from gramata.errors import GramataError, NotPositive, UnknownOracle
 from gramata.model import EFA, Transition, parse_efa, serialize_efa
-from gramata.simulate import Verdict, accepts, enumerate_words, equiv_check, format_word
+from gramata.simulate import (
+    Verdict,
+    accepts,
+    all_words,
+    constant_policy,
+    enumerate_words,
+    equiv_check,
+    format_word,
+)
 
 from gramata.constructions import ODDPOW_A1, ODDPOW_A2, ODDPOW_A3, ODDPOW_A4, UPOW_A1, UPOW_A2, UPOW_A3
 
@@ -240,6 +251,61 @@ def test_standard_generators():
     assert [n for n, _ in standard_generators(HeisenbergGroup())] == ["a", "b", "c"]
     with pytest.raises(GramataError):
         standard_generators(PositiveRationals())
+
+
+def _scan_blocks(word, order):
+    """The block split by a forward scan of order for every symbol: the
+    reference for _blocks' rank table."""
+    counts = [0] * len(order)
+    i = 0
+    for sym in word:
+        while i < len(order) and sym != order[i]:
+            i += 1
+        if i == len(order):
+            return None
+        counts[i] += 1
+    return counts
+
+
+@pytest.mark.parametrize("order", [("x", "y", "z"), ("x", "y"), ("a", "b", "c")])
+def test_blocks_rank_table_matches_the_scan(order):
+    ranks = _ranks(order)
+    symbols = order + ("w",)  # one foreign symbol
+    for n in range(8):
+        for word in itertools.product(symbols, repeat=n):
+            assert _blocks(word, ranks) == _scan_blocks(word, order), word
+
+
+def _per_word_report(machine, member, alphabet, max_len, policy):
+    """(checked, mismatches, budget_exhausted) by equiv_check's rules, from
+    one accepts call per word."""
+    checked, mismatches, undecided = 0, [], []
+    for word in all_words(alphabet, max_len):
+        checked += 1
+        verdict = accepts(machine, word, policy).verdict
+        expected = bool(member(word))
+        if verdict is Verdict.BUDGET_EXHAUSTED:
+            undecided.append(word)
+        elif (verdict is Verdict.ACCEPT) != expected:
+            mismatches.append((word, expected, verdict))
+    return checked, mismatches, undecided
+
+
+@pytest.mark.parametrize("depth", [1, 5])
+def test_equiv_check_asks_the_oracle_once_per_word_in_order(depth):
+    # under budget 1 most words of mult are undecided, under 5 some mismatch
+    machine, mult, alphabet, policy = build_mult(), oracle("MULT"), ("x", "y", "z"), constant_policy(depth)
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return mult(word)
+
+    report = equiv_check(machine, NamedOracle("MULT", alphabet, counting), alphabet, 5, policy)
+    assert calls == list(all_words(alphabet, 5))
+    want = _per_word_report(machine, mult, alphabet, 5, policy)
+    assert (report.checked, report.mismatches, report.budget_exhausted) == want
+    assert report.budget_exhausted and (report.mismatches or depth == 1)
 
 
 # --- corpus ------------------------------------------------------------------------------
