@@ -21,7 +21,7 @@ from typing import Optional
 from . import algebra
 from .constructions import standard_generators, wp_oracle
 from .errors import GramataError, InstanceTooLarge, MemoryGuard
-from .simulate import all_words, bfs_layers, default_policy, mem_guard, reachable_register_count
+from .simulate import all_words, bfs_layers, default_policy, gc_paused, mem_guard, reachable_register_count
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,16 @@ def growth(group, gens, radius):
     of s^-1 in its mask, and a product by a generator in the mask is
     skipped. An element of sphere r-1 skips only products into sphere r-2,
     so each product from sphere r back into sphere r-1 is the inverse of one
-    that set a bit; every product left lands in sphere r or r+1. Elements
-    are found in the order of a search that stores the ball, and the memory
-    guard counts every element found, checked on each insert, plus each
-    recorded layer, exactly as bfs_layers does, so it fires at the same
-    element."""
+    that set a bit; every product left lands in sphere r or r+1. Each layer
+    takes one generator at a time across the whole sphere, so an element
+    is found by its first generator in that order, not by its first parent.
+    The memory guard counts every element found, checked on each insert,
+    plus each recorded layer, exactly as bfs_layers does, so it fires at the
+    same count. Runs with the collector paused (gc_paused)."""
+    return gc_paused(_growth, group, gens, radius)
+
+
+def _growth(group, gens, radius):
     sym_gens = _symmetric_gens(group, gens)
     index = {elem: i for i, (_, elem) in enumerate(sym_gens)}
     # (action, bit of the generator, bit of its inverse): the inverse of an
@@ -84,8 +89,8 @@ def growth(group, gens, radius):
     for _ in range(radius):
         new = {}
         get = new.get
-        for g, mask in cur.items():
-            for act, bit, back in moves:
+        for act, bit, back in moves:
+            for g, mask in cur.items():
                 if mask & bit:
                     continue
                 h = act(g)

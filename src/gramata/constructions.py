@@ -246,21 +246,25 @@ def standard_generators(group):
 
 
 def wp_oracle(group, gens, name=None):
-    """Membership predicate of the word problem: evaluate and test identity."""
+    """Membership predicate of the word problem: evaluate and test identity.
+    Each symbol maps to its generator's compiled right action, as in the
+    searches; a foreign symbol makes the word a non-member."""
     table = {}
     for gen_name, elem in gens:
         group.check(elem)
-        table[gen_name] = elem
-        table[gen_name + "^-1"] = group.inverse(elem)
+        table[gen_name] = group.right_mul(elem)
+        table[gen_name + "^-1"] = group.right_mul(group.inverse(elem))
     alphabet = tuple(sorted(table))
+    identity, is_identity, action = group.identity(), group.is_identity, table.get
 
     def member(word):
-        value = group.identity()
+        value = identity
         for sym in word:
-            if sym not in table:
+            act = action(sym)
+            if act is None:
                 return False
-            value = group.mul(value, table[sym])
-        return group.is_identity(value)
+            value = act(value)
+        return is_identity(value)
 
     return NamedOracle(name or f"WP:{algebra.compact_group_text(group)}", alphabet, member)
 

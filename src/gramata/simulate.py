@@ -29,6 +29,7 @@ lookups need.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import os
@@ -74,13 +75,34 @@ def bfs_layer(seen, layer, expand, limit, guard):
     return nxt
 
 
+def gc_paused(fn, *args):
+    """fn(*args) with the cyclic garbage collector paused, and resumed when
+    fn returns or raises. The tables of the unary sweep, growth and the
+    layered searches are acyclic, so the collector frees nothing in them,
+    yet every full collection walks each stored link again. fn's locals
+    are freed before the collector resumes. If the caller had switched the
+    collector off, it stays off."""
+    if not gc.isenabled():
+        return fn(*args)
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        gc.enable()
+
+
 def bfs_layers(root, expand, depth, data=None):
     """Layered breadth-first search from root, at most depth layers deep,
     with expand as in bfs_layer and the memory guard checked on every
     insert. Each recorded layer counts against the guard too, checked once
     per layer, so a ball that stops growing still cannot loop without
     limit. Returns the stored nodes, node -> data, in order of discovery,
-    and the number stored after each layer (root's first)."""
+    and the number stored after each layer (root's first). Runs with the
+    collector paused (gc_paused)."""
+    return gc_paused(_bfs_layers, root, expand, depth, data)
+
+
+def _bfs_layers(root, expand, depth, data):
     guard = mem_guard()
     seen = {root: data}
     layer = [root]
@@ -834,8 +856,10 @@ def _verdicts(efa, alphabet, max_len, policy, part=0, parts=1):
     there: on composite <= 30 the table grows to 110,704 entries, and the
     prefix search took 968 ms against 431 ms per word (best of 9)."""
     if len(alphabet) < 2:
+        # the collector is paused per word, never across a yield, so the
+        # caller's code and its oracle run with it on
         for word in itertools.islice(all_words(alphabet, max_len), part, None, parts):
-            yield accepts(efa, word, policy).verdict
+            yield gc_paused(accepts, efa, word, policy).verdict
         return
     search = _PrefixSearch(efa, alphabet, max_len, policy)
     for length in range(0 if part == 0 else 1, max_len + 1):

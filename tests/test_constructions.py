@@ -14,6 +14,7 @@ from gramata.algebra import (
     Matrix,
     PositiveRationals,
     Word,
+    parse_group_compact,
     qplus_embed,
 )
 from gramata.constructions import (
@@ -238,6 +239,25 @@ def test_wp_oracle_by_name():
     wp = oracle("WP:heis")
     assert wp(("a", "b", "a^-1", "b^-1", "c^-1"))
     assert not wp(("a", "b"))
+
+
+@pytest.mark.parametrize("spec", ["free:2", "zk:2", "heis"])
+def test_wp_oracle_member_matches_a_mul_fold(spec):
+    # member folds the generators' compiled right actions; the reference
+    # folds the public mul, and a foreign symbol makes a non-member
+    group = parse_group_compact(spec)
+    gens = standard_generators(group)
+    table = dict(gens)
+    table.update({name + "^-1": group.inverse(g) for name, g in gens})
+    member = wp_oracle(group, gens).member
+    for word in all_words(tuple(table) + ("foreign",), 4):
+        expected = False
+        if "foreign" not in word:
+            value = group.identity()
+            for sym in word:
+                value = group.mul(value, table[sym])
+            expected = group.is_identity(value)
+        assert member(word) == expected, word
 
 
 def test_unknown_oracle():

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import hashlib
 import pickle
 
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramata.algebra import FreeAbelian, FreeGroup, Matrix
+from gramata.algebra import FreeAbelian, FreeGroup, Matrix, Word
+from gramata.analysis import ball_with_words, growth
 from gramata.constructions import CONSTRUCTIONS, build_mult, build_upow, construction_budget, oracle
-from gramata.errors import GramataError, UnknownSymbol
+from gramata.errors import GramataError, MemoryGuard, UnknownSymbol
 from gramata.model import EFA, Transition
 from gramata.simulate import (
     DISTANCE_LEVELS,
@@ -23,6 +26,7 @@ from gramata.simulate import (
     enumerate_words,
     equiv_check,
     format_word,
+    gc_paused,
     reachable_register_count,
     step,
     tokenize_word,
@@ -669,3 +673,106 @@ def test_pickled_machine_carries_no_distance_memo():
     copy = pickle.loads(pickle.dumps(machine))
     assert "distance_levels" not in vars(copy) and "moves" not in vars(copy)
     assert accepts(copy, word, spec.budget) == decided
+
+
+# --- the paused collector -------------------------------------------------------
+
+
+def _gc_recording(group, states):
+    """A copy of group whose products, through mul and through each right
+    action, record whether the cyclic collector is on."""
+    base = type(group)
+
+    def mul(self, g, h):
+        states.append(gc.isenabled())
+        return base.mul(self, g, h)
+
+    def right_mul(self, h):
+        act = base.right_mul(self, h)
+
+        def recorded(g):
+            states.append(gc.isenabled())
+            return act(g)
+
+        return recorded
+
+    cls = type(f"GcRecording{base.__name__}", (base,), {"mul": mul, "right_mul": right_mul})
+    return cls(*(getattr(group, f.name) for f in dataclasses.fields(group)))
+
+
+def _unary_counter(group):
+    """Accepts a^n for every n: count up on a, then count down by epsilon
+    moves at f. The epsilon moves send the word through the compiled BFS."""
+    ts = [Transition("q", "a", "q", (1,)), Transition("q", None, "f", (0,)), Transition("f", None, "f", (-1,))]
+    return EFA(group, ["q", "f"], ["a"], ts, "q", ["f"])
+
+
+def _table_builders(states):
+    """Each kernel that runs with the collector paused, on a recording group."""
+    f2 = _gc_recording(FreeGroup(2), states)
+    gens = [("a", Word.generator(0)), ("b", Word.generator(1))]
+    return {
+        "growth": lambda: growth(f2, gens, 3),
+        "ball_with_words": lambda: ball_with_words(f2, gens, 3),
+        "reachable_register_count": lambda: reachable_register_count(
+            _unary_counter(_gc_recording(FreeAbelian(1), states)), 3
+        ),
+    }
+
+
+@pytest.mark.parametrize("kernel", ["growth", "ball_with_words", "reachable_register_count"])
+def test_table_builders_run_with_the_collector_paused(kernel):
+    states = []
+    _table_builders(states)[kernel]()
+    assert states and not any(states)
+    assert gc.isenabled()
+
+
+def test_unary_sweep_pauses_the_collector_per_word_but_not_for_the_oracle():
+    states, oracle_states = [], []
+    machine = _unary_counter(_gc_recording(FreeAbelian(1), states))
+
+    def member(word):
+        oracle_states.append(gc.isenabled())
+        return True
+
+    report = equiv_check(machine, member, ("a",), 6)
+    assert report.clean and report.checked == 7
+    assert states and not any(states)
+    assert oracle_states == [True] * 7
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("kernel", ["growth", "ball_with_words", "reachable_register_count"])
+def test_the_collector_resumes_after_a_memory_guard(monkeypatch, kernel):
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "10")
+    with pytest.raises(MemoryGuard):
+        _table_builders([])[kernel]()
+    assert gc.isenabled()
+
+
+def test_a_collector_switched_off_by_the_caller_stays_off(monkeypatch):
+    states = []
+    builders = _table_builders(states)
+    gc.disable()
+    try:
+        for build in builders.values():
+            build()
+        assert not gc.isenabled()
+        assert gc_paused(sorted, [2, 1]) == [1, 2]
+        assert not gc.isenabled()
+        monkeypatch.setenv("GRAMATA_MEM_GUARD", "10")
+        with pytest.raises(MemoryGuard):
+            builders["growth"]()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert states and not any(states)
+
+
+def test_gc_paused_returns_the_value_and_resumes_after_an_exception():
+    assert gc_paused(divmod, 7, 2) == (3, 1)
+    assert gc.isenabled()
+    with pytest.raises(ZeroDivisionError):
+        gc_paused(divmod, 7, 0)
+    assert gc.isenabled()
