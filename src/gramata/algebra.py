@@ -44,13 +44,33 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+# an integer literal as the formatters write it: a minus sign and ASCII digits
+_INT = r"-?[0-9]+"
+_RATIONAL = re.compile(rf"({_INT})(?:/({_INT}))?")
+_HEIS = re.compile(rf"H\(({_INT}),({_INT}),({_INT})\)")
+
+
+def parse_int(text):
+    """An integer literal of _INT, the one reader of every element literal
+    and group dimension. '+', '_', '.', exponents and non-ASCII digits, all
+    of which int() would take or choke on, raise GramataError, and so does
+    a literal longer than int() converts (sys.get_int_max_str_digits())."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise GramataError(f"not an integer literal: {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise GramataError(f"integer literal of {len(text)} characters is too long") from None
+
+
 def parse_rational(text):
     text = text.strip()
-    m = re.fullmatch(r"(-?\d+)(?:/(-?\d+))?", text)
+    m = _RATIONAL.fullmatch(text)
     if not m:
         raise GramataError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = parse_int(m.group(1))
+    den = parse_int(m.group(2)) if m.group(2) else 1
     return rat_normalize(num, den)
 
 
@@ -309,10 +329,10 @@ def parse_word(text, rank):
         return Word()
     letters = []
     for token in text.split():
-        m = re.fullmatch(r"g(\d+)(\^-1)?", token)
+        m = re.fullmatch(r"g([0-9]+)(\^-1)?", token)
         if not m:
             raise GramataError(f"bad free-word token: {token!r}")
-        g = int(m.group(1))
+        g = parse_int(m.group(1))
         if g >= rank:
             raise ElementGroupMismatch(f"generator g{g} outside rank {rank}")
         letters.append((g, -1 if m.group(2) else 1))
@@ -358,10 +378,10 @@ def format_heis(t):
 
 
 def parse_heis(text):
-    m = re.fullmatch(r"H\((-?\d+),(-?\d+),(-?\d+)\)", text.strip().replace(" ", ""))
+    m = _HEIS.fullmatch(text.strip().replace(" ", ""))
     if not m:
         raise GramataError(f"bad Heisenberg literal: {text!r}")
-    return Heis(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    return Heis(*map(parse_int, m.groups()))
 
 
 # --- groups -----------------------------------------------------------------
@@ -507,7 +527,7 @@ class FreeAbelian(Group):
         if not (text.startswith("[") and text.endswith("]")):
             raise GramataError(f"bad vector literal: {text!r}")
         body = text[1:-1]
-        coords = tuple(int(tok) for tok in body.split(",")) if body else ()
+        coords = tuple(parse_int(tok) for tok in body.split(",")) if body else ()
         if len(coords) != self.k:
             raise ElementGroupMismatch(f"vector length {len(coords)} != {self.k}")
         return coords
@@ -771,9 +791,10 @@ def _parse_paren_spec(text):
 def _positive_int(tokens, i):
     """tokens[i] as a positive integer; shared by the file and command-line grammars."""
     token = tokens[i] if i < len(tokens) else ""
-    if not token.isdecimal() or int(token) < 1:
+    value = parse_int(token) if token.isascii() and token.isdigit() else 0
+    if value < 1:
         raise GramataError(f"expected a positive integer in group spec, got {token!r}")
-    return int(token)
+    return value
 
 
 _COMPACT_DET = {"det1": DET_ONE, "detpm1": DET_PM1, "detany": DET_ANY}

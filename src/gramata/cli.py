@@ -325,6 +325,10 @@ def main(argv=None):
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # the last resort past every guard: a message, not a traceback
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

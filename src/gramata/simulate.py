@@ -19,6 +19,14 @@ explored. Branches that provably cannot reach acceptance in the remaining
 depth are pruned by the same register-ignoring distance table; the pruning
 is admissible, so it never changes a verdict.
 
+accepts(..., dedup=False) is the unpruned oracle of that search: a
+depth-first walk of every path, with no duplicate pruning. It reuses the
+node count of a finished subtree whose root (state, position, register,
+depth) comes back, which is exact because a subtree depends on nothing
+else; the counts, depths and certificate are those of the full walk. It
+never treats a configuration seen at a smaller depth as covering a later
+one, the breadth-first search's pruning, so it stays independent of it.
+
 accepts() decides one word. enumerate_words() and equiv_check() need every
 word up to a length, and decide each length with one search over the trie
 of its words (_PrefixSearch), which gives the same verdicts. Its leaves
@@ -507,14 +515,30 @@ def _run_path(efa, word, budget, dist):
     return SearchStats(expanded, max_depth), None
 
 
-def _search_dfs(efa, word, budget, dist):
+def _search_dfs(efa, word, budget, dist, memo=None):
     """The same bounded search without duplicate pruning (verdict oracle for
-    the deduplication-soundness check). The tree can be millions of nodes,
-    so each (state, position) compiles on first visit into capped moves (cap
-    = budget - distance, the deepest depth the move may be taken at; next
-    position, action, transition, child key, accepts there), targets that
-    cannot accept dropped. Frames are iterators over them, and a child with
-    no move under the budget is counted but never pushed."""
+    the deduplication-soundness check): it walks the tree of every path,
+    so a configuration reached by two paths is searched below each of
+    them. The tree can be millions of nodes, so each (state, position)
+    compiles on first visit into capped moves (cap = budget - distance,
+    the deepest depth the move may be taken at; next position, action,
+    transition, child key, accepts there), targets that cannot accept
+    dropped. Frames are iterators over them, and a child with no move
+    under the budget is counted but never pushed.
+
+    Many paths share subtrees: a subtree depends only on its root's
+    (state, position, register, depth), and any acceptance ends the search,
+    so a subtree that finished holds none. Each popped frame records its
+    subtree's node count under that key, and a child found there is not
+    pushed: its count is added as if walked (Michie's memo functions). Its
+    deepest node was walked once already, so max_depth holds it. Only an
+    identical root, depth included, is reused, never a configuration at a
+    smaller depth as the breadth-first search prunes, so the stats and the
+    certificate are those of the tree walk and the search stays an
+    independent oracle. The memo stops recording at mem_guard() entries,
+    so this search never raises MemoryGuard; a deterministic machine has
+    one path and keeps none. The memo is fresh per call unless the caller
+    passes an empty dict for it, to look at afterwards."""
     n = len(word)
     accepting = efa.accepting
     is_identity = efa.group.is_identity
@@ -533,10 +557,18 @@ def _search_dfs(efa, word, budget, dist):
         capped[key] = compiled = (max((e[0] for e in entries), default=-1), entries)
         return compiled
 
-    stack = [(iter(compile_moves((efa.initial, 0))[1]), efa.group.identity(), 1, None)]
+    # ((state, position), register, depth) -> the node count of a finished subtree
+    if efa.deterministic:
+        memo = None
+    else:
+        memo = {} if memo is None else memo
+        room = mem_guard()
+    # a frame: its moves, its register, its children's depth, the transition
+    # into it, its memo key and the node count before it
+    stack = [(iter(compile_moves((efa.initial, 0))[1]), efa.group.identity(), 1, None, None, 0)]
     expanded = max_depth = 0
     while stack:
-        it, reg, depth, _ = stack[-1]
+        it, reg, depth, _, _, _ = stack[-1]
         for cap, npos, r, t, key, final in it:
             if depth > cap:
                 continue
@@ -548,10 +580,19 @@ def _search_dfs(efa, word, budget, dist):
                 return SearchStats(expanded, max_depth, depth), tuple(f[3] for f in stack[1:]) + (t,)
             top, entries = capped.get(key) or compile_moves(key)
             if top > depth:
-                stack.append((iter(entries), child, depth + 1, t))
+                mkey = None
+                if memo is not None:
+                    mkey = (key, child, depth)
+                    nodes = memo.get(mkey)
+                    if nodes is not None:
+                        expanded += nodes
+                        continue
+                stack.append((iter(entries), child, depth + 1, t, mkey, expanded))
                 break
         else:
-            stack.pop()
+            _, _, _, _, mkey, before = stack.pop()
+            if mkey is not None and len(memo) < room:
+                memo[mkey] = expanded - before
     return SearchStats(expanded, max_depth), None
 
 

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from gramata.algebra import (
     pair_embed,
     parse_group_compact,
     parse_group_spec,
+    parse_int,
     parse_rational,
     qplus_embed,
     rat_normalize,
@@ -406,6 +408,39 @@ def test_compact_group_grammar_rejects_non_positive_sizes(text):
     # the same positive-integer check as the file grammar
     with pytest.raises(GramataError):
         parse_group_compact(text)
+
+
+# int() takes each of these, or raises ValueError on it: none is a literal
+NOT_INTEGER_LITERALS = ["1.5", "1e5", "-", "1_000", "\u0661", "+1", ""]
+
+
+@pytest.mark.parametrize("token", NOT_INTEGER_LITERALS)
+def test_integer_literals_are_an_ascii_sign_and_digits(token):
+    with pytest.raises(GramataError):
+        parse_int(token)
+    with pytest.raises(GramataError):
+        FreeAbelian(1).parse_element(f"[{token}]")
+    with pytest.raises(GramataError):
+        HeisenbergGroup().parse_element(f"H({token},0,0)")
+    with pytest.raises(GramataError):
+        parse_rational(f"1/{token}")
+    with pytest.raises(GramataError):
+        parse_group_compact(f"zk:{token}")
+
+
+def test_integer_literal_past_the_digit_limit_is_a_gramata_error():
+    # int() refuses decimal literals longer than the interpreter's limit,
+    # 4,300 digits by default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer literals of any length")
+    digits = "9" * (limit + 1)
+    with pytest.raises(GramataError, match="too long"):
+        FreeAbelian(1).parse_element(f"[{digits}]")
+    with pytest.raises(GramataError, match="too long"):
+        parse_rational(f"1/{digits}")
+    assert parse_int("-0012") == -12
+    assert FreeAbelian(2).parse_element("[ -3 , 7 ]") == (-3, 7)
 
 
 # --- differential tests against a reference model ----------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from gramata.analysis import growth
 from gramata.algebra import FreeGroup
+from gramata import cli
 from gramata.cli import main
 from gramata.constructions import standard_generators
 
@@ -104,6 +105,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("group matrix-Q 2 det=1\nstates q0\n")
     assert main(["run", str(bad), "a"]) == 3
     assert "missing sections" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["1.5", "1e5", "-", "1_000", "\u0661"])
+def test_bad_vector_literal_exits_3(corpus_dir, tmp_path, token, capsys):
+    text = (corpus_dir / "wp-z.efa").read_text()
+    assert "w0 a w0 [1]\n" in text
+    bad = tmp_path / "bad.efa"
+    bad.write_text(text.replace("w0 a w0 [1]\n", f"w0 a w0 [{token}]\n"))
+    assert main(["run", str(bad), "a"]) == 3
+    assert "not an integer literal" in capsys.readouterr().err
+
+
+def test_memory_error_exits_3(monkeypatch, upow_file, capsys):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_run", out_of_memory)
+    assert main(["run", upow_file, "a"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_missing_file_exit_code(capsys):

@@ -52,6 +52,43 @@ def reference_decide(efa, word, budget):
     return (Verdict.BUDGET_EXHAUSTED if d_min is not None and d_min > budget else Verdict.REJECT), d_min
 
 
+def reference_tree_walk(efa, word, budget):
+    """((expanded, max_depth, accept_depth), certificate) of the unpruned
+    search as a plain recursive walk of every path, with no memo and no
+    compiled moves: each configuration at depth d < budget tries the
+    transitions from its state, epsilon moves first, then the word's next
+    symbol, each in transition order. A child at depth d + 1 is counted
+    when d + 1 + its distance to acceptance (reference_distances) is within
+    the budget, and the first accepting child ends the walk."""
+    group, n = efa.group, len(word)
+    if not word and efa.initial in efa.accepting:
+        return (0, 0, 0), ()  # the empty path accepts
+    dist = reference_distances(efa, word[::-1])
+    stats = [0, 0]  # expanded, max_depth
+
+    def walk(q, pos, reg, path):
+        depth = len(path) + 1
+        eps = [t for t in efa.transitions if t.source == q and t.symbol is None]
+        reads = [t for t in efa.transitions if t.source == q and pos < n and t.symbol == word[pos]]
+        for t in eps + reads:
+            npos = pos + (t.symbol is not None)
+            remaining = dist[n - npos].get(t.target)
+            if remaining is None or depth + remaining > budget:
+                continue
+            child = group.mul(reg, t.register)
+            stats[0] += 1
+            stats[1] = max(stats[1], depth)
+            if npos == n and t.target in efa.accepting and group.is_identity(child):
+                return path + (t,)
+            found = walk(t.target, npos, child, path + (t,))
+            if found is not None:
+                return found
+        return None
+
+    certificate = walk(efa.initial, 0, group.identity(), ())
+    return (*stats, certificate and len(certificate)), certificate
+
+
 def reference_distances(efa, reads):
     """The table of simulate._distances_to_accept from one backward
     breadth-first search over (state, r), all levels at once."""
@@ -287,3 +324,24 @@ def test_memoized_distance_levels_match_one_backward_search(group, data):
             reads = word[::-1]
             accepts(machine, word, policy, dedup=k % 2 == 0)
         assert _distances_to_accept(machine, reads) == reference_distances(machine, reads), reads
+
+
+def check_unpruned_search(machine, data):
+    """accepts(..., dedup=False) against reference_tree_walk on every word
+    up to length 3: the same stats and the same certificate."""
+    budget = data.draw(st.integers(1, 5), label="budget")
+    for word in all_words(machine.alphabet, 3):
+        result = accepts(machine, word, constant_policy(budget), dedup=False)
+        stats, certificate = reference_tree_walk(machine, word, budget)
+        assert (result.stats.expanded, result.stats.max_depth, result.stats.accept_depth) == stats, word
+        assert result.certificate == certificate, word
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_unpruned_search_matches_a_plain_tree_walk(group, data):
+    # the depth-first search reuses the counts of finished subtrees whose
+    # root comes back; epsilon loops and branching make such roots common
+    drawn = draw_epsilon_machine if data.draw(st.booleans(), label="epsilon tails") else draw_machine
+    check_unpruned_search(drawn(group, data), data)

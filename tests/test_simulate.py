@@ -18,6 +18,7 @@ from gramata.simulate import (
     Verdict,
     _distances_to_accept,
     _PrefixSearch,
+    _search_dfs,
     _verify_certificate,
     accepts,
     all_words,
@@ -256,6 +257,46 @@ def test_search_memory_guard(monkeypatch):
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "3")
     with pytest.raises(MemoryGuard):
         accepts(build_upow(), ("a",) * 8, UPOW_BUDGET)
+
+
+class CountingMemo(dict):
+    """A subtree memo that counts the lookups that found a subtree."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        nodes = super().get(key, default)
+        self.hits += nodes is not None
+        return nodes
+
+
+@pytest.mark.parametrize("guard", [None, "10"])
+def test_unpruned_search_memo_stays_under_the_memory_guard(monkeypatch, guard):
+    # composite's unpruned tree on xxxxx has 167,601 nodes in many repeated
+    # subtrees; a memo that fills up stops recording, the walk goes on and
+    # no MemoryGuard is raised
+    if guard is not None:
+        monkeypatch.setenv("GRAMATA_MEM_GUARD", guard)
+    spec = CONSTRUCTIONS["composite"]
+    machine, word = spec.build(), ("x",) * 5
+    result = accepts(machine, word, spec.budget, dedup=False)
+    assert result.verdict is Verdict.REJECT
+    assert (result.stats.expanded, result.stats.max_depth, result.stats.accept_depth) == (167601, 20, None)
+    memo = CountingMemo()
+    stats, certificate = _search_dfs(machine, word, spec.budget(5), _distances_to_accept(machine, word[::-1]), memo)
+    assert (stats, certificate) == (result.stats, None)
+    assert memo.hits > 0
+    # filled to the guard of 10, and well under the default one
+    assert (len(memo) == 10) if guard else (10 < len(memo) < 2000)
+
+
+def test_unpruned_search_keeps_no_memo_on_a_deterministic_machine():
+    spec = CONSTRUCTIONS["wp-f2"]
+    machine, word = spec.build(), ("a", "b", "b^-1", "a^-1")
+    memo = {}
+    stats, certificate = _search_dfs(machine, word, spec.budget(4), _distances_to_accept(machine, word[::-1]), memo)
+    assert (stats.expanded, stats.max_depth, stats.accept_depth) == (4, 4, 4) and len(certificate) == 4
+    assert memo == {}
 
 
 def test_budget_policies_monotone_and_positive():
