@@ -37,15 +37,30 @@ def rat_normalize(num, den):
     return Fraction(num, den)
 
 
+def format_int(n):
+    """n as an integer literal: decimal, or hexadecimal (0x followed by
+    lowercase digits) past the digits str() converts, which CPython limits
+    (sys.get_int_max_str_digits(), 4,300 by default) because decimal
+    conversion takes quadratic time. A power-of-two base takes linear time
+    and has no limit, so any exact register prints, and parse_int reads it
+    back."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"-0x{-n:x}" if n < 0 else f"0x{n:x}"
+
+
 def format_rational(q):
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return format_int(q.numerator)
+    return f"{format_int(q.numerator)}/{format_int(q.denominator)}"
 
 
-# an integer literal as the formatters write it: a minus sign and ASCII digits
-_INT = r"-?[0-9]+"
+# an integer literal as the formatters write it: a minus sign and ASCII
+# digits, or lowercase hexadecimal digits after 0x
+_INT = r"-?(?:0x[0-9a-f]+|[0-9]+)"
+_HEX = re.compile(r"0x[0-9a-f]+")
 _RATIONAL = re.compile(rf"({_INT})(?:/({_INT}))?")
 _HEIS = re.compile(rf"H\(({_INT}),({_INT}),({_INT})\)")
 
@@ -54,14 +69,18 @@ def parse_int(text):
     """An integer literal of _INT, the one reader of every element literal
     and group dimension. '+', '_', '.', exponents and non-ASCII digits, all
     of which int() would take or choke on, raise GramataError, and so does
-    a literal longer than int() converts (sys.get_int_max_str_digits())."""
+    a decimal literal longer than int() converts
+    (sys.get_int_max_str_digits()); format_int writes a longer value in
+    hexadecimal, which has no limit."""
     digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise GramataError(f"not an integer literal: {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        raise GramataError(f"integer literal of {len(text)} characters is too long") from None
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            raise GramataError(f"integer literal of {len(text)} characters is too long") from None
+    if _HEX.fullmatch(digits):
+        return int(text, 16)
+    raise GramataError(f"not an integer literal: {text!r}")
 
 
 def parse_rational(text):
@@ -374,7 +393,7 @@ def heis_to_matrix(t):
 
 
 def format_heis(t):
-    return f"H({t.x},{t.y},{t.z})"
+    return f"H({format_int(t.x)},{format_int(t.y)},{format_int(t.z)})"
 
 
 def parse_heis(text):
@@ -520,7 +539,7 @@ class FreeAbelian(Group):
             raise ElementGroupMismatch(f"expected an integer {self.k}-vector, got {g!r}")
 
     def format_element(self, g):
-        return "[" + ",".join(str(a) for a in g) + "]"
+        return "[" + ",".join(map(format_int, g)) + "]"
 
     def parse_element(self, text):
         text = text.strip().replace(" ", "")
@@ -557,7 +576,7 @@ class PositiveRationals(Group):
         if not isinstance(g, Fraction):
             raise ElementGroupMismatch(f"expected a Fraction, got {g!r}")
         if g <= 0:
-            raise NotPositive(f"positive rational required, got {g}")
+            raise NotPositive(f"positive rational required, got {format_rational(g)}")
 
     def format_element(self, g):
         return format_rational(g)

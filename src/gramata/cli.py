@@ -14,7 +14,7 @@ import sys
 
 from . import analysis, constructions, experiments, model, simulate
 from .algebra import parse_group_compact
-from .errors import GramataError
+from .errors import GramataError, InstanceTooLarge
 from .simulate import Verdict, default_policy, format_word, tokenize_word
 
 _VERDICT_EXIT = {Verdict.ACCEPT: 0, Verdict.REJECT: 1, Verdict.BUDGET_EXHAUSTED: 2}
@@ -79,8 +79,30 @@ def _cmd_run(args):
     return _VERDICT_EXIT[result.verdict]
 
 
+def _check_sweep_size(alphabet, max_len):
+    """InstanceTooLarge unless the words of length <= max_len, which a sweep
+    decides one by one and enum may keep, number at most mem_guard()."""
+    guard = simulate.mem_guard()
+    k = len(alphabet)
+    if k == 1:
+        words = max_len + 1
+    else:
+        # the sum of k^l, added up only until it passes the guard
+        words, layer = 0, 1
+        for _ in range(max_len + 1):
+            words += layer
+            if words > guard:
+                break
+            layer *= k
+    if words > guard:
+        raise InstanceTooLarge(
+            f"the words up to length {max_len} over {k} symbols number more than the guard {guard}"
+        )
+
+
 def _cmd_enum(args):
     machine = model.load_efa(args.file)
+    _check_sweep_size(machine.alphabet, args.max_len)
     result = simulate.enumerate_words(machine, args.max_len, _policy_from_args(args), workers=args.workers)
     payload = {
         "words": [format_word(w) for w in result.words],
@@ -96,6 +118,7 @@ def _cmd_enum(args):
 def _cmd_check(args):
     machine = model.load_efa(args.file)
     oracle = constructions.oracle(args.oracle)
+    _check_sweep_size(machine.alphabet, args.max_len)
     report = simulate.equiv_check(
         machine,
         oracle,

@@ -33,6 +33,13 @@ of its words (_PrefixSearch), which gives the same verdicts. Its leaves
 build no configurations: each word is finished from one backward table of
 epsilon tails (_EpsilonTails) per search, grown only as deep as its
 lookups need.
+
+A deterministic machine (EFA.deterministic: no epsilon move, at most one
+transition per state and symbol) has at most one path per word, and every
+decider walks that path with none of the general machinery: _run_path for
+the breadth-first search, _dfs_path for the unpruned one, and
+_path_verdicts for the language sweep, which walks each length's trie
+holding only the current path.
 """
 
 from __future__ import annotations
@@ -536,9 +543,12 @@ def _search_dfs(efa, word, budget, dist, memo=None):
     smaller depth as the breadth-first search prunes, so the stats and the
     certificate are those of the tree walk and the search stays an
     independent oracle. The memo stops recording at mem_guard() entries,
-    so this search never raises MemoryGuard; a deterministic machine has
-    one path and keeps none. The memo is fresh per call unless the caller
-    passes an empty dict for it, to look at afterwards."""
+    so this search never raises MemoryGuard. The memo is fresh per call
+    unless the caller passes an empty dict for it, to look at afterwards.
+    A deterministic machine's tree is one path, which _dfs_path walks
+    with nothing compiled and no memo."""
+    if efa.deterministic:
+        return _dfs_path(efa, word, budget, dist)
     n = len(word)
     accepting = efa.accepting
     is_identity = efa.group.is_identity
@@ -558,11 +568,8 @@ def _search_dfs(efa, word, budget, dist, memo=None):
         return compiled
 
     # ((state, position), register, depth) -> the node count of a finished subtree
-    if efa.deterministic:
-        memo = None
-    else:
-        memo = {} if memo is None else memo
-        room = mem_guard()
+    memo = {} if memo is None else memo
+    room = mem_guard()
     # a frame: its moves, its register, its children's depth, the transition
     # into it, its memo key and the node count before it
     stack = [(iter(compile_moves((efa.initial, 0))[1]), efa.group.identity(), 1, None, None, 0)]
@@ -580,13 +587,11 @@ def _search_dfs(efa, word, budget, dist, memo=None):
                 return SearchStats(expanded, max_depth, depth), tuple(f[3] for f in stack[1:]) + (t,)
             top, entries = capped.get(key) or compile_moves(key)
             if top > depth:
-                mkey = None
-                if memo is not None:
-                    mkey = (key, child, depth)
-                    nodes = memo.get(mkey)
-                    if nodes is not None:
-                        expanded += nodes
-                        continue
+                mkey = (key, child, depth)
+                nodes = memo.get(mkey)
+                if nodes is not None:
+                    expanded += nodes
+                    continue
                 stack.append((iter(entries), child, depth + 1, t, mkey, expanded))
                 break
         else:
@@ -594,6 +599,34 @@ def _search_dfs(efa, word, budget, dist, memo=None):
             if mkey is not None and len(memo) < room:
                 memo[mkey] = expanded - before
     return SearchStats(expanded, max_depth), None
+
+
+def _dfs_path(efa, word, budget, dist):
+    """_search_dfs on a deterministic machine: a node has at most one
+    child, by the next symbol's one move, so the tree is a single path.
+    The walk takes that move while its target can still accept under the
+    budget, counts it as a node at its depth, and accepts at the word's
+    end in an accepting state with the identity register. Those are the
+    tree walk's numbers; _run_path counts the nodes it expands instead."""
+    n = len(word)
+    moves = efa.moves
+    q, reg = efa.initial, efa.group.identity()
+    path = []
+    for symbol in word:
+        move = moves[(q, symbol)]
+        if not move:
+            break
+        q, _, r, t = move[0]
+        depth = len(path) + 1
+        remaining = dist[n - depth].get(q)
+        if remaining is None or depth > budget - remaining:
+            break
+        reg = reg if r is None else r(reg)
+        path.append(t)
+    depth = len(path)
+    if depth == n > 0 and q in efa.accepting and efa.group.is_identity(reg):
+        return SearchStats(depth, depth, depth), tuple(path)
+    return SearchStats(depth, depth), None
 
 
 def _verify_certificate(efa, word, certificate):
@@ -889,13 +922,18 @@ def _verdicts(efa, alphabet, max_len, policy, part=0, parts=1):
     """Verdicts of the words of all_words(alphabet, max_len) in chunk part
     of parts, in that order. With two or more symbols a chunk holds the
     words whose first symbol's index is part modulo parts, the empty word
-    in chunk 0, and one prefix-shared search decides each length, its
-    leaves finished from one table of epsilon tails. A unary alphabet has
-    one word per length and nothing to share, so each word gets its own
-    search, which stops at its first accepting configuration; chunk part
-    holds the lengths that are part modulo parts. The tails do not pay
-    there: on composite <= 30 the table grows to 110,704 entries, and the
-    prefix search took 968 ms against 431 ms per word (best of 9)."""
+    in chunk 0; with one symbol, chunk part holds the lengths that are part
+    modulo parts. A deterministic machine walks each length's trie along
+    its one path per word (_path_verdicts). Otherwise one prefix-shared
+    search decides each length, its leaves finished from one table of
+    epsilon tails; but a unary alphabet has one word per length and
+    nothing to share, so each word gets its own search, which stops at its
+    first accepting configuration. The tails do not pay there: on
+    composite <= 30 the table grows to 110,704 entries, and the prefix
+    search took 968 ms against 431 ms per word (best of 9)."""
+    if efa.deterministic:
+        yield from _path_verdicts(efa, alphabet, max_len, policy, part, parts)
+        return
     if len(alphabet) < 2:
         # the collector is paused per word, never across a yield, so the
         # caller's code and its oracle run with it on
@@ -905,6 +943,71 @@ def _verdicts(efa, alphabet, max_len, policy, part=0, parts=1):
     search = _PrefixSearch(efa, alphabet, max_len, policy)
     for length in range(0 if part == 0 else 1, max_len + 1):
         yield from search.verdicts(length, alphabet[part::parts])
+
+
+def _path_verdicts(efa, alphabet, max_len, policy, part, parts):
+    """_verdicts on a deterministic machine, chunked the same way. It has
+    no epsilon move, so a word has at most one path, all of whose moves
+    read a symbol, and d_min is the word's length L when that path ends in
+    an accepting state, None otherwise. Each length's trie is walked depth
+    first with one (state, register) per node, holding only the path to
+    the current node: a word whose path ends accepting is BudgetExhausted
+    when L > t(L), else Accept at the identity register and Reject at any
+    other; a node with no move rejects every word below it. Each Accept's
+    certificate is checked as accepts() checks it. The root and the nodes
+    along the path count against the memory guard, as in _run_path."""
+    moves = efa.moves
+    accepting = efa.accepting
+    is_identity = efa.group.is_identity
+    guard = mem_guard()
+    k = len(alphabet)
+    # each symbol's table: state -> its one move on the symbol
+    table = [(s, {q: moves[(q, s)][0] for q in efa.states if moves[(q, s)]}) for s in alphabet]
+    if k < 2:
+        lengths, first = range(part, max_len + 1, parts), table
+    else:
+        lengths, first = range(0 if part == 0 else 1, max_len + 1), table[part::parts]
+    root = (efa.initial, efa.group.identity())
+    for length in lengths:
+        exhausted = length > policy(length)
+        if length == 0:  # the root is the word's end, reached by no move
+            if efa.initial not in accepting:
+                yield Verdict.REJECT
+            elif exhausted:
+                yield Verdict.BUDGET_EXHAUSTED
+            else:
+                _verify_certificate(efa, (), ())
+                yield Verdict.ACCEPT
+            continue
+        # a frame: its symbols' iterator, its node, the symbol and transition into it
+        stack = [(iter(first), root, None, None)]
+        while stack:
+            it, (q, g), _, _ = stack[-1]
+            depth = len(stack)  # of the children
+            for s, step in it:
+                move = step.get(q)
+                if move is None:
+                    yield from itertools.repeat(Verdict.REJECT, k ** (length - depth))
+                    continue
+                if depth >= guard:  # the root, the path and this node
+                    raise MemoryGuard(f"search stored more than {guard} elements")
+                target, _, r, t = move
+                child = g if r is None else r(g)
+                if depth < length:
+                    stack.append((iter(table), (target, child), s, t))
+                    break
+                if target not in accepting:
+                    yield Verdict.REJECT
+                elif exhausted:
+                    yield Verdict.BUDGET_EXHAUSTED
+                elif is_identity(child):
+                    word = tuple(f[2] for f in stack[1:]) + (s,)
+                    _verify_certificate(efa, word, tuple(f[3] for f in stack[1:]) + (t,))
+                    yield Verdict.ACCEPT
+                else:
+                    yield Verdict.REJECT
+            else:
+                stack.pop()
 
 
 def _verdict_chunk(args):

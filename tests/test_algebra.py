@@ -25,6 +25,7 @@ from gramata.algebra import (
     bs_word_to_matrix,
     compact_group_text,
     determinant,
+    format_int,
     format_rational,
     heis_inverse,
     heis_mul,
@@ -441,6 +442,49 @@ def test_integer_literal_past_the_digit_limit_is_a_gramata_error():
         parse_rational(f"1/{digits}")
     assert parse_int("-0012") == -12
     assert FreeAbelian(2).parse_element("[ -3 , 7 ]") == (-3, 7)
+
+
+def _past_the_digit_limit(group, big, rng):
+    """An element of group that holds big, or a neighbour of it, in every
+    integer coordinate, numerator and denominator it has; a free-group
+    word has none."""
+    if isinstance(group, FreeAbelian):
+        return tuple((-1) ** i * (big + i) for i in range(group.k))
+    if isinstance(group, PositiveRationals):
+        return Fraction(big, big + 1)
+    if isinstance(group, HeisenbergGroup):
+        return Heis(big, -big, 3 * big + 1)
+    if isinstance(group, MatrixGroup):
+        # a shear has determinant 1, so every constraint still holds
+        shear = [[int(i == j) for j in range(group.dim)] for i in range(group.dim)]
+        shear[0][-1] = big if group.field == "Z" else Fraction(-big, big + 1)
+        return random_element(group, rng) * Matrix(shear)
+    if isinstance(group, DirectProduct):
+        return (_past_the_digit_limit(group.left, big, rng), _past_the_digit_limit(group.right, big, rng))
+    return random_element(group, rng)
+
+
+@given(st.sampled_from(ALL_GROUPS), st.integers(10**4300, 10**4400), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_format_then_parse_is_the_identity_past_the_digit_limit(group, big, rng):
+    # str() refuses ints of more than 4,300 digits by default: such values
+    # print in hexadecimal, which parse_element reads back
+    g = _past_the_digit_limit(group, big, rng)
+    group.check(g)
+    assert group.parse_element(group.format_element(g)) == g
+
+
+def test_integers_past_the_digit_limit_print_in_hexadecimal():
+    assert format_int(-12) == "-12" and parse_int("-12") == -12
+    assert parse_int("0x1f") == 31 and parse_int("-0x1f") == -31
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        big = 10**limit
+        assert format_int(big) == f"0x{big:x}" and format_int(-big) == f"-0x{big:x}"
+        assert parse_int(format_int(-big)) == -big
+    for token in ("0x", "0X1f", "0x1F", "+0x1", "0x_1", "x1", "0b1"):
+        with pytest.raises(GramataError):
+            parse_int(token)
 
 
 # --- differential tests against a reference model ----------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -221,3 +222,51 @@ def test_growth_radius_bounded_on_a_ball_that_stops_growing(monkeypatch, capsys)
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "100")
     assert main(["growth", "--group", "zk:1", "--gens", "a=[0]", "--radius", "1000"]) == 3
     assert "stored more than 100" in capsys.readouterr().err
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("a word was decided")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "corpus/wp-f2.efa", "--max-len", "16"],  # 5.7 * 10^9 words
+        ["check", "corpus/wp-f2.efa", "--oracle", "WP:free:2", "--max-len", "16"],
+        ["enum", "corpus/composite.efa", "--max-len", "100000000"],  # one word per length
+    ],
+)
+def test_a_sweep_past_the_memory_guard_is_refused_up_front(monkeypatch, argv, capsys):
+    monkeypatch.setattr(cli.simulate, "_language_verdicts", _no_sweep)
+    assert main(argv) == 3
+    assert "more than the guard 10000000" in capsys.readouterr().err
+
+
+def test_the_sweep_guard_counts_every_word(monkeypatch, capsys):
+    # 1 + 3 + ... + 3^6 = 1,093 words against 364 up to length 5
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "1000")
+    argv = ["check", "corpus/mult.efa", "--oracle", "MULT", "--budget-policy", "mult", "--max-len"]
+    assert main(argv + ["6"]) == 3
+    assert "words up to length 6 over 3 symbols" in capsys.readouterr().err
+    assert main(argv + ["5"]) == 0
+    assert capsys.readouterr().out.startswith("machine corpus/mult.efa vs oracle MULT: 364 words")
+
+
+def test_registers_past_the_digit_limit_print(tmp_path, capsys):
+    # the certificate's registers reach 2^16000, 4,817 decimal digits, past
+    # what str() converts by default: they print in hexadecimal
+    big = 2**4000
+    path = tmp_path / "big.efa"
+    path.write_text(
+        "group positive-rationals\nstates q\ninitial q\naccepting q\nalphabet a b\n"
+        f"transitions\nq a q {big}\nq b q 1/{big}\n"
+    )
+    argv = ["run", str(path), "a a a a b b b b"]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    top = f"0x{big**4:x}" if 0 < limit < 4817 else str(big**4)
+    assert main(argv) == 0
+    steps = [line.split("\t") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [step[4] for step in steps[3:]] == [top, f"{big**3}", f"{big**2}", f"{big}", "1"]
+    assert main(argv + ["--json"]) == 0
+    certificate = json.loads(capsys.readouterr().out)["certificate"]
+    assert [list(step.values()) for step in certificate] == steps

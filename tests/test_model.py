@@ -1,9 +1,10 @@
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
-from gramata.algebra import FreeAbelian, Matrix, MatrixGroup
+from gramata.algebra import FreeAbelian, Matrix, MatrixGroup, PositiveRationals
 from gramata.constructions import CONSTRUCTIONS
 from gramata.errors import EfaParseError
 from gramata.model import EFA, Transition, parse_efa, serialize_efa, validate
@@ -62,6 +63,16 @@ def test_round_trip_every_construction():
         again = parse_efa(text)
         assert again == machine, name
         assert serialize_efa(again) == text, name
+
+
+def test_registers_past_the_digit_limit_round_trip():
+    # 2^16000 has 4,817 decimal digits, past what str() converts by default
+    group = PositiveRationals()
+    t = Transition("q", "a", "q", Fraction(1, 2**16000))
+    machine = EFA(group, ["q"], ["a"], [t], "q", ["q"])
+    text = serialize_efa(machine)
+    assert parse_efa(text) == machine
+    assert serialize_efa(parse_efa(text)) == text
 
 
 def test_serialization_is_canonical():

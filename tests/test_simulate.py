@@ -686,6 +686,82 @@ def test_path_run_matches_the_compiled_search(name):
             assert _run_path(machine, word, budget, dist) == _search_bfs(compiled, word, budget, dist), (word, budget)
 
 
+def _general_copy(machine):
+    """The machine again, marked nondeterministic, so every decider runs
+    its general kernel on it."""
+    copy = EFA(machine.group, machine.states, machine.alphabet, machine.transitions, machine.initial, machine.accepting)
+    copy.__dict__["deterministic"] = False
+    return copy
+
+
+def _unary_parity_machine():
+    # a^n for even n: each a steps between q and p, and the register is
+    # back at 0 on every return to q
+    ts = [Transition("q", "a", "p", (1,)), Transition("p", "a", "q", (-1,))]
+    return EFA(FreeAbelian(1), ["q", "p"], ["a"], ts, "q", ["q"])
+
+
+# every deterministic corpus machine, and a unary one, with its policy and
+# the longest words to compare
+WALK_CASES = [
+    pytest.param(CONSTRUCTIONS[name].build(), CONSTRUCTIONS[name].budget, 3 if name == "wp-heis" else 4, id=name)
+    for name in DETERMINISTIC
+] + [pytest.param(_unary_parity_machine(), default_policy, 9, id="unary-parity")]
+# constant budgets, and one that is not monotone
+WALK_POLICIES = [constant_policy(d) for d in range(1, 7)] + [(1, 3, 1, 5, 2, 9, 4, 6, 7, 8).__getitem__]
+
+
+@pytest.mark.parametrize("machine, budget, max_len", WALK_CASES)
+def test_unpruned_path_walk_matches_the_tree_walk(machine, budget, max_len):
+    assert machine.deterministic
+    general = _general_copy(machine)
+    policies = WALK_POLICIES + [budget]
+    for word in all_words(machine.alphabet, max_len):
+        dist = _distances_to_accept(machine, word[::-1])
+        for policy in policies:
+            depth = policy(len(word))
+            assert _search_dfs(machine, word, depth, dist) == _search_dfs(general, word, depth, dist), (word, depth)
+
+
+@pytest.mark.parametrize("machine, budget, max_len", WALK_CASES)
+def test_path_sweep_matches_the_prefix_search(monkeypatch, machine, budget, max_len):
+    from gramata import simulate
+    from gramata.simulate import _language_verdicts, _verdicts
+
+    general = _general_copy(machine)
+    alphabet = tuple(sorted(machine.alphabet))
+    policies = WALK_POLICIES + [budget]
+    expected = [list(_language_verdicts(general, alphabet, max_len, policy)) for policy in policies]
+    verified = []
+    real = simulate._verify_certificate
+
+    def counting(efa, word, certificate):
+        verified.append(word)
+        return real(efa, word, certificate)
+
+    monkeypatch.setattr(simulate, "_verify_certificate", counting)
+    for policy, verdicts in zip(policies, expected):
+        verified.clear()
+        assert list(_language_verdicts(machine, alphabet, max_len, policy)) == verdicts
+        # every Accept of the walk, and nothing else, is replayed
+        assert verified == [w for w, v in zip(all_words(alphabet, max_len), verdicts) if v is Verdict.ACCEPT]
+        for parts in range(1, 5):
+            for part in range(parts):
+                chunk = list(_verdicts(machine, alphabet, max_len, policy, part, parts))
+                assert chunk == list(_verdicts(general, alphabet, max_len, policy, part, parts)), (part, parts)
+
+
+@pytest.mark.parametrize("guard", [3, 6])
+def test_path_sweep_memory_guard(monkeypatch, guard):
+    # every word of wp-z has a path: at length L the walk holds the root and
+    # L nodes, so the first length to pass the guard is the guard itself
+    machine = CONSTRUCTIONS["wp-z"].build()
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", str(guard))
+    assert enumerate_words(machine, guard - 1).words
+    with pytest.raises(MemoryGuard, match=f"more than {guard} elements"):
+        enumerate_words(machine, guard)
+
+
 # --- the distance memo ------------------------------------------------------------
 
 
