@@ -103,7 +103,7 @@ def _check_sweep_size(alphabet, max_len):
 def _cmd_enum(args):
     machine = model.load_efa(args.file)
     _check_sweep_size(machine.alphabet, args.max_len)
-    result = simulate.enumerate_words(machine, args.max_len, _policy_from_args(args), workers=args.workers)
+    result = simulate.enumerate_words(machine, args.max_len, _policy_from_args(args))
     payload = {
         "words": [format_word(w) for w in result.words],
         "budget_exhausted": [format_word(w) for w in result.budget_exhausted],
@@ -125,7 +125,6 @@ def _cmd_check(args):
         machine.alphabet,
         args.max_len,
         _policy_from_args(args),
-        workers=args.workers,
         name=args.file,
     )
     payload = {
@@ -269,7 +268,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="gramata", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=True, workers=False):
+    def common(p, budget=True):
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
         if budget:
             p.add_argument("--budget", type=_int_at_least(1), default=None, help="constant depth budget")
@@ -278,8 +277,6 @@ def build_parser():
                 default="default",
                 help="'default' or a construction name with a shipped budget",
             )
-        if workers:
-            p.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel word evaluation")
 
     p = sub.add_parser("run", help="run a machine on one word")
     p.add_argument("file")
@@ -290,14 +287,14 @@ def build_parser():
     p = sub.add_parser("enum", help="enumerate accepted words")
     p.add_argument("file")
     p.add_argument("--max-len", type=_int_at_least(0), required=True)
-    common(p, workers=True)
+    common(p)
     p.set_defaults(fn=_cmd_enum)
 
     p = sub.add_parser("check", help="compare a machine against an oracle")
     p.add_argument("file")
     p.add_argument("--oracle", required=True, help=", ".join(constructions.oracle_names()))
     p.add_argument("--max-len", type=_int_at_least(0), required=True)
-    common(p, workers=True)
+    common(p)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("growth", help="Cayley-graph ball sizes")

@@ -28,11 +28,12 @@ never treats a configuration seen at a smaller depth as covering a later
 one, the breadth-first search's pruning, so it stays independent of it.
 
 accepts() decides one word. enumerate_words() and equiv_check() need every
-word up to a length, and decide each length with one search over the trie
-of its words (_PrefixSearch), which gives the same verdicts. Its leaves
-build no configurations: each word is finished from one backward table of
-epsilon tails (_EpsilonTails) per search, grown only as deep as its
-lookups need.
+word up to a length. They take the empty word's verdict from accepts(),
+the one decider of it, and decide each length from 1 up with one search
+over the trie of its words (_PrefixSearch), which gives the same verdicts.
+Its leaves build no configurations: each word is finished from one
+backward table of epsilon tails (_EpsilonTails) per search, grown only as
+deep as its lookups need.
 
 A deterministic machine (EFA.deterministic: no epsilon move, at most one
 transition per state and symbol) has at most one path per word, and every
@@ -413,7 +414,7 @@ def accepts(efa, word, policy=default_policy, *, dedup=True):
     budget = policy(len(word))
     dist = _distances_to_accept(efa, word[::-1])
 
-    if not word and efa.initial in efa.accepting:
+    if not word and efa.initial in efa.accepting and budget >= 0:
         stats, certificate = SearchStats(accept_depth=0), ()  # the empty path accepts
     else:
         search = _search_bfs if dedup else _search_dfs
@@ -696,16 +697,16 @@ class _PrefixSearch:
     tails (_EpsilonTails) for the whole search. The leaf walks its
     parent's layers in depth order, applies the last symbol's moves, and
     accepts at the first target at depth d whose tail of k epsilon moves
-    gives d + k <= t(L); the empty word looks its root up. A target the
-    table does not hold grows it, one distance at a time, until the target
-    is found, or every tail of at most t(L) - d moves is stored, or no
-    more entry can reach the target's state. So the table is as deep as
-    the lookups of the words need, for any policy, monotone or not, and a
-    word accepted at a short tail never pays for the deep ones. The
-    register-ignoring projection
-    (state -> minimum depth) is carried along the same trie to give each
-    word's d_min, which decides BudgetExhausted against Reject exactly as
-    in accepts()."""
+    gives d + k <= t(L). A target the table does not hold grows it, one
+    distance at a time, until the target is found, or every tail of at
+    most t(L) - d moves is stored, or no more entry can reach the target's
+    state. So the table is as deep as the lookups of the words need, for
+    any policy, monotone or not, and a word accepted at a short tail never
+    pays for the deep ones. The register-ignoring projection (state ->
+    minimum depth) is carried along the same trie to give each word's
+    d_min, which decides BudgetExhausted against Reject exactly as in
+    accepts(). Every word has a last symbol: L >= 1, and the empty word
+    is accepts()'s to decide."""
 
     def __init__(self, efa, alphabet, max_len, policy):
         group = efa.group
@@ -728,18 +729,15 @@ class _PrefixSearch:
         self.root_projection = self._close_projection({efa.initial: 0})
 
     def verdicts(self, length, first):
-        """Verdicts of the words of this length whose first symbol is in
-        first, in lex order."""
+        """Verdicts of the words of this length, at least 1, whose first
+        symbol is in first, in lex order."""
         self.budget = budget = self.policy(length)
         self.caps = [
             {q: budget - self.lb[r][q] if q in self.lb[r] else -1 for q in self.efa.states}
             for r in range(length + 1)
         ]
         self.dead = {}  # (projection, r) -> the verdicts below a node with no configuration
-        if length == 0:
-            yield self._leaf(None, None, self.root_projection)
-        else:
-            yield from self._walk(self._level(None, None, length), self.root_projection, length, first)
+        yield from self._walk(self._level(None, None, length), self.root_projection, length, first)
 
     def _walk(self, level, projection, r, symbols):
         links = level.links
@@ -762,8 +760,8 @@ class _PrefixSearch:
 
     def _leaf(self, parent, symbol, projection):
         """The verdict of the current word, which ends in symbol below the
-        level parent, or of the empty word when parent is None. An Accept's
-        certificate is the parent links, the symbol's move and the tail."""
+        level parent. An Accept's certificate is the parent links, the
+        symbol's move and the tail."""
         hit = self._meet(parent, symbol)
         if hit is None:
             return self._unaccepted(projection)
@@ -788,13 +786,10 @@ class _PrefixSearch:
     def _meet(self, parent, symbol):
         """(link, key): the first configuration key, in depth order, that
         the symbol's moves reach from parent and whose epsilon tail fits
-        the budget, with its (parent key, transition) link; the root, with
-        the link None, when parent is None. None when there is none."""
+        the budget, with its (parent key, transition) link. None when there
+        is none."""
         budget = self.budget
         cap = self.caps[0]
-        if parent is None:
-            root = self.root
-            return (None, root) if cap[root[0]] >= 0 and self._tail(root, budget) is not None else None
         entries = self.tails.entries
         sym = self.sym[symbol]
         d = parent.base
@@ -920,35 +915,36 @@ class _PrefixSearch:
 
 def _verdicts(efa, alphabet, max_len, policy, part=0, parts=1):
     """Verdicts of the words of all_words(alphabet, max_len) in chunk part
-    of parts, in that order. With two or more symbols a chunk holds the
-    words whose first symbol's index is part modulo parts, the empty word
-    in chunk 0; with one symbol, chunk part holds the lengths that are part
-    modulo parts. A deterministic machine walks each length's trie along
-    its one path per word (_path_verdicts). Otherwise one prefix-shared
-    search decides each length, its leaves finished from one table of
-    epsilon tails; but a unary alphabet has one word per length and
-    nothing to share, so each word gets its own search, which stops at its
-    first accepting configuration. The tails do not pay there: on
-    composite <= 30 the table grows to 110,704 entries, and the prefix
-    search took 968 ms against 431 ms per word (best of 9)."""
+    of parts, in that order, the empty word left out (accepts() decides
+    it). With two or more symbols a chunk holds the words whose first
+    symbol's index is part modulo parts; with one symbol, chunk part holds
+    the lengths L >= 1 with L - 1 equal to part modulo parts. A
+    deterministic machine walks each length's trie along its one path per
+    word (_path_verdicts). Otherwise one prefix-shared search decides each
+    length, its leaves finished from one table of epsilon tails; but a
+    unary alphabet has one word per length and nothing to share, so each
+    word gets its own search, which stops at its first accepting
+    configuration. The tails do not pay there: on composite <= 30 the
+    table grows to 110,704 entries, and the prefix search took 968 ms
+    against 431 ms per word (best of 9)."""
     if efa.deterministic:
         yield from _path_verdicts(efa, alphabet, max_len, policy, part, parts)
         return
     if len(alphabet) < 2:
         # the collector is paused per word, never across a yield, so the
         # caller's code and its oracle run with it on
-        for word in itertools.islice(all_words(alphabet, max_len), part, None, parts):
+        for word in itertools.islice(all_words(alphabet, max_len), 1 + part, None, parts):
             yield gc_paused(accepts, efa, word, policy).verdict
         return
     search = _PrefixSearch(efa, alphabet, max_len, policy)
-    for length in range(0 if part == 0 else 1, max_len + 1):
+    for length in range(1, max_len + 1):
         yield from search.verdicts(length, alphabet[part::parts])
 
 
 def _path_verdicts(efa, alphabet, max_len, policy, part, parts):
-    """_verdicts on a deterministic machine, chunked the same way. It has
-    no epsilon move, so a word has at most one path, all of whose moves
-    read a symbol, and d_min is the word's length L when that path ends in
+    """_verdicts on a deterministic machine, chunked the same way, for the
+    lengths L >= 1. It has no epsilon move, so a word has at most one path,
+    all of whose moves read a symbol, and d_min is L when that path ends in
     an accepting state, None otherwise. Each length's trie is walked depth
     first with one (state, register) per node, holding only the path to
     the current node: a word whose path ends accepting is BudgetExhausted
@@ -964,21 +960,12 @@ def _path_verdicts(efa, alphabet, max_len, policy, part, parts):
     # each symbol's table: state -> its one move on the symbol
     table = [(s, {q: moves[(q, s)][0] for q in efa.states if moves[(q, s)]}) for s in alphabet]
     if k < 2:
-        lengths, first = range(part, max_len + 1, parts), table
+        lengths, first = range(1 + part, max_len + 1, parts), table
     else:
-        lengths, first = range(0 if part == 0 else 1, max_len + 1), table[part::parts]
+        lengths, first = range(1, max_len + 1), table[part::parts]
     root = (efa.initial, efa.group.identity())
     for length in lengths:
         exhausted = length > policy(length)
-        if length == 0:  # the root is the word's end, reached by no move
-            if efa.initial not in accepting:
-                yield Verdict.REJECT
-            elif exhausted:
-                yield Verdict.BUDGET_EXHAUSTED
-            else:
-                _verify_certificate(efa, (), ())
-                yield Verdict.ACCEPT
-            continue
         # a frame: its symbols' iterator, its node, the symbol and transition into it
         stack = [(iter(first), root, None, None)]
         while stack:
@@ -1022,24 +1009,24 @@ def _usable_cpus():
 
 
 def _language_verdicts(efa, alphabet, max_len, policy, workers=1):
-    """The verdicts of all_words(alphabet, max_len), streamed in that order."""
+    """The verdicts of all_words(alphabet, max_len), streamed in that order.
+    The empty word's is accepts()'s; _verdicts decides the lengths from 1."""
     alphabet = tuple(sorted(alphabet))
     if max_len:
         _checked_word(alphabet, efa.alphabet)
+    yield accepts(efa, (), policy).verdict
     k = len(alphabet)
     # never more workers than usable CPUs, nor than chunks with a word in them
-    workers = min(workers or 1, _usable_cpus(), k if k > 1 else max_len + 1)
+    workers = min(workers or 1, _usable_cpus(), k if k > 1 else max_len)
     if workers < 2 or sum(k**n for n in range(max_len + 1)) <= 256:
         yield from _verdicts(efa, alphabet, max_len, policy)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunks = pool.map(_verdict_chunk, [(efa, alphabet, max_len, policy, i, workers) for i in range(workers)])
         chunks = [iter(chunk) for chunk in chunks]
-    for length in range(max_len + 1):
+    for length in range(1, max_len + 1):
         if k == 1:
-            yield next(chunks[length % workers])
-        elif length == 0:
-            yield next(chunks[0])
+            yield next(chunks[(length - 1) % workers])
         else:
             for i in range(k):
                 yield from itertools.islice(chunks[i % workers], k ** (length - 1))

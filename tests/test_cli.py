@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramata.analysis import growth
 from gramata.algebra import FreeGroup
 from gramata import cli
 from gramata.cli import main
 from gramata.constructions import standard_generators
+
+from conftest import CORPUS_DIR
 
 
 @pytest.fixture
@@ -195,6 +201,7 @@ def test_bad_compact_group_exit_code(spec, capsys):
         ["enum", "corpus/upow.efa", "--max-len", "-3"],
         ["run", "corpus/upow.efa", "aa", "--budget", "-5"],
         ["check", "corpus/upow.efa", "--oracle", "UPOW", "--max-len", "-1"],
+        # --workers is no flag of enum or check: an unknown flag exits 3 too
         ["enum", "corpus/upow.efa", "--max-len", "3", "--workers", "0"],
         ["check", "corpus/upow.efa", "--oracle", "UPOW", "--max-len", "3", "--workers", "-2"],
         ["dissim", "--oracle", "UPOW", "--max-len", "-1"],
@@ -270,3 +277,54 @@ def test_registers_past_the_digit_limit_print(tmp_path, capsys):
     assert main(argv + ["--json"]) == 0
     certificate = json.loads(capsys.readouterr().out)["certificate"]
     assert [list(step.values()) for step in certificate] == steps
+
+
+def _exit_code(argv):
+    """main(argv) with its output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+# junk flag values: none of them an integer that int() reads past 40
+_JUNK = st.sampled_from(["", "x", "-", "1.5", "1e3", "0x10", "+5", "1_0", "\u0663", "9" * 5000, "ε", "~"])
+# small values only, so that no draw can ask for a large search or ball
+_SMALL_INT = st.integers(-2, 40).map(str)
+_FLAG_VALUE = st.one_of(_SMALL_INT, _JUNK)
+
+
+@st.composite
+def _run_argv(draw):
+    name = draw(st.sampled_from(["mult", "multiple", "composite", "upow", "wp-f2", "wp-heis", "qplus-eqcount", "none"]))
+    symbols = st.sampled_from(["a", "b", "x", "y", "z", "a^-1", "b^-1", "c^-1", "~", "ε", "#", "q", "é"])
+    word = draw(st.one_of(st.lists(symbols, max_size=6).map(" ".join), st.text("abxyz~ ", max_size=6)))
+    argv = ["run", str(CORPUS_DIR / f"{name}.efa"), word]
+    if draw(st.booleans()):
+        argv += ["--budget", draw(_FLAG_VALUE)]
+    if draw(st.booleans()):
+        argv += ["--budget-policy", draw(st.sampled_from(["default", "mult", "composite", "wp-f2", "nope", ""]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@st.composite
+def _growth_argv(draw):
+    groups = ["free:1", "free:2", "free:3", "zk:1", "zk:3", "qplus", "heis", "matq:2", "matz:2:det1", "matq:2:detpm1"]
+    groups += ["prod(free:1,zk:1)", "free:0", "zk:-1", "matq:2:bad", "prod(free:2", "nope", ""]
+    # no digits in drawn group text, so no drawn rank or dimension is large
+    group = draw(st.one_of(st.sampled_from(groups), st.text("frezkqplushmatdi:(),", max_size=10)))
+    argv = ["growth", "--group", group, "--radius", draw(st.one_of(st.integers(-1, 4).map(str), _JUNK))]
+    if draw(st.booleans()):
+        gens = ["a=[1]", "a=[1];b=[0,1]", "a=H(0,1,0);b=H(1,0,0)", "a=g0;b=g1", "a=[[1,1],[0,1]]", "a=2;b=3"]
+        gens += ["a=0", ";"]
+        # no '^' in drawn generator text, so no drawn free word is long
+        argv += ["--gens", draw(st.one_of(st.sampled_from(gens), st.text("ab=;[]0123456789,-H() g/", max_size=10)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(argv=st.one_of(_run_argv(), _growth_argv()))
+@settings(max_examples=200, deadline=None)
+def test_run_and_growth_return_an_exit_code_and_never_raise(argv):
+    assert _exit_code(argv) in (0, 1, 2, 3)

@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramata.algebra import FreeAbelian, Matrix, MatrixGroup, PositiveRationals
 from gramata.constructions import CONSTRUCTIONS
-from gramata.errors import EfaParseError
+from gramata.errors import EfaParseError, GramataError
 from gramata.model import EFA, Transition, parse_efa, serialize_efa, validate
 
-from conftest import ALL_GROUPS, random_element
+from conftest import ALL_GROUPS, CORPUS_DIR, random_element
 
 MINIMAL = """\
 group matrix-Q 2 det=1
@@ -217,3 +219,36 @@ def test_deterministic_machines():
         expected = m.deterministic
         assert pickle.loads(pickle.dumps(m)).deterministic is expected
         assert parse_efa(serialize_efa(m)).deterministic is expected
+
+
+# the characters of the grammar, letters of the corpus names and an
+# Arabic-Indic digit, which int() would read as a digit
+_MUTATION_CHARS = "0123456789-+/^.,;=~#[]() \n\tHgaqrwxe\u0661"
+
+
+@given(
+    name=st.sampled_from(sorted(path.name for path in CORPUS_DIR.glob("*.efa"))),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(("insert", "delete", "replace")), st.integers(0, 400), st.sampled_from(_MUTATION_CHARS)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_mutated_corpus_text_parses_or_raises_gramata_error(name, edits):
+    # at most three one-character edits, so no number in the text grows by
+    # more than three digits and no draw declares a huge group
+    text = (CORPUS_DIR / name).read_text()
+    for kind, pos, char in edits:
+        pos %= len(text) + 1
+        if kind == "insert":
+            text = text[:pos] + char + text[pos:]
+        else:
+            text = text[:pos] + (char if kind == "replace" else "") + text[pos + 1 :]
+    try:
+        machine = parse_efa(text)
+    except GramataError:
+        return
+    assert isinstance(machine, EFA)

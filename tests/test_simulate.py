@@ -530,7 +530,54 @@ def test_chunked_verdicts_merge_in_word_order(monkeypatch, workers, machine, alp
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
     _RecordingPool.requested = []
     assert _shared(machine, alphabet, max_len, policy, workers) == _shared(machine, alphabet, max_len, policy)
-    assert _RecordingPool.requested == [min(workers, len(alphabet) if len(alphabet) > 1 else max_len + 1)]
+    assert _RecordingPool.requested == [min(workers, len(alphabet) if len(alphabet) > 1 else max_len)]
+
+
+def _epsilon_loop_machine():
+    # an epsilon loop adding 1 and a read of a at the accepting initial
+    # state q; b has no move
+    transitions = [Transition("q", None, "q", (1,)), Transition("q", "a", "q", (0,))]
+    return EFA(FreeAbelian(1), ["q"], ["a", "b"], transitions, "q", ["q"])
+
+
+def _unary_branching_machine():
+    # two moves on a from the accepting initial state, one into a dead end
+    group = FreeAbelian(1)
+    transitions = [Transition("q", "a", "q", (0,)), Transition("q", "a", "p", (0,))]
+    return EFA(group, ["q", "p"], ["a"], transitions, "q", ["q"])
+
+
+@pytest.mark.parametrize(
+    "policy, expected",
+    [(lambda m: m - 1, Verdict.BUDGET_EXHAUSTED), (default_policy, Verdict.ACCEPT)],
+    ids=["below-zero", "default"],
+)
+@pytest.mark.parametrize(
+    "build, max_len",
+    [
+        (_epsilon_loop_machine, 8),  # two letters, not deterministic: the prefix search
+        (CONSTRUCTIONS["wp-f2"].build, 4),  # deterministic: the path sweep
+        (_unary_branching_machine, 256),  # one letter, not deterministic: a search per word
+        (identity_loop_machine, 256),  # one letter, deterministic: the path sweep's strides
+    ],
+    ids=["prefix-search", "path-sweep", "unary", "unary-path"],
+)
+def test_every_decider_gives_the_empty_word_one_verdict(monkeypatch, build, max_len, policy, expected):
+    # each machine's initial state accepts, so the empty path has 0 moves:
+    # BudgetExhausted exactly when the budget is below 0. The sweeps are
+    # long enough that the stand-in pool opens
+    from gramata import simulate
+
+    machine = build()
+    assert accepts(machine, (), policy).verdict is expected
+    assert accepts(machine, (), policy, dedup=False).verdict is expected
+    serial = _shared(machine, machine.alphabet, max_len, policy)
+    assert serial[0] is expected
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    _RecordingPool.requested = []
+    assert _shared(machine, machine.alphabet, max_len, policy, workers=2) == serial
+    assert _RecordingPool.requested == [2]
 
 
 def test_shared_search_memory_guard(monkeypatch):
@@ -553,24 +600,33 @@ def _f2_loop_machine(register):
 def test_shared_search_grows_the_epsilon_tails_only_as_far_as_its_words_need():
     # under the default budget, a table of every tail the budget allows
     # would be the F2 ball of radius 24 or more, far past the memory guard;
-    # the one lookup a reaches at distance 0
+    # the one lookup a reaches at distance 0; the empty word, which
+    # accepts decides, needs no tail
     machine = _f2_loop_machine("e")
     assert enumerate_words(machine, 3).words == [("a",)]
     search = _PrefixSearch(machine, machine.alphabet, 3, default_policy)
-    assert [v for length in range(4) for v in search.verdicts(length, machine.alphabet)].count(Verdict.ACCEPT) == 1
+    assert [v for length in range(1, 4) for v in search.verdicts(length, machine.alphabet)].count(Verdict.ACCEPT) == 1
     assert len(search.tails.entries) == 1
 
 
 def test_shared_search_looks_up_no_tail_of_the_empty_word_past_its_budget():
-    # q reaches f by 4 epsilon moves, past the budget of 3: the empty word's
-    # lookup is pruned, as a search per word prunes it, and grows nothing
+    # q reaches f by 4 epsilon moves, and b leads to x, 3 moves from f: the
+    # empty word and b both need 4 moves, past the budget of 3. accepts
+    # decides the empty word without the search; b's lookup is pruned, as
+    # a search per word prunes it, and grows nothing
     machine = _f2_loop_machine("e")
-    chain = [Transition(a, None, b, machine.group.identity()) for a, b in zip("qxyz", "xyzf")]
+    identity = machine.group.identity()
+    chain = [Transition(a, None, b, identity) for a, b in zip("qxyz", "xyzf")] + [Transition("q", "b", "x", identity)]
     machine = EFA(
         machine.group, [*machine.states, "x", "y", "z"], machine.alphabet, [*machine.transitions, *chain], "q", ["f"]
     )
-    search = _PrefixSearch(machine, machine.alphabet, 0, constant_policy(3))
-    assert list(search.verdicts(0, machine.alphabet)) == [Verdict.BUDGET_EXHAUSTED]
+    policy = constant_policy(3)
+    assert accepts(machine, (), policy).verdict is Verdict.BUDGET_EXHAUSTED
+    assert _shared(machine, machine.alphabet, 0, policy) == [Verdict.BUDGET_EXHAUSTED]
+    search = _PrefixSearch(machine, machine.alphabet, 3, policy)
+    verdicts = [v for length in range(1, 4) for v in search.verdicts(length, machine.alphabet)]
+    assert verdicts == _per_word(machine, machine.alphabet, 3, policy)[1:]
+    assert verdicts[:2] == [Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED]
     assert len(search.tails.entries) == 1
 
 
