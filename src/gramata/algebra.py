@@ -67,9 +67,9 @@ _HEIS = re.compile(rf"H\(({_INT}),({_INT}),({_INT})\)")
 
 def parse_int(text):
     """An integer literal of _INT, the one reader of every element literal
-    and group dimension. '+', '_', '.', exponents and non-ASCII digits, all
-    of which int() would take or choke on, raise GramataError, and so does
-    a decimal literal longer than int() converts
+    and, under parse_count, of every count. '+', '_', '.', exponents and
+    non-ASCII digits, all of which int() would take or choke on, raise
+    GramataError, and so does a decimal literal longer than int() converts
     (sys.get_int_max_str_digits()); format_int writes a longer value in
     hexadecimal, which has no limit."""
     digits = text[1:] if text[:1] == "-" else text
@@ -81,6 +81,18 @@ def parse_int(text):
     if _HEX.fullmatch(digits):
         return int(text, 16)
     raise GramataError(f"not an integer literal: {text!r}")
+
+
+def parse_count(text, low, name):
+    """text, named name in errors, as a count of at least low: ASCII decimal
+    digits read by parse_int. The one reader of group dimensions, integer
+    flags and GRAMATA_MEM_GUARD; a sign, whitespace or hexadecimal raise
+    GramataError like parse_int's refusals, and so does a value below low."""
+    value = parse_int(text) if text.isascii() and text.isdigit() else low - 1
+    if value < low:
+        bound = "a positive integer" if low == 1 else f"an integer of at least {low}"
+        raise GramataError(f"{name} must be {bound} in decimal digits, got {text!r}")
+    return value
 
 
 def parse_rational(text):
@@ -449,6 +461,9 @@ class Group:
         raise NotImplementedError
 
     def parse_element(self, text):
+        """The element that text writes, as format_element writes it. The
+        element passes check(), so a parsed register needs no second check;
+        text that writes no element of the group raises GramataError."""
         raise NotImplementedError
 
     def spec_text(self):
@@ -808,12 +823,8 @@ def _parse_paren_spec(text):
 
 
 def _positive_int(tokens, i):
-    """tokens[i] as a positive integer; shared by the file and command-line grammars."""
-    token = tokens[i] if i < len(tokens) else ""
-    value = parse_int(token) if token.isascii() and token.isdigit() else 0
-    if value < 1:
-        raise GramataError(f"expected a positive integer in group spec, got {token!r}")
-    return value
+    """tokens[i] as a group dimension; shared by the file and command-line grammars."""
+    return parse_count(tokens[i] if i < len(tokens) else "", 1, "a group dimension")
 
 
 _COMPACT_DET = {"det1": DET_ONE, "detpm1": DET_PM1, "detany": DET_ANY}

@@ -213,14 +213,17 @@ def _pair_work(k, n):
     return work
 
 
-def dissimilarity_exact(oracle, alphabet, n, guard=10**6):
+DISSIMILARITY_GUARD = 10**6  # the most pair x suffix comparisons of one graph
+
+
+def dissimilarity_exact(oracle, alphabet, n):
     """Exact maximum pairwise-dissimilar family via branch-and-bound clique
-    search on the dissimilarity graph over words of length <= n. The guard
-    bounds the pair x suffix comparisons the graph can need."""
+    search on the dissimilarity graph over words of length <= n, refused
+    with InstanceTooLarge past DISSIMILARITY_GUARD comparisons."""
     alphabet = tuple(sorted(alphabet))
     work = _pair_work(len(alphabet), n)
-    if work > guard:
-        raise InstanceTooLarge(f"{work} pair x suffix comparisons exceed the guard {guard}")
+    if work > DISSIMILARITY_GUARD:
+        raise InstanceTooLarge(f"{work} pair x suffix comparisons exceed the guard {DISSIMILARITY_GUARD}")
     words = list(all_words(alphabet, n))
     m = len(words)
     adj = [0] * m

@@ -13,22 +13,17 @@ import json
 import sys
 
 from . import analysis, constructions, experiments, model, simulate
-from .algebra import parse_group_compact
+from .algebra import parse_count, parse_group_compact
 from .errors import GramataError, InstanceTooLarge
-from .simulate import Verdict, default_policy, format_word, tokenize_word
+from .simulate import Verdict, format_word, tokenize_word
 
 _VERDICT_EXIT = {Verdict.ACCEPT: 0, Verdict.REJECT: 1, Verdict.BUDGET_EXHAUSTED: 2}
 
 
 def _policy_from_args(args):
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return simulate.constant_policy(args.budget)
-    name = getattr(args, "budget_policy", None) or "default"
-    if name == "default":
-        return default_policy
-    if name in constructions.CONSTRUCTIONS:
-        return constructions.CONSTRUCTIONS[name].budget
-    raise GramataError(f"unknown budget policy {name!r} (use 'default' or a construction name)")
+    return constructions.construction_budget(args.budget_policy or "default")
 
 
 def _emit(args, payload, text_lines):
@@ -254,12 +249,13 @@ def _cmd_corpus(args):
 
 
 def _int_at_least(low):
-    """The argparse type of an integer flag: below low is a usage error (exit 3)."""
+    """The argparse type of an integer flag: a count below low, or no count, is a usage error (exit 3)."""
 
     def integer(text):
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+        try:
+            return parse_count(text, low, "the value")
+        except GramataError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
 
     return integer
 

@@ -430,9 +430,11 @@ CONSTRUCTIONS = {
 
 
 def construction_budget(name):
+    if name == "default":
+        return default_policy
     if name in CONSTRUCTIONS:
         return CONSTRUCTIONS[name].budget
-    return default_policy
+    raise GramataError(f"unknown budget policy {name!r} (use 'default' or a construction name)")
 
 
 def emit_corpus(directory):

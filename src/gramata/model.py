@@ -199,7 +199,6 @@ def parse_efa(text):
                 raise EfaParseError("transitions before group declaration", line=lineno)
             try:
                 register = group.parse_element(literal)
-                group.check(register)
             except GramataError as err:
                 column = raw.find(literal) + 1 or None
                 raise EfaParseError(str(err), line=lineno, column=column, cause=err) from err

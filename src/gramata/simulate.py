@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
+from .algebra import parse_count
 from .errors import GramataError, MemoryGuard, UnknownSymbol
 from .model import ANY
 
@@ -65,13 +66,7 @@ def mem_guard():
     value = os.environ.get("GRAMATA_MEM_GUARD")
     if not value:
         return DEFAULT_MEM_GUARD
-    try:
-        guard = int(value)
-    except ValueError:
-        guard = 0
-    if guard < 1:
-        raise GramataError(f"GRAMATA_MEM_GUARD must be a positive integer, got {value!r}")
-    return guard
+    return parse_count(value, 1, "GRAMATA_MEM_GUARD")
 
 
 def bfs_layer(seen, layer, expand, limit, guard):
@@ -152,24 +147,15 @@ class BudgetPolicy:
         return max(1, budget)
 
 
-@dataclass(frozen=True)
-class ConstantPolicy:
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise GramataError(f"a constant depth budget must be at least 1, got {self.depth}")
-
-    def __call__(self, m):
-        return self.depth
-
-
 # the stock depth budget: 4m + 8*ceil(log2(m+2)) + 16
 default_policy = BudgetPolicy(slope=4, offset=16, log_coeff=8, log_shift=2)
 
 
 def constant_policy(depth):
-    return ConstantPolicy(depth)
+    """The budget depth for every word length."""
+    if depth < 1:
+        raise GramataError(f"a constant depth budget must be at least 1, got {depth}")
+    return BudgetPolicy(slope=0, offset=depth)
 
 
 class Verdict(str, Enum):

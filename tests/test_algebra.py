@@ -31,6 +31,7 @@ from gramata.algebra import (
     heis_mul,
     heis_to_matrix,
     pair_embed,
+    parse_count,
     parse_group_compact,
     parse_group_spec,
     parse_int,
@@ -429,6 +430,17 @@ def test_integer_literals_are_an_ascii_sign_and_digits(token):
         parse_group_compact(f"zk:{token}")
 
 
+def test_a_count_is_ascii_decimal_digits_at_or_above_its_bound():
+    assert parse_count("0012", 12, "n") == 12
+    assert parse_count("0", 0, "n") == 0
+    with pytest.raises(GramataError, match="n must be a positive integer"):
+        parse_count("0", 1, "n")
+    with pytest.raises(GramataError, match="n must be an integer of at least 13"):
+        parse_count("12", 13, "n")
+    with pytest.raises(GramataError, match="n must be an integer of at least 0 in decimal digits, got '-0x3'"):
+        parse_count("-0x3", 0, "n")
+
+
 def test_integer_literal_past_the_digit_limit_is_a_gramata_error():
     # int() refuses decimal literals longer than the interpreter's limit,
     # 4,300 digits by default
@@ -472,6 +484,39 @@ def test_format_then_parse_is_the_identity_past_the_digit_limit(group, big, rng)
     g = _past_the_digit_limit(group, big, rng)
     group.check(g)
     assert group.parse_element(group.format_element(g)) == g
+
+
+# products of every kind of factor, nested too
+PARSED_GROUPS = ALL_GROUPS + [
+    DirectProduct(HeisenbergGroup(), MatrixGroup(2, "Q", "one")),
+    DirectProduct(PositiveRationals(), DirectProduct(FreeGroup(1), MatrixGroup(2, "Z"))),
+]
+_LITERAL_CHARACTERS = "0123456789-/,[]()|H^ge x"
+
+
+@st.composite
+def _element_text(draw, group):
+    """A formatted element of group with up to four short runs of its
+    characters replaced by drawn ones."""
+    text = group.format_element(random_element(group, draw(st.randoms(use_true_random=False)), bound=3))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 2)))
+        text = text[:i] + draw(st.text(_LITERAL_CHARACTERS, max_size=2)) + text[j:]
+    return text
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_parse_element_returns_a_checked_element_or_raises_gramata_error(data):
+    # the contract parse_efa relies on: a parsed register needs no check
+    group = data.draw(st.sampled_from(PARSED_GROUPS), label="group")
+    text = data.draw(_element_text(group), label="text")
+    try:
+        g = group.parse_element(text)
+    except GramataError:
+        return
+    group.check(g)
 
 
 def test_integers_past_the_digit_limit_print_in_hexadecimal():

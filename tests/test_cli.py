@@ -224,6 +224,38 @@ def test_malformed_mem_guard_exit_3(monkeypatch, value, capsys):
     assert "GRAMATA_MEM_GUARD" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, mem_guard, code, out",
+    [
+        # int() takes each of these but 0x3; a count is ASCII decimal digits only
+        (["run", "upow.efa", "aa", "--budget", "\u0663"], None, 3, None),  # an Arabic-Indic three
+        (["enum", "upow.efa", "--max-len", "1_0"], None, 3, None),
+        (["run", "upow.efa", "aa", "--budget", "+5"], None, 3, None),
+        (["growth", "--group", "free:2", "--radius", " 5"], None, 3, None),
+        (["growth", "--group", "free:2", "--radius", "2"], "1_000", 3, None),
+        (["growth", "--group", "free:2", "--radius", "2"], "\u0665\u0660", 3, None),
+        (["run", "upow.efa", "aa", "--budget", "0x3"], None, 3, None),
+        # the counts that were valid read as before
+        (["enum", "multiple.efa", "--max-len", "0"], None, 0, "\u03b5\n"),
+        (["run", "upow.efa", "aa", "--budget", "1"], None, 2, "BudgetExhausted\nexpanded=1 max_depth=0 accept_depth=None\n"),
+        (["growth", "--group", "zk:3", "--radius", "6"], None, 0, "1\t7\t25\t63\t129\t231\t377\n"),
+        (["growth", "--group", "free:2", "--radius", "3"], "100", 0, "1\t5\t17\t53\n"),
+    ],
+)
+def test_every_count_from_outside_is_ascii_decimal_digits(monkeypatch, capsys, argv, mem_guard, code, out):
+    if mem_guard is not None:
+        monkeypatch.setenv("GRAMATA_MEM_GUARD", mem_guard)
+    argv = [str(CORPUS_DIR / a) if a.endswith(".efa") else a for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if out is None:
+        # one usage-error line, argparse's or main's, and no traceback
+        assert [line for line in captured.err.splitlines() if "error:" in line] == captured.err.splitlines()[-1:]
+        assert "Traceback" not in captured.err
+    else:
+        assert (captured.out, captured.err) == (out, "")
+
+
 def test_growth_radius_bounded_on_a_ball_that_stops_growing(monkeypatch, capsys):
     # the ball of the trivial generator is {0}: only the recorded layers grow
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "100")

@@ -40,6 +40,25 @@ def test_parse_det_constraint_violation():
     assert err.value.line == 7
 
 
+@pytest.mark.parametrize(
+    "group, literal, cause",
+    [
+        ("matrix-Z 2", "[[1,0],[0,2]]", "determinant-constraint"),
+        ("positive-rationals", "-1/2", "not-positive"),
+        ("positive-rationals", "1/0", "zero-denominator"),
+        ("free 2", "g2", "element-group-mismatch"),
+        ("direct-product (heisenberg) (positive-rationals)", "(H(0,0,0)|-1)", "not-positive"),
+    ],
+)
+def test_a_register_that_parse_element_refuses_keeps_its_line_and_column(group, literal, cause):
+    # parse_element checks what it returns, so parse_efa checks no register
+    # again; its refusals point at the literal
+    text = f"group {group}\nstates q\ninitial q\naccepting q\nalphabet a\ntransitions\n  q a q {literal}\n"
+    with pytest.raises(EfaParseError) as err:
+        parse_efa(text)
+    assert (err.value.cause, err.value.line, err.value.column) == (cause, 7, 9)
+
+
 def test_parse_syntax_error_reports_line():
     bad = MINIMAL.replace("q0 a q0 [[1,0],[0,1]]", "q0 a q0")
     with pytest.raises(EfaParseError) as err:

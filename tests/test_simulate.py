@@ -14,6 +14,7 @@ from gramata.errors import GramataError, MemoryGuard, UnknownSymbol
 from gramata.model import EFA, Transition
 from gramata.simulate import (
     DISTANCE_LEVELS,
+    BudgetPolicy,
     Configuration,
     Verdict,
     _distances_to_accept,
@@ -98,6 +99,20 @@ def test_constant_policy_below_one_is_refused():
     # the least budget still takes the loop's one move
     result = accepts(identity_loop_machine(), ("a",), constant_policy(1))
     assert result.verdict is Verdict.ACCEPT and result.stats.accept_depth == 1
+
+
+def test_a_constant_policy_is_a_budget_policy_of_slope_0():
+    policy = constant_policy(3)
+    assert policy == BudgetPolicy(slope=0, offset=3)
+    assert {policy(m) for m in range(100)} == {3}
+    assert pickle.loads(pickle.dumps(policy)) == policy
+
+
+def test_construction_budget_names_the_default_or_a_construction():
+    assert construction_budget("default") is default_policy
+    assert construction_budget("mult") is CONSTRUCTIONS["mult"].budget
+    with pytest.raises(GramataError, match="unknown budget policy 'nope'"):
+        construction_budget("nope")
 
 
 def test_accepts_unknown_symbol():
