@@ -765,69 +765,70 @@ def _split_outside_parens(text, sep):
     return None
 
 
+# the six group kinds by their file-format names: the constructor, and how
+# many tokens may follow the name (a dimension, then for a matrix group an
+# optional determinant token)
+_KINDS = {
+    "free": (FreeGroup, 1),
+    "free-abelian": (FreeAbelian, 1),
+    "positive-rationals": (PositiveRationals, 0),
+    "heisenberg": (HeisenbergGroup, 0),
+    "matrix-Z": (lambda dim, det=DET_ANY: MatrixGroup(dim, "Z", det), 2),
+    "matrix-Q": (lambda dim, det=DET_ANY: MatrixGroup(dim, "Q", det), 2),
+}
+
+# the command-line names of the kinds and of the determinant constraints
+_COMPACT_KINDS = {
+    "free": "free",
+    "zk": "free-abelian",
+    "qplus": "positive-rationals",
+    "heis": "heisenberg",
+    "matz": "matrix-Z",
+    "matq": "matrix-Q",
+}
+_COMPACT_DET = {"det1": DET_ONE, "detpm1": DET_PM1, "detany": DET_ANY}
+
+
+def _group(kind, tokens, det_tokens, text):
+    """The group that kind (a file-format kind name) and the tokens after
+    its name declare, with a determinant token read through det_tokens: the
+    one builder of both grammars. text is the whole spec, for errors."""
+    make, most = _KINDS.get(kind, (None, -1))
+    # a kind that takes tokens needs its dimension; an unknown kind fits none
+    if not min(most, 1) <= len(tokens) <= most:
+        raise GramataError(f"bad group spec {text!r}")
+    args = [parse_count(token, 1, "a group dimension") for token in tokens[:1]]
+    for token in tokens[1:]:
+        if token not in det_tokens:
+            raise GramataError(f"bad determinant constraint {token!r}")
+        args.append(det_tokens[token])
+    return make(*args)
+
+
 def parse_group_spec(text):
     """Parse the file-format group declaration, e.g. 'matrix-Q 2 det=1'."""
-    spec, rest = _parse_group_spec_prefix(text.strip())
-    if rest:
-        raise GramataError(f"trailing characters in group spec: {rest!r}")
-    return spec
-
-
-def _parse_group_spec_prefix(text):
-    text = text.lstrip()
+    text = text.strip()
     if text.startswith("direct-product"):
-        rest = text[len("direct-product") :].lstrip()
-        left, rest = _parse_paren_spec(rest)
+        left, rest = _parse_paren_spec(text[len("direct-product") :].lstrip())
         right, rest = _parse_paren_spec(rest.lstrip())
-        return DirectProduct(left, right), rest
-    tokens = text.split()
-    if not tokens:
-        raise GramataError("empty group spec")
-    kind = tokens[0]
-    if kind == "free":
-        return FreeGroup(_positive_int(tokens, 1)), " ".join(tokens[2:])
-    if kind == "free-abelian":
-        return FreeAbelian(_positive_int(tokens, 1)), " ".join(tokens[2:])
-    if kind == "positive-rationals":
-        return PositiveRationals(), " ".join(tokens[1:])
-    if kind == "heisenberg":
-        return HeisenbergGroup(), " ".join(tokens[1:])
-    if kind in ("matrix-Z", "matrix-Q"):
-        dim = _positive_int(tokens, 1)
-        det = DET_ANY
-        rest = tokens[2:]
-        if rest and rest[0].startswith("det="):
-            if rest[0] not in _DET_FROM_TOKEN:
-                raise GramataError(f"bad determinant constraint {rest[0]!r}")
-            det = _DET_FROM_TOKEN[rest[0]]
-            rest = rest[1:]
-        return MatrixGroup(dim, kind[-1], det), " ".join(rest)
-    raise GramataError(f"unknown group kind {kind!r}")
+        if rest:
+            raise GramataError(f"trailing characters in group spec: {rest!r}")
+        return DirectProduct(left, right)
+    kind, *tokens = text.split() or [""]
+    return _group(kind, tokens, _DET_FROM_TOKEN, text)
 
 
 def _parse_paren_spec(text):
+    """The group declared inside text's leading parentheses, and the text
+    after them."""
     if not text.startswith("("):
         raise GramataError(f"expected '(' in group spec near {text!r}")
     depth = 0
     for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                inner, rest = _parse_group_spec_prefix(text[1:i])
-                if rest:
-                    raise GramataError(f"trailing characters in group spec: {rest!r}")
-                return inner, text[i + 1 :]
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            return parse_group_spec(text[1:i]), text[i + 1 :]
     raise GramataError("unbalanced parentheses in group spec")
-
-
-def _positive_int(tokens, i):
-    """tokens[i] as a group dimension; shared by the file and command-line grammars."""
-    return parse_count(tokens[i] if i < len(tokens) else "", 1, "a group dimension")
-
-
-_COMPACT_DET = {"det1": DET_ONE, "detpm1": DET_PM1, "detany": DET_ANY}
 
 
 def parse_group_compact(text):
@@ -839,41 +840,22 @@ def parse_group_compact(text):
         if halves is None:
             raise GramataError(f"bad product spec {text!r}")
         return DirectProduct(parse_group_compact(halves[0]), parse_group_compact(halves[1]))
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "free" and len(parts) == 2:
-        return FreeGroup(_positive_int(parts, 1))
-    if kind == "zk" and len(parts) == 2:
-        return FreeAbelian(_positive_int(parts, 1))
-    if kind == "qplus" and len(parts) == 1:
-        return PositiveRationals()
-    if kind == "heis" and len(parts) == 1:
-        return HeisenbergGroup()
-    if kind in ("matq", "matz") and len(parts) in (2, 3):
-        det = DET_ANY
-        if len(parts) == 3:
-            if parts[2] not in _COMPACT_DET:
-                raise GramataError(f"bad determinant constraint {parts[2]!r}")
-            det = _COMPACT_DET[parts[2]]
-        return MatrixGroup(_positive_int(parts, 1), "Q" if kind == "matq" else "Z", det)
-    raise GramataError(f"bad group spec {text!r}")
+    name, *tokens = text.split(":")
+    return _group(_COMPACT_KINDS.get(name), tokens, _COMPACT_DET, text)
+
+
+_KIND_COMPACT = {kind: name for name, kind in _COMPACT_KINDS.items()}
+_DET_COMPACT = {det: token for token, det in _COMPACT_DET.items()}
 
 
 def compact_group_text(group):
-    if isinstance(group, FreeGroup):
-        return f"free:{group.rank}"
-    if isinstance(group, FreeAbelian):
-        return f"zk:{group.k}"
-    if isinstance(group, PositiveRationals):
-        return "qplus"
-    if isinstance(group, HeisenbergGroup):
-        return "heis"
-    if isinstance(group, MatrixGroup):
-        det = {DET_ONE: "det1", DET_PM1: "detpm1", DET_ANY: "detany"}[group.det]
-        return f"mat{group.field.lower()}:{group.dim}:{det}"
+    """The group in the command-line grammar: its file declaration, token
+    by token."""
     if isinstance(group, DirectProduct):
         return f"prod({compact_group_text(group.left)},{compact_group_text(group.right)})"
-    raise GramataError(f"unknown group {group!r}")
+    kind, *tokens = group.spec_text().split()
+    tokens[1:] = [_DET_COMPACT[_DET_FROM_TOKEN[token]] for token in tokens[1:]]
+    return ":".join([_KIND_COMPACT[kind], *tokens])
 
 
 # --- the paper's matrices and embeddings ------------------------------------

@@ -23,7 +23,9 @@ _VERDICT_EXIT = {Verdict.ACCEPT: 0, Verdict.REJECT: 1, Verdict.BUDGET_EXHAUSTED:
 def _policy_from_args(args):
     if args.budget is not None:
         return simulate.constant_policy(args.budget)
-    return constructions.construction_budget(args.budget_policy or "default")
+    if args.budget_policy is None:
+        return simulate.default_policy
+    return constructions.construction_budget(args.budget_policy)
 
 
 def _emit(args, payload, text_lines):
@@ -267,10 +269,14 @@ def build_parser():
     def common(p, budget=True):
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
         if budget:
-            p.add_argument("--budget", type=_int_at_least(1), default=None, help="constant depth budget")
-            p.add_argument(
+            # one budget per run: a constant or a policy, never both. No
+            # string default: argparse does not count a flag as given when
+            # its value is the default object, as an interned 'default' is
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--budget", type=_int_at_least(1), default=None, help="constant depth budget")
+            group.add_argument(
                 "--budget-policy",
-                default="default",
+                default=None,
                 help="'default' or a construction name with a shipped budget",
             )
 

@@ -36,7 +36,7 @@ from .algebra import (
     qplus_embed,
 )
 from .errors import GramataError, UnknownOracle
-from .model import EFA, Transition
+from .model import EFA, Transition, save_efa
 from .simulate import BudgetPolicy, default_policy
 
 
@@ -439,13 +439,10 @@ def construction_budget(name):
 
 def emit_corpus(directory):
     """Write every construction's .efa document into the corpus directory."""
-    from .model import serialize_efa
-
     os.makedirs(directory, exist_ok=True)
     written = []
     for name, spec in sorted(CONSTRUCTIONS.items()):
         path = os.path.join(directory, f"{name}.efa")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_efa(spec.build()))
+        save_efa(spec.build(), path)
         written.append(path)
     return written

@@ -13,6 +13,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import algebra, analysis, constructions, model
@@ -76,14 +77,6 @@ def _equiv_experiment(name, max_len):
     return report.clean, report.lines()
 
 
-def _run_upow_equiv():
-    return _equiv_experiment("upow", 16)
-
-
-def _run_oddpow_equiv():
-    return _equiv_experiment("oddpow", 32)
-
-
 def _run_oddpow_traces():
     """The proof's three register shapes, checked symbolically for x <= 10,
     plus the identity characterization y = 2^(2x+1), z = x+1."""
@@ -125,18 +118,6 @@ def _run_oddpow_traces():
                     failures.append(f"identity characterization broken at x={x}, y={y}, z={z}")
     lines = [f"traces verified for x=0..10 ({'ok' if not failures else 'BROKEN'})"] + failures
     return not failures, lines
-
-
-def _run_mult_equiv():
-    return _equiv_experiment("mult", 9)
-
-
-def _run_composite_equiv():
-    return _equiv_experiment("composite", 30)
-
-
-def _run_multiple_equiv():
-    return _equiv_experiment("multiple", 12)
 
 
 def _run_algebra_identities():
@@ -296,7 +277,8 @@ def _run_growth_tables():
     return ok, lines
 
 
-def _lemma_experiment(group, gens, n_max):
+def _lemma_experiment(group, n_max):
+    gens = standard_generators(group)
     ok = True
     lines = []
     for n in range(0, n_max + 1):
@@ -307,22 +289,6 @@ def _lemma_experiment(group, gens, n_max):
             f"vs growth(n//2) = {evidence['growth_at_half']} -> {good}"
         )
     return ok, lines
-
-
-def _run_lemma_z():
-    return _lemma_experiment(FreeAbelian(1), standard_generators(FreeAbelian(1)), 8)
-
-
-def _run_lemma_z2():
-    return _lemma_experiment(FreeAbelian(2), standard_generators(FreeAbelian(2)), 6)
-
-
-def _run_lemma_f2():
-    return _lemma_experiment(FreeGroup(2), standard_generators(FreeGroup(2)), 6)
-
-
-def _run_lemma_heis():
-    return _lemma_experiment(HeisenbergGroup(), standard_generators(HeisenbergGroup()), 6)
 
 
 def _run_theorem_probe():
@@ -380,20 +346,20 @@ def _run_corpus_roundtrip():
 EXPERIMENTS = {
     e.experiment_id: e
     for e in [
-        Experiment("upow-equiv-16", 1, "UPOW machine vs oracle, exhaustive to length 16", _run_upow_equiv),
-        Experiment("oddpow-equiv-32", 2, "odd-power machine vs oracle, exhaustive to length 32", _run_oddpow_equiv),
+        Experiment("upow-equiv-16", 1, "UPOW machine vs oracle, exhaustive to length 16", partial(_equiv_experiment, "upow", 16)),
+        Experiment("oddpow-equiv-32", 2, "odd-power machine vs oracle, exhaustive to length 32", partial(_equiv_experiment, "oddpow", 32)),
         Experiment("oddpow-traces-10", 2, "odd-power proof register traces, symbolic x <= 10", _run_oddpow_traces),
-        Experiment("mult-equiv-9", 3, "MULT machine vs oracle over the ternary alphabet to length 9", _run_mult_equiv),
-        Experiment("composite-equiv-30", 3, "COMPOSITE machine vs oracle, unary to length 30", _run_composite_equiv),
-        Experiment("multiple-equiv-12", 3, "MULTIPLE machine vs oracle, binary to length 12", _run_multiple_equiv),
+        Experiment("mult-equiv-9", 3, "MULT machine vs oracle over the ternary alphabet to length 9", partial(_equiv_experiment, "mult", 9)),
+        Experiment("composite-equiv-30", 3, "COMPOSITE machine vs oracle, unary to length 30", partial(_equiv_experiment, "composite", 30)),
+        Experiment("multiple-equiv-12", 3, "MULTIPLE machine vs oracle, binary to length 12", partial(_equiv_experiment, "multiple", 12)),
         Experiment("algebra-identities", 4, "BS relation, Heisenberg law vs matrices, register determinants", _run_algebra_identities),
         Experiment("sanov-faithful-12", 5, "Sanov embedding identity-free on nonempty reduced words to length 12", _run_sanov_faithful),
         Experiment("qplus-transform-10", 6, "Q+ to SL(2,Q) transform preserves the language to length 10", _run_qplus_transform),
         Experiment("growth-tables-10", 7, "growth tables for Z, Z^2, F2 exact; Heisenberg exponent", _run_growth_tables),
-        Experiment("lemma-growth-z-8", 8, "dissimilarity lower bound meets growth for Z, n <= 8", _run_lemma_z),
-        Experiment("lemma-growth-z2-6", 8, "dissimilarity lower bound meets growth for Z^2, n <= 6", _run_lemma_z2),
-        Experiment("lemma-growth-f2-6", 8, "dissimilarity lower bound meets growth for F2, n <= 6", _run_lemma_f2),
-        Experiment("lemma-growth-heis-6", 8, "dissimilarity lower bound meets growth for Heisenberg, n <= 6", _run_lemma_heis),
+        Experiment("lemma-growth-z-8", 8, "dissimilarity lower bound meets growth for Z, n <= 8", partial(_lemma_experiment, FreeAbelian(1), 8)),
+        Experiment("lemma-growth-z2-6", 8, "dissimilarity lower bound meets growth for Z^2, n <= 6", partial(_lemma_experiment, FreeAbelian(2), 6)),
+        Experiment("lemma-growth-f2-6", 8, "dissimilarity lower bound meets growth for F2, n <= 6", partial(_lemma_experiment, FreeGroup(2), 6)),
+        Experiment("lemma-growth-heis-6", 8, "dissimilarity lower bound meets growth for Heisenberg, n <= 6", partial(_lemma_experiment, HeisenbergGroup(), 6)),
         Experiment("theorem-growth-probe-h", 9, "configuration counts vs free-group demand for the Heisenberg word problem", _run_theorem_probe),
         Experiment("dedup-soundness-6", 10, "pruned vs unpruned verdicts agree on all corpus machines to length 6", _run_dedup_soundness),
         Experiment("corpus-roundtrip", 11, "parse/serialize canonical fixpoint on every corpus file", _run_corpus_roundtrip),

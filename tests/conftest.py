@@ -81,3 +81,20 @@ ALL_GROUPS = [
     HeisenbergGroup(),
     DirectProduct(FreeGroup(2), FreeAbelian(2)),
 ]
+
+
+# one malformed shape in each grammar: file declaration, command-line spec
+MALFORMED_GROUPS = {
+    "missing dimension": ("matrix-Q", "matq"),
+    "extra token": ("free 2 3", "free:2:3"),
+    "token after a kind that takes none": ("heisenberg 1", "heis:1"),
+    "token after the determinant": ("matrix-Q 2 det=1 det=1", "matq:2:det1:det1"),
+    "unknown kind": ("bogus 2", "bogus:2"),
+    "the other grammar's kind": ("zk 2", "free-abelian:2"),
+    "bad determinant token": ("matrix-Z 2 det=2", "matz:2:det2"),
+    "the other grammar's determinant token": ("matrix-Q 2 det1", "matq:2:det=1"),
+    "product with one half": ("direct-product (free 1)", "prod(free:1)"),
+    "unbalanced open parenthesis": ("direct-product ((free 1) (free 1)", "prod((free:1,free:1)"),
+    "unbalanced close parenthesis": ("direct-product (free 1) (free 1))", "prod(free:1,free:1))"),
+    "empty": ("", ""),
+}

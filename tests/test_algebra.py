@@ -50,7 +50,7 @@ from gramata.errors import (
     ZeroDenominator,
 )
 
-from conftest import ALL_GROUPS, random_element
+from conftest import ALL_GROUPS, MALFORMED_GROUPS, random_element
 
 
 def test_rat_normalize():
@@ -410,6 +410,63 @@ def test_compact_group_grammar_rejects_non_positive_sizes(text):
     # the same positive-integer check as the file grammar
     with pytest.raises(GramataError):
         parse_group_compact(text)
+
+
+# every kind, a nested product and each determinant constraint, in the file
+# grammar and on the command line
+BOTH_GRAMMARS = [
+    ("free 2", "free:2"),
+    ("free-abelian 3", "zk:3"),
+    ("positive-rationals", "qplus"),
+    ("heisenberg", "heis"),
+    ("matrix-Q 2 det=1", "matq:2:det1"),
+    ("matrix-Z 2 det=+-1", "matz:2:detpm1"),
+    ("matrix-Q 3 det=any", "matq:3:detany"),
+    ("direct-product (free 2) (free-abelian 2)", "prod(free:2,zk:2)"),
+    ("direct-product (direct-product (free 1) (heisenberg)) (matrix-Z 2 det=1)", "prod(prod(free:1,heis),matz:2:det1)"),
+]
+
+
+@pytest.mark.parametrize("spec, compact", BOTH_GRAMMARS)
+def test_both_grammars_name_the_same_group(spec, compact):
+    group = parse_group_spec(spec)
+    assert parse_group_compact(compact) == group
+    assert group.spec_text() == spec
+    assert compact_group_text(group) == compact
+
+
+# perfbench/tracing.py names its traced mul metrics by these strings
+COMPACT_TEXTS = ["free:2", "zk:3", "qplus", "matq:2:det1", "matz:2:detpm1", "matq:3:detany", "heis", "prod(free:2,zk:2)"]
+
+
+@pytest.mark.parametrize(
+    "group, compact",
+    list(zip(ALL_GROUPS, COMPACT_TEXTS))
+    + [
+        (DirectProduct(DirectProduct(HeisenbergGroup(), PositiveRationals()), FreeGroup(1)), "prod(prod(heis,qplus),free:1)"),
+        (MatrixGroup(4, "Q", "one"), "matq:4:det1"),
+        (MatrixGroup(2, "Q", "pm1"), "matq:2:detpm1"),
+        (MatrixGroup(2, "Z"), "matz:2:detany"),
+    ],
+)
+def test_every_group_round_trips_through_both_grammars(group, compact):
+    assert len(ALL_GROUPS) == len(COMPACT_TEXTS)
+    assert parse_group_spec(group.spec_text()) == group
+    assert compact_group_text(group) == compact
+    assert parse_group_compact(compact) == group
+
+
+@pytest.mark.parametrize("grammar", [0, 1], ids=["file", "compact"])
+@pytest.mark.parametrize("shape", list(MALFORMED_GROUPS))
+def test_both_grammars_refuse_the_same_malformed_shapes(shape, grammar):
+    parse = (parse_group_spec, parse_group_compact)[grammar]
+    with pytest.raises(GramataError):
+        parse(MALFORMED_GROUPS[shape][grammar])
+
+
+def test_whitespace_inside_a_product_is_ignored_at_every_depth():
+    want = DirectProduct(DirectProduct(FreeGroup(1), HeisenbergGroup()), FreeAbelian(1))
+    assert parse_group_spec("direct-product ( direct-product (free 1)(heisenberg ) ) (free-abelian 1 )") == want
 
 
 # int() takes each of these, or raises ValueError on it: none is a literal

@@ -13,7 +13,7 @@ from gramata import cli
 from gramata.cli import main
 from gramata.constructions import standard_generators
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, MALFORMED_GROUPS
 
 
 @pytest.fixture
@@ -192,6 +192,36 @@ def test_corpus_emit(tmp_path, capsys):
 def test_bad_compact_group_exit_code(spec, capsys):
     assert main(["growth", "--group", spec, "--radius", "1"]) == 3
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", list(MALFORMED_GROUPS))
+def test_a_malformed_group_exits_3_in_both_grammars(shape, tmp_path, capsys):
+    spec, compact = MALFORMED_GROUPS[shape]
+    assert main(["growth", "--group", compact, "--radius", "1"]) == 3
+    bad = tmp_path / "bad.efa"
+    bad.write_text(f"# a malformed group line\ngroup {spec}\n")
+    assert main(["run", str(bad), "a"]) == 3
+    assert "(line 2)" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        "nope",
+        # a policy named like the default, which argparse does not count as given
+        "default",
+        "upow",
+    ],
+)
+def test_a_budget_and_a_budget_policy_together_exit_3(upow_file, policy, capsys):
+    assert main(["run", upow_file, "aaaa", "--budget", "30", "--budget-policy", policy]) == 3
+    assert main(["run", upow_file, "aaaa", "--budget-policy", policy, "--budget", "30"]) == 3
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_an_empty_budget_policy_is_unknown(upow_file, capsys):
+    assert main(["run", upow_file, "aaaa", "--budget-policy", ""]) == 3
+    assert "unknown budget policy ''" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

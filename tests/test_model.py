@@ -10,6 +10,7 @@ from gramata.algebra import FreeAbelian, Matrix, MatrixGroup, PositiveRationals
 from gramata.constructions import CONSTRUCTIONS
 from gramata.errors import EfaParseError, GramataError
 from gramata.model import EFA, Transition, parse_efa, serialize_efa, validate
+from gramata.simulate import Verdict, accepts
 
 from conftest import ALL_GROUPS, CORPUS_DIR, random_element
 
@@ -176,6 +177,25 @@ def test_direct_product_machine():
     assert left.letters == ((0, 1),)
     assert right.is_identity()
     assert serialize_efa(parse_efa(serialize_efa(m))) == serialize_efa(m)
+
+
+PRODUCT_MACHINE = """\
+group direct-product (free 1) (free-abelian 1)
+states p q
+initial p
+accepting q
+alphabet a b
+transitions
+p a p (g0|[1])
+p b q (g0^-1|[-1])
+"""
+
+
+def test_a_product_machine_parses_serializes_and_decides():
+    machine = parse_efa(PRODUCT_MACHINE)
+    assert serialize_efa(machine) == PRODUCT_MACHINE
+    assert accepts(machine, ("a", "b")).verdict is Verdict.ACCEPT
+    assert accepts(machine, ("a", "a", "b")).verdict is Verdict.REJECT
 
 
 def test_round_trip_random_machines():
