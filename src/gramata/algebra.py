@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     DeterminantConstraint,
@@ -417,6 +417,23 @@ def parse_heis(text):
 
 # --- groups -----------------------------------------------------------------
 
+class MoveFloor(NamedTuple):
+    """h(g) = ceil(norm(g) / scale), a lower bound on the moves that take
+    g back to the identity when each move multiplies by a register of norm
+    at most scale. A search compares norm(g) with scale * moves left, which
+    is the same test without the division."""
+
+    norm: Callable
+    scale: int
+
+    def __call__(self, g):
+        return -(-self.norm(g) // self.scale)
+
+
+# the floor of a component with none, inside a direct product
+_NO_FLOOR = MoveFloor(lambda g: 0, 1)
+
+
 DET_ANY = "any"
 DET_PM1 = "pm1"
 DET_ONE = "one"
@@ -430,8 +447,21 @@ class Group:
     assume elements that passed check(), which runs where elements enter the
     program (parsing, validate, the builders, wp_oracle, generator lists)."""
 
+    # a norm with norm(e) = 0 and norm(g) <= norm(g*r) + norm(r), taking
+    # elements and right_mul's products; None for a group without one
+    norm = None
+
     def identity(self):
         raise NotImplementedError
+
+    def move_floor(self, registers):
+        """h with h(e) = 0 and h(g) <= 1 + h(g*r) for every r in registers:
+        the MoveFloor of the norm, scaled by the registers' largest norm.
+        None when the group has no norm or every register has norm 0."""
+        if self.norm is None:
+            return None
+        scale = max(map(self.norm, registers), default=0)
+        return MoveFloor(self.norm, scale) if scale else None
 
     def mul(self, g, h):
         """The product g*h of two checked elements."""
@@ -477,6 +507,8 @@ class Group:
 @dataclass(frozen=True, repr=False)
 class FreeGroup(Group):
     rank: int
+
+    norm = staticmethod(len)  # the reduced length
 
     def identity(self):
         return Word()
@@ -524,6 +556,8 @@ class FreeGroup(Group):
 @dataclass(frozen=True, repr=False)
 class FreeAbelian(Group):
     k: int
+
+    norm = staticmethod(lambda g: sum(map(abs, g)))  # the L1 norm
 
     def identity(self):
         return (0,) * self.k
@@ -667,6 +701,9 @@ def _parse_matrix_rows(text):
 
 @dataclass(frozen=True, repr=False)
 class HeisenbergGroup(Group):
+    # the L1 norm of the abelianisation (x, y, z) -> (x, y)
+    norm = staticmethod(lambda g: abs(g[0]) + abs(g[1]))
+
     def identity(self):
         return HEIS_IDENTITY
 
@@ -721,6 +758,16 @@ class DirectProduct(Group):
     def right_mul(self, h):
         left, right = self.left.right_mul(h[0]), self.right.right_mul(h[1])
         return lambda g: (left(g[0]), right(g[1]))
+
+    def move_floor(self, registers):
+        """The larger of the components' floors, each scaled by its own
+        registers: max(ln/lc, rn/rc) is max(ln*rc, rn*lc) / (lc*rc)."""
+        left = self.left.move_floor([r[0] for r in registers])
+        right = self.right.move_floor([r[1] for r in registers])
+        if left is None and right is None:
+            return None
+        (ln, lc), (rn, rc) = left or _NO_FLOOR, right or _NO_FLOOR
+        return MoveFloor(lambda g: max(ln(g[0]) * rc, rn(g[1]) * lc), lc * rc)
 
     def inverse(self, g):
         return (self.left.inverse(g[0]), self.right.inverse(g[1]))

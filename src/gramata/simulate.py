@@ -17,7 +17,14 @@ either acceptance is structurally impossible (d_min infinite), or every
 configuration that could still have accepted within the budget was
 explored. Branches that provably cannot reach acceptance in the remaining
 depth are pruned by the same register-ignoring distance table; the pruning
-is admissible, so it never changes a verdict.
+is admissible, so it never changes a verdict. The language sweeps also
+drop a configuration whose register cannot return to the identity in the
+depth left: a move multiplies by one register, so a register g needs at
+least h(g) = ceil(norm(g) / c) more moves, c the largest norm of a register
+of the machine (Group.move_floor). That is an admissible A* bound (Hart,
+Nilsson and Raphael, 1968), so it changes no verdict either. accepts() does
+not take it, so its stats and certificates stay those of the distance
+pruning alone.
 
 accepts(..., dedup=False) is the unpruned oracle of that search: a
 depth-first walk of every path, with no duplicate pruning. It reuses the
@@ -410,7 +417,7 @@ def accepts(efa, word, policy=default_policy, *, dedup=True):
     return RunResult(_unaccepted_verdict(dist[len(word)].get(efa.initial), budget), stats)
 
 
-def _search_bfs(efa, word, budget, dist):
+def _search_bfs(efa, word, budget, dist, floor=None):
     """Breadth-first search over (state, position, register) configurations
     that stores each one once, with its parent link for the certificate.
     Like _search_dfs, each (state, position) compiles on its first
@@ -418,7 +425,10 @@ def _search_bfs(efa, word, budget, dist):
     register -> parent link dict, target key, accepts there), so a move
     costs one register hash. That expansion is at its least depth, so a
     move capped below it is dropped, and so is a target that cannot accept.
-    A deterministic machine has one path and runs on it, with nothing to
+    Given the machine's move floor (Group.move_floor), a new child at depth
+    d is dropped too when floor(child) > budget - d: its register cannot
+    return to the identity in the moves left. accepts() passes none. A
+    deterministic machine has one path and runs on it, with nothing to
     compile."""
     if efa.deterministic:
         return _run_path(efa, word, budget, dist)
@@ -435,9 +445,11 @@ def _search_bfs(efa, word, budget, dist):
     stored = 1
     expanded = max_depth = depth = 0
     frontier = [(key, reg)]
+    norm, scale = floor or (None, 0)
     while frontier and depth < budget:
         depth += 1
         nxt = []
+        limit = scale * (budget - depth)  # the largest norm a child may have
         for key, reg in frontier:
             expanded += 1
             entries = capped.get(key)
@@ -454,7 +466,7 @@ def _search_bfs(efa, word, budget, dist):
                 if depth > cap:  # the target is too far from acceptance
                     continue
                 child = reg if r is None else r(reg)
-                if child in regs:
+                if child in regs or norm is not None and norm(child) > limit:
                     continue
                 regs[child] = (key, reg, t)
                 stored += 1
@@ -675,9 +687,10 @@ class _PrefixSearch:
     and closes under epsilon moves, depth by depth. A configuration at
     depth d with r symbols still to read is pruned when d + lb[r][q]
     exceeds the word length's budget, lb being the distance table over any
-    symbols. That is admissible, so the last level holds every
+    symbols, or when d + floor(register) does, floor being the machine's
+    move floor. Both are admissible, so the last level holds every
     configuration that an accepting path of a word can pass through before
-    its last symbol.
+    its last symbol. The leaves' tails are exact and take no floor.
 
     A leaf builds no level. The backward half is one table of epsilon
     tails (_EpsilonTails) for the whole search. The leaf walks its
@@ -694,11 +707,12 @@ class _PrefixSearch:
     accepts(). Every word has a last symbol: L >= 1, and the empty word
     is accepts()'s to decide."""
 
-    def __init__(self, efa, alphabet, max_len, policy):
+    def __init__(self, efa, alphabet, max_len, policy, floor=None):
         group = efa.group
         self.efa = efa
         self.alphabet = alphabet
         self.policy = policy
+        self.norm, self.scale = floor or (None, 0)
         self.eps = {q: efa.moves[(q, None)] for q in efa.states}
         self.eps_targets = {q: [m[0] for m in moves] for q, moves in self.eps.items() if moves}
         self.sym = {
@@ -816,6 +830,7 @@ class _PrefixSearch:
         is None, with r >= 1 symbols still to read."""
         cap = self.caps[r]
         eps = self.eps
+        norm, scale, budget = self.norm, self.scale, self.budget
         limit = self.guard - self.stored - len(self.tails.entries)
         links = {}
         layers = []
@@ -838,14 +853,16 @@ class _PrefixSearch:
             below = parents[j] if j < len(parents) else ()
             j += 1
             layer = []
+            most = scale * (budget - d)  # the largest norm a register may have
             for keys, table in ((front, eps), (below, sym)):
                 for pkey in keys:
                     g = pkey[1]
                     for q, _, r, t in table[pkey[0]]:
                         if d > cap[q]:
                             continue
-                        key = (q, g if r is None else r(g))
-                        if key in links:
+                        child = g if r is None else r(g)
+                        key = (q, child)
+                        if key in links or norm is not None and norm(child) > most:
                             continue
                         links[key] = (pkey, t)
                         if len(links) > limit:
@@ -909,22 +926,40 @@ def _verdicts(efa, alphabet, max_len, policy, part=0, parts=1):
     word (_path_verdicts). Otherwise one prefix-shared search decides each
     length, its leaves finished from one table of epsilon tails; but a
     unary alphabet has one word per length and nothing to share, so each
-    word gets its own search, which stops at its first accepting
-    configuration. The tails do not pay there: on composite <= 30 the
-    table grows to 110,704 entries, and the prefix search took 968 ms
-    against 431 ms per word (best of 9)."""
+    word gets its own breadth-first search (_floored_verdict), which stops
+    at its first accepting configuration. The tails do not pay there: on
+    composite <= 30 the table grows to 110,704 entries, and the prefix
+    search took 233 ms against 125 ms per word (best of 9, both with the
+    floor). Both kinds of search drop the configurations beyond the
+    machine's move floor, as the distance table drops those too far from
+    an accepting state."""
     if efa.deterministic:
         yield from _path_verdicts(efa, alphabet, max_len, policy, part, parts)
         return
+    floor = efa.group.move_floor([t.register for t in efa.transitions])
     if len(alphabet) < 2:
         # the collector is paused per word, never across a yield, so the
         # caller's code and its oracle run with it on
         for word in itertools.islice(all_words(alphabet, max_len), 1 + part, None, parts):
-            yield gc_paused(accepts, efa, word, policy).verdict
+            yield gc_paused(_floored_verdict, efa, word, policy, floor)
         return
-    search = _PrefixSearch(efa, alphabet, max_len, policy)
+    search = _PrefixSearch(efa, alphabet, max_len, policy, floor)
     for length in range(1, max_len + 1):
         yield from search.verdicts(length, alphabet[part::parts])
+
+
+def _floored_verdict(efa, word, policy, floor):
+    """accepts(efa, word, policy).verdict for a word of length at least 1,
+    from a search that also drops the children beyond the move floor. It
+    repeats accepts' last steps rather than share them, which would cost
+    every single decide one more call."""
+    budget = policy(len(word))
+    dist = _distances_to_accept(efa, word[::-1])
+    _, certificate = _search_bfs(efa, word, budget, dist, floor)
+    if certificate is not None:
+        _verify_certificate(efa, word, certificate)
+        return Verdict.ACCEPT
+    return _unaccepted_verdict(dist[len(word)].get(efa.initial), budget)
 
 
 def _path_verdicts(efa, alphabet, max_len, policy, part, parts):

@@ -921,3 +921,48 @@ def test_bareiss_handles_zero_pivots():
     assert Matrix(singular).det() == 0 == _ref_det(singular)
     with pytest.raises(SingularMatrix):
         Matrix(singular).inverse()
+
+
+# --- move floors -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "group, registers",
+    [
+        (PositiveRationals(), [Fraction(2), Fraction(1, 3)]),
+        (MatrixGroup(2, "Q", "one"), [SANOV_A, SANOV_B]),
+        (MatrixGroup(2, "Z", "pm1"), [SANOV_A]),
+        (MatrixGroup(3, "Q"), [Matrix(((2, 0, 0), (0, 1, 0), (0, 0, 1)))]),
+        # every register of norm 0: the identity, or a central Heisenberg element
+        (FreeGroup(2), [Word()]),
+        (FreeAbelian(3), [(0, 0, 0)]),
+        (HeisenbergGroup(), [Heis(0, 0, 0), Heis(0, 0, 5)]),
+        (DirectProduct(PositiveRationals(), HeisenbergGroup()), [(Fraction(3), Heis(0, 0, -1))]),
+        (FreeGroup(2), []),
+    ],
+    ids=repr,
+)
+def test_no_move_floor(group, registers):
+    assert group.move_floor(registers) is None
+
+
+def test_move_floors_of_the_normed_groups():
+    heis = HeisenbergGroup().move_floor([Heis(0, 1, 0), Heis(-1, 0, 7), Heis(0, 0, -1)])
+    assert heis.scale == 1 and heis(Heis(3, -4, 99)) == 7 and heis((3, -4, 99)) == 7
+    zk = FreeAbelian(2).move_floor([(1, 0), (-1, 1), (0, -1)])
+    assert zk.scale == 2 and [zk(v) for v in [(0, 0), (1, 0), (1, 1), (2, -1), (-3, 2)]] == [0, 1, 1, 2, 3]
+    free = FreeGroup(2).move_floor([Word.generator(0), Word(((0, 1), (1, -1), (0, 1)))])
+    assert free.scale == 3 and free(Word(((1, 1),) * 7)) == 3 and free(Word()) == 0
+
+
+def test_direct_product_takes_the_larger_component_floor():
+    group = DirectProduct(FreeGroup(2), FreeAbelian(2))
+    # each component scaled by its own registers: 1 on the left, 3 on the right
+    registers = [(Word.generator(1), (0, 0)), (Word(), (2, -1)), (Word.generator(0, -1), (1, 1))]
+    floor = group.move_floor(registers)
+    for w, v in [(Word(), (0, 0)), (Word.generator(0), (5, 0)), (Word(((0, 1),) * 4), (3, -3)), (Word(), (1, 0))]:
+        assert floor((w, v)) == max(len(w), -(-(abs(v[0]) + abs(v[1])) // 3))
+    # a component without a floor leaves the other's
+    half = DirectProduct(PositiveRationals(), HeisenbergGroup())
+    floor = half.move_floor([(Fraction(2), Heis(0, 2, 0)), (Fraction(1, 2), Heis(1, 0, 0))])
+    assert floor((Fraction(7), Heis(3, 2, 0))) == 3 == HeisenbergGroup().move_floor([Heis(0, 2, 0)])(Heis(3, 2, 0))

@@ -192,6 +192,30 @@ def draw_epsilon_machine(group, data):
     return EFA(group, states + ["f"], alphabet, transitions, "s0", ["f"])
 
 
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_move_floor_is_a_lower_bound_on_the_moves_back(group, data):
+    # h(e) = 0 and h(g) <= 1 + h(g*r): a register g needs at least h(g)
+    # moves back to the identity, through the public product and through
+    # the searches' right actions alike. A machine's floor is scaled by its
+    # largest register; each register's own floor, scaled by it alone, is
+    # the tightest
+    registers = [t.register for t in draw_machine(group, data).transitions]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="elements"))
+    elements = [random_element(group, rng) for _ in range(8)] + registers
+    for chosen in [registers] + [[r] for r in registers]:
+        floor = group.move_floor(chosen)
+        if floor is None:
+            assert group.norm is None or all(group.norm(r) == 0 for r in chosen)
+            continue
+        assert floor(group.identity()) == 0
+        for g in elements:
+            for r in chosen:
+                for moved in (group.mul(g, r), group.right_mul(r)(g)):
+                    assert floor(g) <= 1 + floor(moved), (g, r)
+
+
 def check_deciders(machine, data):
     """Every decider against reference_decide on every word up to length
     3, and the parse round trip and the register count against theirs,

@@ -18,7 +18,9 @@ from gramata.simulate import (
     Configuration,
     Verdict,
     _distances_to_accept,
+    _language_verdicts,
     _PrefixSearch,
+    _search_bfs,
     _search_dfs,
     _verify_certificate,
     accepts,
@@ -374,6 +376,80 @@ def test_search_digest_pinned():
     assert digest.hexdigest() == SEARCH_DIGEST
 
 
+# the sweeps' own search of a word, which also drops configurations beyond
+# the move floor: (expanded, max_depth, accept_depth) and the verdict
+FLOORED_SEARCHES = [
+    ("composite", "xxxx", (157, 14, 14), True),
+    ("composite", "xxxxx", (292, 19, None), False),
+    ("mult", "xyzz", (48, 15, None), False),
+]
+
+
+def _floor(machine):
+    return machine.group.move_floor([t.register for t in machine.transitions])
+
+
+@pytest.mark.parametrize("name, text, stats, accepted", FLOORED_SEARCHES)
+def test_floored_search_stats_pinned(name, text, stats, accepted):
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    word = tokenize_word(text, machine.alphabet)
+    dist = _distances_to_accept(machine, word[::-1])
+    found, certificate = _search_bfs(machine, word, spec.budget(len(word)), dist, _floor(machine))
+    assert (found.expanded, found.max_depth, found.accept_depth) == stats
+    assert (certificate is not None) == accepted
+    if accepted:
+        _verify_certificate(machine, word, certificate)
+
+
+# each machine whose sweep prunes by a move floor, with its gate length
+FLOORED_SWEEPS = {"composite": 30, "mult": 7, "multiple": 10, "anbncn": 8}
+
+
+def test_every_floored_sweep_is_checked():
+    machines = {name: spec.build() for name, spec in CONSTRUCTIONS.items()}
+    floored = {name for name, m in machines.items() if _floor(m) is not None and not m.deterministic}
+    assert floored == set(FLOORED_SWEEPS)
+
+
+@pytest.mark.parametrize("name, max_len", FLOORED_SWEEPS.items())
+def test_floored_sweep_matches_a_search_per_word(name, max_len):
+    # the sweep prunes by the floor, accepts does not
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    swept = list(_language_verdicts(machine, machine.alphabet, max_len, spec.budget))
+    alone = [accepts(machine, word, spec.budget).verdict for word in all_words(machine.alphabet, max_len)]
+    assert swept == alone
+
+
+@pytest.mark.parametrize("alphabet", [("a",), ("a", "b")], ids=["unary", "prefix-search"])
+def test_the_floor_keeps_a_register_that_returns_in_exactly_the_moves_left(alphabet):
+    # up by 1 on each symbol at q, down by 1 on each symbol at p, which a
+    # symbol's move enters, and down by epsilon moves at the accepting p.
+    # Under t(n) = n + 1, a word of odd length n >= 3 accepts only by going
+    # up on (n + 1) / 2 symbols, which leaves a register of exactly the
+    # moves left; the prefix search holds it in a level when n >= 3
+    group = FreeAbelian(1)
+    transitions = [Transition("p", None, "p", (-1,))]
+    for s in alphabet:
+        transitions += [Transition("q", s, "q", (1,)), Transition("q", s, "p", (-1,)), Transition("p", s, "p", (-1,))]
+    machine = EFA(group, ["q", "p"], alphabet, transitions, "q", ["p"])
+    policy = BudgetPolicy(slope=1, offset=1)
+    words = list(all_words(alphabet, 7))
+    verdicts = list(_language_verdicts(machine, alphabet, 7, policy))
+    assert verdicts == [accepts(machine, word, policy).verdict for word in words]
+    assert all(v is Verdict.ACCEPT for word, v in zip(words, verdicts) if len(word) >= 2)
+
+
+def test_a_swept_machine_still_pickles():
+    spec = CONSTRUCTIONS["composite"]
+    machine = spec.build()
+    verdicts = list(_language_verdicts(machine, machine.alphabet, 12, spec.budget))
+    copy = pickle.loads(pickle.dumps(machine))
+    assert copy == machine
+    assert list(_language_verdicts(copy, copy.alphabet, 12, spec.budget)) == verdicts
+
+
 def test_identity_registers_cost_no_product(monkeypatch):
     # searches multiply by compiled right actions, the public paths by mul:
     # both count, and so does compiling an action
@@ -454,8 +530,6 @@ def _per_word(machine, alphabet, max_len, policy):
 
 
 def _shared(machine, alphabet, max_len, policy, workers=1):
-    from gramata.simulate import _language_verdicts
-
     return list(_language_verdicts(machine, alphabet, max_len, policy, workers))
 
 
@@ -797,7 +871,7 @@ def test_unpruned_path_walk_matches_the_tree_walk(machine, budget, max_len):
 @pytest.mark.parametrize("machine, budget, max_len", WALK_CASES)
 def test_path_sweep_matches_the_prefix_search(monkeypatch, machine, budget, max_len):
     from gramata import simulate
-    from gramata.simulate import _language_verdicts, _verdicts
+    from gramata.simulate import _verdicts
 
     general = _general_copy(machine)
     alphabet = tuple(sorted(machine.alphabet))
