@@ -17,8 +17,8 @@ from . import algebra
 from .errors import EfaParseError, GramataError
 
 EPSILON = None
-# stands for any one symbol in EFA.sources: a tuple, so that it equals
-# itself after a pickle and never equals a symbol, which is a string
+# stands for any one symbol in EFA.sources: a tuple, so that it never
+# equals a symbol, which is a string
 ANY = ("any symbol",)
 EPSILON_TOKEN = "~"
 _RESERVED_TOKENS = {EPSILON_TOKEN, "#"}
@@ -69,15 +69,7 @@ class EFA:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", frozenset(accepting))
 
-    # The transition tables are built once per machine, on first use. The
-    # move table is rebuilt in each worker process: its compiled actions do
-    # not pickle. The distance memo starts afresh there too.
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("moves", None)
-        state.pop("distance_levels", None)
-        return state
+    # The transition tables are built once per machine, on first use.
 
     @cached_property
     def moves(self):

@@ -37,10 +37,10 @@ one, the breadth-first search's pruning, so it stays independent of it.
 accepts() decides one word. enumerate_words() and equiv_check() need every
 word up to a length. They take the empty word's verdict from accepts(),
 the one decider of it, and decide each length from 1 up with one search
-over the trie of its words (_PrefixSearch), which gives the same verdicts.
-Its leaves build no configurations: each word is finished from one
-backward table of epsilon tails (_EpsilonTails) per search, grown only as
-deep as its lookups need.
+over the trie of its words (_PrefixSearch), which gives the same verdicts,
+all in the calling process. Its leaves build no configurations: each word
+is finished from one backward table of epsilon tails (_EpsilonTails) per
+search, grown only as deep as its lookups need.
 
 A deterministic machine (EFA.deterministic: no epsilon move, at most one
 transition per state and symbol) has at most one path per word, and every
@@ -56,7 +56,6 @@ import gc
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -140,7 +139,7 @@ def _ceil_log2(n):
 @dataclass(frozen=True)
 class BudgetPolicy:
     """Depth budget slope*m + log_coeff*ceil(log2(m + log_shift)) + offset.
-    Monotone nondecreasing and picklable, so policies travel to workers."""
+    Monotone nondecreasing."""
 
     slope: int
     offset: int
@@ -728,32 +727,30 @@ class _PrefixSearch:
         self.projection_steps = {}  # (projection, symbol) -> the child's projection
         self.root_projection = self._close_projection({efa.initial: 0})
 
-    def verdicts(self, length, first):
-        """Verdicts of the words of this length, at least 1, whose first
-        symbol is in first, in lex order."""
+    def verdicts(self, length):
+        """Verdicts of the words of this length, at least 1, in lex order."""
         self.budget = budget = self.policy(length)
         self.caps = [
             {q: budget - self.lb[r][q] if q in self.lb[r] else -1 for q in self.efa.states}
             for r in range(length + 1)
         ]
         self.dead = {}  # (projection, r) -> the verdicts below a node with no configuration
-        yield from self._walk(self._level(None, None, length), self.root_projection, length, first)
+        yield from self._walk(self._level(None, None, length), self.root_projection, length)
 
-    def _walk(self, level, projection, r, symbols):
+    def _walk(self, level, projection, r):
         links = level.links
         if not links:
-            for s in symbols:
-                yield from self._dead(self._step_projection(projection, s), r - 1)
+            yield from self._dead(projection, r)
             return
         self.stored += len(links)
         self.path.append(links)
-        for s in symbols:
+        for s in self.alphabet:
             child = self._step_projection(projection, s)
             self.word.append(s)
             if r == 1:
                 yield self._leaf(level, s, child)
             else:
-                yield from self._walk(self._level(level, s, r - 1), child, r - 1, self.alphabet)
+                yield from self._walk(self._level(level, s, r - 1), child, r - 1)
             self.word.pop()
         self.path.pop()
         self.stored -= len(links)
@@ -916,36 +913,38 @@ class _PrefixSearch:
         return verdicts
 
 
-def _verdicts(efa, alphabet, max_len, policy, part=0, parts=1):
-    """Verdicts of the words of all_words(alphabet, max_len) in chunk part
-    of parts, in that order, the empty word left out (accepts() decides
-    it). With two or more symbols a chunk holds the words whose first
-    symbol's index is part modulo parts; with one symbol, chunk part holds
-    the lengths L >= 1 with L - 1 equal to part modulo parts. A
-    deterministic machine walks each length's trie along its one path per
-    word (_path_verdicts). Otherwise one prefix-shared search decides each
-    length, its leaves finished from one table of epsilon tails; but a
-    unary alphabet has one word per length and nothing to share, so each
-    word gets its own breadth-first search (_floored_verdict), which stops
-    at its first accepting configuration. The tails do not pay there: on
-    composite <= 30 the table grows to 110,704 entries, and the prefix
-    search took 233 ms against 125 ms per word (best of 9, both with the
-    floor). Both kinds of search drop the configurations beyond the
-    machine's move floor, as the distance table drops those too far from
-    an accepting state."""
+def _language_verdicts(efa, alphabet, max_len, policy):
+    """The verdicts of all_words(alphabet, max_len), streamed in that
+    order. The empty word's is accepts()'s. A deterministic machine walks
+    each length's trie along its one path per word (_path_verdicts).
+    Otherwise one prefix-shared search decides each length from 1, its
+    leaves finished from one table of epsilon tails; but a unary alphabet
+    has one word per length and nothing to share, so each word gets its
+    own breadth-first search (_floored_verdict), which stops at its first
+    accepting configuration. The tails do not pay there: on composite <= 30
+    the table grows to 110,704 entries, and the prefix search took 233 ms
+    against 125 ms per word (best of 9, both with the floor). Both kinds of
+    search drop the configurations beyond the machine's move floor, as the
+    distance table drops those too far from an accepting state."""
+    if max_len < 0:
+        raise GramataError(f"max_len must be at least 0, got {max_len}")
+    alphabet = tuple(sorted(alphabet))
+    if max_len:
+        _checked_word(alphabet, efa.alphabet)
+    yield accepts(efa, (), policy).verdict
     if efa.deterministic:
-        yield from _path_verdicts(efa, alphabet, max_len, policy, part, parts)
+        yield from _path_verdicts(efa, alphabet, max_len, policy)
         return
     floor = efa.group.move_floor([t.register for t in efa.transitions])
     if len(alphabet) < 2:
         # the collector is paused per word, never across a yield, so the
         # caller's code and its oracle run with it on
-        for word in itertools.islice(all_words(alphabet, max_len), 1 + part, None, parts):
+        for word in itertools.islice(all_words(alphabet, max_len), 1, None):
             yield gc_paused(_floored_verdict, efa, word, policy, floor)
         return
     search = _PrefixSearch(efa, alphabet, max_len, policy, floor)
     for length in range(1, max_len + 1):
-        yield from search.verdicts(length, alphabet[part::parts])
+        yield from search.verdicts(length)
 
 
 def _floored_verdict(efa, word, policy, floor):
@@ -962,11 +961,11 @@ def _floored_verdict(efa, word, policy, floor):
     return _unaccepted_verdict(dist[len(word)].get(efa.initial), budget)
 
 
-def _path_verdicts(efa, alphabet, max_len, policy, part, parts):
-    """_verdicts on a deterministic machine, chunked the same way, for the
-    lengths L >= 1. It has no epsilon move, so a word has at most one path,
-    all of whose moves read a symbol, and d_min is L when that path ends in
-    an accepting state, None otherwise. Each length's trie is walked depth
+def _path_verdicts(efa, alphabet, max_len, policy):
+    """The verdicts of a deterministic machine for the lengths L >= 1. It
+    has no epsilon move, so a word has at most one path, all of whose
+    moves read a symbol, and d_min is L when that path ends in an
+    accepting state, None otherwise. Each length's trie is walked depth
     first with one (state, register) per node, holding only the path to
     the current node: a word whose path ends accepting is BudgetExhausted
     when L > t(L), else Accept at the identity register and Reject at any
@@ -980,15 +979,11 @@ def _path_verdicts(efa, alphabet, max_len, policy, part, parts):
     k = len(alphabet)
     # each symbol's table: state -> its one move on the symbol
     table = [(s, {q: moves[(q, s)][0] for q in efa.states if moves[(q, s)]}) for s in alphabet]
-    if k < 2:
-        lengths, first = range(1 + part, max_len + 1, parts), table
-    else:
-        lengths, first = range(1, max_len + 1), table[part::parts]
     root = (efa.initial, efa.group.identity())
-    for length in lengths:
+    for length in range(1, max_len + 1):
         exhausted = length > policy(length)
         # a frame: its symbols' iterator, its node, the symbol and transition into it
-        stack = [(iter(first), root, None, None)]
+        stack = [(iter(table), root, None, None)]
         while stack:
             it, (q, g), _, _ = stack[-1]
             depth = len(stack)  # of the children
@@ -1018,46 +1013,13 @@ def _path_verdicts(efa, alphabet, max_len, policy, part, parts):
                 stack.pop()
 
 
-def _verdict_chunk(args):
-    return list(_verdicts(*args))
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _language_verdicts(efa, alphabet, max_len, policy, workers=1):
-    """The verdicts of all_words(alphabet, max_len), streamed in that order.
-    The empty word's is accepts()'s; _verdicts decides the lengths from 1."""
-    alphabet = tuple(sorted(alphabet))
-    if max_len:
-        _checked_word(alphabet, efa.alphabet)
-    yield accepts(efa, (), policy).verdict
-    k = len(alphabet)
-    # never more workers than usable CPUs, nor than chunks with a word in them
-    workers = min(workers or 1, _usable_cpus(), k if k > 1 else max_len)
-    if workers < 2 or sum(k**n for n in range(max_len + 1)) <= 256:
-        yield from _verdicts(efa, alphabet, max_len, policy)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_verdict_chunk, [(efa, alphabet, max_len, policy, i, workers) for i in range(workers)])
-        chunks = [iter(chunk) for chunk in chunks]
-    for length in range(1, max_len + 1):
-        if k == 1:
-            yield next(chunks[(length - 1) % workers])
-        else:
-            for i in range(k):
-                yield from itertools.islice(chunks[i % workers], k ** (length - 1))
-
-
 def enumerate_words(efa, max_len, policy=default_policy, workers=1):
     """All accepted words of length <= max_len, in length-then-lex order.
-    BudgetExhausted words are attached as warnings."""
+    BudgetExhausted words are attached as warnings. workers is ignored:
+    every sweep runs in this process. The keyword stays only because the
+    benchmark's traced pool_speedup still passes it."""
     accepted, undecided = [], []
-    verdicts = _language_verdicts(efa, efa.alphabet, max_len, policy, workers)
+    verdicts = _language_verdicts(efa, efa.alphabet, max_len, policy)
     for word, verdict in zip(all_words(efa.alphabet, max_len), verdicts, strict=True):
         if verdict is Verdict.ACCEPT:
             accepted.append(word)
@@ -1097,9 +1059,10 @@ class EquivReport:
 
 
 def equiv_check(efa, oracle, alphabet, max_len, policy=default_policy, workers=1, name=""):
-    """Exhaustively compare machine verdicts against a membership predicate."""
+    """Exhaustively compare machine verdicts against a membership predicate.
+    workers is ignored, as in enumerate_words."""
     member = oracle.member if hasattr(oracle, "member") else oracle
-    verdicts = _language_verdicts(efa, alphabet, max_len, policy, workers)
+    verdicts = _language_verdicts(efa, alphabet, max_len, policy)
     accept, exhausted = Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED
     checked, mismatches, undecided = 0, [], []
     # the oracle answers every word, an undecided one too

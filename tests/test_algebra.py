@@ -700,8 +700,8 @@ def _ref_inverse(group, a):
 
 def _assert_same_element(group, g, r):
     """g is the reference value r, equal to and hashing like the element
-    built from r, and survives a pickle round trip (the worker pool pickles
-    machines and their registers)."""
+    built from r, and survives a pickle round trip, as a value of Python
+    should."""
     assert _ref(group, g) == r
     built = _from_ref(group, r)
     assert g == built and hash(g) == hash(built)

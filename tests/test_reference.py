@@ -6,9 +6,11 @@ from itertools import product
 
 import pytest
 from conftest import ALL_GROUPS, CI_PROFILE, random_element
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gramata.constructions import standard_generators
+from gramata.errors import GramataError
 from gramata.model import ANY, EFA, Transition, parse_efa, serialize_efa
 from gramata.simulate import (
     Verdict,
@@ -23,12 +25,8 @@ from gramata.simulate import (
 )
 
 
-def reference_decide(efa, word, budget):
-    """(verdict, d_min) by brute force. The configurations at each exact
-    depth d <= budget are built as one set per depth, with no dedup across
-    depths and no pruning; d_min is the breadth-first distance to (accepting
-    state, |word|) in the register-ignoring projection."""
-    group, n = efa.group, len(word)
+def _reference_successors(efa, word):
+    n = len(word)
 
     def successors(q, p):
         return [
@@ -37,10 +35,32 @@ def reference_decide(efa, word, budget):
             if t.source == q and (t.symbol is None or (p < n and t.symbol == word[p]))
         ]
 
-    layers = [{(efa.initial, 0, group.identity())}]
-    for _ in range(budget):
-        layers.append({(t.target, np, group.mul(g, t.register)) for q, p, g in layers[-1] for t, np in successors(q, p)})
-    accepted = any(q in efa.accepting and p == n and group.is_identity(g) for layer in layers for q, p, g in layer)
+    return successors
+
+
+def reference_accept_depth(efa, word, budget):
+    """The least depth d <= budget of an accepting configuration, None if
+    there is none, by brute force: the configurations at each exact depth
+    are built as one set per depth, with no dedup across depths and no
+    pruning."""
+    group, n = efa.group, len(word)
+    successors = _reference_successors(efa, word)
+    layer = {(efa.initial, 0, group.identity())}
+    for d in range(budget + 1):
+        if any(q in efa.accepting and p == n and group.is_identity(g) for q, p, g in layer):
+            return d
+        layer = {(t.target, np, group.mul(g, t.register)) for q, p, g in layer for t, np in successors(q, p)}
+    return None
+
+
+def reference_decide(efa, word, budget):
+    """(verdict, d_min) by brute force: Accept when reference_accept_depth
+    finds an accepting configuration within the budget; d_min is the
+    breadth-first distance to (accepting state, |word|) in the
+    register-ignoring projection."""
+    n = len(word)
+    successors = _reference_successors(efa, word)
+    accepted = reference_accept_depth(efa, word, budget) is not None
     seen, frontier, d = {(efa.initial, 0)}, [(efa.initial, 0)], 0
     while frontier and not any(q in efa.accepting and p == n for q, p in frontier):
         frontier = [node for q, p in frontier for t, np in successors(q, p) if (node := (t.target, np)) not in seen]
@@ -138,12 +158,14 @@ def reference_register_counts(efa, max_len, budgets):
     ]
 
 
-def draw_machine(group, data):
-    """A random machine over the group, on one to three letters."""
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    g = random_element(group, rng)
-    # the identity and an inverse pair, so that accepting paths exist
-    registers = [group.identity(), g, group.inverse(g), random_element(group, rng)]
+def draw_machine(group, data, registers=None):
+    """A random machine over the group, on one to three letters, its
+    registers drawn from registers when given."""
+    if registers is None:
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = random_element(group, rng)
+        # the identity and an inverse pair, so that accepting paths exist
+        registers = [group.identity(), g, group.inverse(g), random_element(group, rng)]
     states = [f"s{i}" for i in range(data.draw(st.integers(1, 4), label="states"))]
     alphabet = ("a", "b", "c")[: data.draw(st.integers(1, 3), label="letters")]
     # about half the machines are deterministic, which the breadth-first
@@ -214,6 +236,39 @@ def test_move_floor_is_a_lower_bound_on_the_moves_back(group, data):
             for r in chosen:
                 for moved in (group.mul(g, r), group.right_mul(r)(g)):
                     assert floor(g) <= 1 + floor(moved), (g, r)
+
+
+def _has_standard_generators(group):
+    try:
+        standard_generators(group)
+    except GramataError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("group", [g for g in ALL_GROUPS if _has_standard_generators(g)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_the_move_floor_keeps_every_word_accepted_at_its_least_depth(group, data):
+    # registers of norm at most 1, the identity, the generators and their
+    # inverses, so that the floor's scale is 1; each length's budget is the
+    # least depth at which one of its words accepts, so that an accepting
+    # path of that word leaves no move to spare and a floor that pruned
+    # one register too many would lose it. A length with no accepted word
+    # within 6 moves keeps a budget of 6. A deterministic machine's sweep
+    # takes no floor, so only the others are drawn
+    gens = [g for _, g in standard_generators(group)]
+    registers = [group.identity()] + gens + [group.inverse(g) for g in gens]
+    machine = draw_machine(group, data, registers)
+    assume(not machine.deterministic)
+    alphabet = machine.alphabet
+    words = list(all_words(alphabet, 3))
+    depths = {word: reference_accept_depth(machine, word, 6) for word in words}
+    budgets = [min((d for w, d in depths.items() if len(w) == n and d is not None), default=6) for n in range(4)]
+    policy = budgets.__getitem__
+    verdicts = list(_language_verdicts(machine, alphabet, 3, policy))
+    for word, verdict in zip(words, verdicts, strict=True):
+        assert verdict is reference_decide(machine, word, budgets[len(word)])[0], (word, budgets)
 
 
 def check_deciders(machine, data):

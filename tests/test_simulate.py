@@ -219,16 +219,6 @@ def test_equiv_check_self_consistency():
     assert report.clean
 
 
-def test_equiv_check_with_workers_matches_serial():
-    machine = CONSTRUCTIONS["anbncn"].build()
-    policy = construction_budget("anbncn")
-    serial = equiv_check(machine, oracle("ANBNCN"), machine.alphabet, 5, policy)
-    parallel = equiv_check(machine, oracle("ANBNCN"), machine.alphabet, 5, policy, workers=2)
-    assert serial.mismatches == parallel.mismatches
-    assert serial.budget_exhausted == parallel.budget_exhausted
-    assert serial.checked == parallel.checked
-
-
 # --- configuration counting -----------------------------------------------------
 
 
@@ -441,15 +431,6 @@ def test_the_floor_keeps_a_register_that_returns_in_exactly_the_moves_left(alpha
     assert all(v is Verdict.ACCEPT for word, v in zip(words, verdicts) if len(word) >= 2)
 
 
-def test_a_swept_machine_still_pickles():
-    spec = CONSTRUCTIONS["composite"]
-    machine = spec.build()
-    verdicts = list(_language_verdicts(machine, machine.alphabet, 12, spec.budget))
-    copy = pickle.loads(pickle.dumps(machine))
-    assert copy == machine
-    assert list(_language_verdicts(copy, copy.alphabet, 12, spec.budget)) == verdicts
-
-
 def test_identity_registers_cost_no_product(monkeypatch):
     # searches multiply by compiled right actions, the public paths by mul:
     # both count, and so does compiling an action
@@ -489,39 +470,6 @@ def test_forged_certificate_is_refused(certificate):
         _verify_certificate(identity_loop_machine(), ("a",), certificate)
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
-
-    requested = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
-@pytest.mark.parametrize("cpus, workers, expected", [(3, 64, 3), (1, 8, None), (10**6, 10**5, 3)])
-def test_workers_clamped_to_cpus_and_chunks(monkeypatch, cpus, workers, expected):
-    from gramata import simulate
-
-    _RecordingPool.requested = []
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
-    machine = CONSTRUCTIONS["anbncn"].build()
-    policy = construction_budget("anbncn")
-    report = equiv_check(machine, oracle("ANBNCN"), machine.alphabet, 6, policy, workers=workers)
-    assert report.checked == 1093 and report.clean
-    # a single usable CPU runs serially and opens no pool at all
-    assert _RecordingPool.requested == ([] if expected is None else [expected])
-
-
 # --- the prefix-shared language search ---------------------------------------------
 
 
@@ -529,8 +477,8 @@ def _per_word(machine, alphabet, max_len, policy):
     return [accepts(machine, w, policy).verdict for w in all_words(alphabet, max_len)]
 
 
-def _shared(machine, alphabet, max_len, policy, workers=1):
-    return list(_language_verdicts(machine, alphabet, max_len, policy, workers))
+def _shared(machine, alphabet, max_len, policy):
+    return list(_language_verdicts(machine, alphabet, max_len, policy))
 
 
 def _diff_len(name, machine):
@@ -590,38 +538,6 @@ def test_shared_search_matches_per_word_search_on_random_machines(data):
     assert _shared(machine, alphabet, 4, policy) == _per_word(machine, alphabet, 4, policy)
 
 
-def test_shared_search_with_a_two_process_pool_matches_serial():
-    # a tight budget, so that accepted and undecided words both have to
-    # come back from the chunks in word order
-    machine = build_mult()
-    policy = constant_policy(8)
-    serial = enumerate_words(machine, 6, policy)
-    parallel = enumerate_words(machine, 6, policy, workers=2)
-    assert serial.words and serial.budget_exhausted
-    assert (serial.words, serial.budget_exhausted) == (parallel.words, parallel.budget_exhausted)
-
-
-@pytest.mark.parametrize("workers", [2, 3, 4])
-@pytest.mark.parametrize(
-    "machine, alphabet, max_len, policy",
-    [
-        (build_mult(), ("x", "y", "z"), 6, construction_budget("mult")),
-        (CONSTRUCTIONS["wp-f2"].build(), ("a", "a^-1", "b", "b^-1"), 4, construction_budget("wp-f2")),
-        (identity_loop_machine(), ("a",), 300, default_policy),
-    ],
-)
-def test_chunked_verdicts_merge_in_word_order(monkeypatch, workers, machine, alphabet, max_len, policy):
-    # first-symbol chunks for two or more symbols, length strides for one;
-    # the stand-in pool runs the chunks in this process
-    from gramata import simulate
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
-    _RecordingPool.requested = []
-    assert _shared(machine, alphabet, max_len, policy, workers) == _shared(machine, alphabet, max_len, policy)
-    assert _RecordingPool.requested == [min(workers, len(alphabet) if len(alphabet) > 1 else max_len)]
-
-
 def _epsilon_loop_machine():
     # an epsilon loop adding 1 and a read of a at the accepting initial
     # state q; b has no move
@@ -646,27 +562,57 @@ def _unary_branching_machine():
     [
         (_epsilon_loop_machine, 8),  # two letters, not deterministic: the prefix search
         (CONSTRUCTIONS["wp-f2"].build, 4),  # deterministic: the path sweep
-        (_unary_branching_machine, 256),  # one letter, not deterministic: a search per word
-        (identity_loop_machine, 256),  # one letter, deterministic: the path sweep's strides
+        (_unary_branching_machine, 8),  # one letter, not deterministic: a search per word
+        (identity_loop_machine, 8),  # one letter, deterministic: the path sweep
     ],
     ids=["prefix-search", "path-sweep", "unary", "unary-path"],
 )
-def test_every_decider_gives_the_empty_word_one_verdict(monkeypatch, build, max_len, policy, expected):
+def test_every_decider_gives_the_empty_word_one_verdict(build, max_len, policy, expected):
     # each machine's initial state accepts, so the empty path has 0 moves:
-    # BudgetExhausted exactly when the budget is below 0. The sweeps are
-    # long enough that the stand-in pool opens
-    from gramata import simulate
-
+    # BudgetExhausted exactly when the budget is below 0
     machine = build()
     assert accepts(machine, (), policy).verdict is expected
     assert accepts(machine, (), policy, dedup=False).verdict is expected
-    serial = _shared(machine, machine.alphabet, max_len, policy)
-    assert serial[0] is expected
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    _RecordingPool.requested = []
-    assert _shared(machine, machine.alphabet, max_len, policy, workers=2) == serial
-    assert _RecordingPool.requested == [2]
+    assert _shared(machine, machine.alphabet, max_len, policy)[0] is expected
+
+
+@pytest.mark.parametrize(
+    "name, max_len, checked",
+    [
+        ("mult", 6, 1093),  # three letters: the prefix search, past 256 words
+        ("composite", 20, 21),  # one letter: a search per word
+        ("wp-f2", 4, 341),  # deterministic: the path sweep
+    ],
+)
+def test_no_sweep_starts_a_process(monkeypatch, name, max_len, checked):
+    import multiprocessing.process
+    import os
+    import subprocess
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep started a process")
+
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    member = oracle(spec.oracle_name)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    report = equiv_check(machine, member, machine.alphabet, max_len, spec.budget, workers=2)
+    assert (report.checked, report.mismatches, report.budget_exhausted) == (checked, [], [])
+    words = enumerate_words(machine, max_len, spec.budget, workers=2)
+    assert words.budget_exhausted == []
+    assert words.words == [w for w in all_words(machine.alphabet, max_len) if member.member(w)]
+
+
+@pytest.mark.parametrize("name", ["mult", "composite", "wp-f2"])
+def test_a_negative_max_len_is_refused_by_name(name):
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    with pytest.raises(GramataError, match="max_len must be at least 0, got -1"):
+        enumerate_words(machine, -1, spec.budget)
+    with pytest.raises(GramataError, match="max_len must be at least 0, got -1"):
+        equiv_check(machine, oracle(spec.oracle_name), machine.alphabet, -1, spec.budget)
 
 
 def test_shared_search_memory_guard(monkeypatch):
@@ -694,7 +640,7 @@ def test_shared_search_grows_the_epsilon_tails_only_as_far_as_its_words_need():
     machine = _f2_loop_machine("e")
     assert enumerate_words(machine, 3).words == [("a",)]
     search = _PrefixSearch(machine, machine.alphabet, 3, default_policy)
-    assert [v for length in range(1, 4) for v in search.verdicts(length, machine.alphabet)].count(Verdict.ACCEPT) == 1
+    assert [v for length in range(1, 4) for v in search.verdicts(length)].count(Verdict.ACCEPT) == 1
     assert len(search.tails.entries) == 1
 
 
@@ -713,7 +659,7 @@ def test_shared_search_looks_up_no_tail_of_the_empty_word_past_its_budget():
     assert accepts(machine, (), policy).verdict is Verdict.BUDGET_EXHAUSTED
     assert _shared(machine, machine.alphabet, 0, policy) == [Verdict.BUDGET_EXHAUSTED]
     search = _PrefixSearch(machine, machine.alphabet, 3, policy)
-    verdicts = [v for length in range(1, 4) for v in search.verdicts(length, machine.alphabet)]
+    verdicts = [v for length in range(1, 4) for v in search.verdicts(length)]
     assert verdicts == _per_word(machine, machine.alphabet, 3, policy)[1:]
     assert verdicts[:2] == [Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED]
     assert len(search.tails.entries) == 1
@@ -732,7 +678,7 @@ def test_shared_search_grows_no_epsilon_tails_its_word_cannot_enter():
     ] + [Transition("s", None, "s", group.parse_element(g)) for g in ("g0", "g0^-1", "g1", "g1^-1")]
     machine = EFA(group, ["q", "p", "s", "f"], ["a", "b"], transitions, "q", ["f"])
     search = _PrefixSearch(machine, machine.alphabet, 1, default_policy)
-    assert list(search.verdicts(1, machine.alphabet)) == [Verdict.REJECT, Verdict.ACCEPT]
+    assert list(search.verdicts(1)) == [Verdict.REJECT, Verdict.ACCEPT]
     # f, then p and s one move back, then s's loops, where p has no path
     assert len(search.tails.entries) == 7
     assert enumerate_words(machine, 1).words == [("b",)]
@@ -871,7 +817,6 @@ def test_unpruned_path_walk_matches_the_tree_walk(machine, budget, max_len):
 @pytest.mark.parametrize("machine, budget, max_len", WALK_CASES)
 def test_path_sweep_matches_the_prefix_search(monkeypatch, machine, budget, max_len):
     from gramata import simulate
-    from gramata.simulate import _verdicts
 
     general = _general_copy(machine)
     alphabet = tuple(sorted(machine.alphabet))
@@ -890,10 +835,6 @@ def test_path_sweep_matches_the_prefix_search(monkeypatch, machine, budget, max_
         assert list(_language_verdicts(machine, alphabet, max_len, policy)) == verdicts
         # every Accept of the walk, and nothing else, is replayed
         assert verified == [w for w, v in zip(all_words(alphabet, max_len), verdicts) if v is Verdict.ACCEPT]
-        for parts in range(1, 5):
-            for part in range(parts):
-                chunk = list(_verdicts(machine, alphabet, max_len, policy, part, parts))
-                assert chunk == list(_verdicts(general, alphabet, max_len, policy, part, parts)), (part, parts)
 
 
 @pytest.mark.parametrize("guard", [3, 6])
@@ -924,17 +865,6 @@ def test_distance_memo_stays_within_its_bound():
     assert accepts(machine, word, constant_policy(n)).verdict is Verdict.REJECT
     assert accepts(machine, ("a", "a^-1")).accepted
     assert len(memo.levels) <= DISTANCE_LEVELS
-
-
-def test_pickled_machine_carries_no_distance_memo():
-    spec = CONSTRUCTIONS["mult"]
-    machine = spec.build()
-    word = tuple("zxyyzxxyz")
-    decided = accepts(machine, word, spec.budget)
-    assert "distance_levels" in vars(machine)
-    copy = pickle.loads(pickle.dumps(machine))
-    assert "distance_levels" not in vars(copy) and "moves" not in vars(copy)
-    assert accepts(copy, word, spec.budget) == decided
 
 
 # --- the paused collector -------------------------------------------------------
