@@ -340,6 +340,8 @@ def main(argv=None):
         # argparse uses exit code 2 for usage errors; remap to 3
         return 3 if exc.code == 2 else exc.code
     try:
+        # a malformed GRAMATA_MEM_GUARD is refused whether or not the command searches
+        simulate.mem_guard()
         return args.fn(args)
     except GramataError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -15,9 +15,12 @@ small for the machine to even consume the input and reach an accepting
 state, so nothing was decided. Otherwise a failed search is a Reject:
 either acceptance is structurally impossible (d_min infinite), or every
 configuration that could still have accepted within the budget was
-explored. Branches that provably cannot reach acceptance in the remaining
-depth are pruned by the same register-ignoring distance table; the pruning
-is admissible, so it never changes a verdict. The language sweeps also
+explored. accepts() decides a word of infinite d_min from the distance
+table alone, with no search, and reports the stats that the search would
+have counted: it would expand the root and prune all of its moves.
+Branches that provably cannot reach acceptance in the remaining depth are
+pruned by the same register-ignoring distance table; the pruning is
+admissible, so it never changes a verdict. The language sweeps also
 drop a configuration whose register cannot return to the identity in the
 depth left: a move multiplies by one register, so a register g needs at
 least h(g) = ceil(norm(g) / c) more moves, c the largest norm of a register
@@ -401,10 +404,21 @@ def step(efa, config, word):
 
 
 def accepts(efa, word, policy=default_policy, *, dedup=True):
-    """Run the machine on a word under a depth budget."""
+    """Run the machine on a word under a depth budget.
+
+    A word with no register-ignoring path (d_min is None) is a Reject read
+    off the distance table, with no search: a move of the root to a target
+    at a finite distance would put the root at a finite distance too, so
+    the search would prune every move. No memory guard is read and no move
+    is compiled. The stats are those of that search: the breadth-first
+    search expands the root alone (nothing under a budget of 0), and the
+    unpruned walk counts no node."""
     word = _checked_word(word, efa.alphabet)
     budget = policy(len(word))
     dist = _distances_to_accept(efa, word[::-1])
+    d_min = dist[len(word)].get(efa.initial)
+    if d_min is None:
+        return RunResult(Verdict.REJECT, SearchStats(int(dedup and budget >= 1), 0))
 
     if not word and efa.initial in efa.accepting and budget >= 0:
         stats, certificate = SearchStats(accept_depth=0), ()  # the empty path accepts
@@ -413,7 +427,7 @@ def accepts(efa, word, policy=default_policy, *, dedup=True):
         stats, certificate = search(efa, word, budget, dist)
     if certificate is not None:
         return RunResult(Verdict.ACCEPT, stats, certificate, _verify_certificate(efa, word, certificate))
-    return RunResult(_unaccepted_verdict(dist[len(word)].get(efa.initial), budget), stats)
+    return RunResult(_unaccepted_verdict(d_min, budget), stats)
 
 
 def _search_bfs(efa, word, budget, dist, floor=None):

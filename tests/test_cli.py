@@ -250,8 +250,17 @@ def test_out_of_range_integer_flags_exit_3(argv, capsys):
 @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
 def test_malformed_mem_guard_exit_3(monkeypatch, value, capsys):
     monkeypatch.setenv("GRAMATA_MEM_GUARD", value)
-    assert main(["growth", "--group", "free:2", "--radius", "2"]) == 3
-    assert "GRAMATA_MEM_GUARD" in capsys.readouterr().err
+    runs = [
+        ["growth", "--group", "free:2", "--radius", "2"],
+        # two words that no search decides: the empty path accepts the first,
+        # and the second has no register-ignoring path at all
+        ["run", str(CORPUS_DIR / "wp-f2.efa"), "ε"],
+        ["run", str(CORPUS_DIR / "mult.efa"), "zxyyzxxyz"],
+    ]
+    for argv in runs:
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert "GRAMATA_MEM_GUARD" in captured.err and captured.out == "", argv
 
 
 @pytest.mark.parametrize(

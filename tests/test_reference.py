@@ -17,6 +17,8 @@ from gramata.simulate import (
     _distances_to_accept,
     _EpsilonTails,
     _language_verdicts,
+    _search_bfs,
+    _search_dfs,
     _verify_certificate,
     accepts,
     all_words,
@@ -158,9 +160,11 @@ def reference_register_counts(efa, max_len, budgets):
     ]
 
 
-def draw_machine(group, data, registers=None):
+def draw_machine(group, data, registers=None, deterministic=None):
     """A random machine over the group, on one to three letters, its
-    registers drawn from registers when given."""
+    registers drawn from registers when given. A machine drawn with
+    deterministic=False may still turn out deterministic, for example with
+    no transition."""
     if registers is None:
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         g = random_element(group, rng)
@@ -170,7 +174,8 @@ def draw_machine(group, data, registers=None):
     alphabet = ("a", "b", "c")[: data.draw(st.integers(1, 3), label="letters")]
     # about half the machines are deterministic, which the breadth-first
     # search runs as one path: no epsilon move, no repeated (state, symbol)
-    deterministic = data.draw(st.booleans(), label="deterministic")
+    if deterministic is None:
+        deterministic = data.draw(st.booleans(), label="deterministic")
     transition = st.builds(
         Transition,
         st.sampled_from(states),
@@ -259,7 +264,7 @@ def test_the_move_floor_keeps_every_word_accepted_at_its_least_depth(group, data
     # takes no floor, so only the others are drawn
     gens = [g for _, g in standard_generators(group)]
     registers = [group.identity()] + gens + [group.inverse(g) for g in gens]
-    machine = draw_machine(group, data, registers)
+    machine = draw_machine(group, data, registers, deterministic=False)
     assume(not machine.deterministic)
     alphabet = machine.alphabet
     words = list(all_words(alphabet, 3))
@@ -403,6 +408,35 @@ def test_memoized_distance_levels_match_one_backward_search(group, data):
             reads = word[::-1]
             accepts(machine, word, policy, dedup=k % 2 == 0)
         assert _distances_to_accept(machine, reads) == reference_distances(machine, reads), reads
+
+
+def check_stats_without_a_search(machine, data):
+    """accepts() against both searches, called directly with its distance
+    table, on every word up to length 3 under a drawn budget of 0 to 5:
+    the same stats, and reference_decide's verdict. A word with no
+    register-ignoring path runs no search, so this pins the stats that
+    accepts() reports for it."""
+    budget = data.draw(st.integers(0, 5), label="budget")
+    policy = ((budget,) * 4).__getitem__  # constant_policy refuses a budget of 0
+    for word in all_words(machine.alphabet, 3):
+        if not word and machine.initial in machine.accepting:
+            continue  # the empty path accepts, with no search either way
+        dist = _distances_to_accept(machine, word[::-1])
+        expected, _ = reference_decide(machine, word, budget)
+        for dedup, search in ((True, _search_bfs), (False, _search_dfs)):
+            result = accepts(machine, word, policy, dedup=dedup)
+            assert result.verdict is expected, (word, dedup)
+            assert result.stats == search(machine, word, budget, dist)[0], (word, dedup)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_accepts_reports_the_stats_of_the_search_it_skips(group, data):
+    # an epsilon machine's words often have no path at all, and about half
+    # of draw_machine's machines are deterministic, which run as one path
+    drawn = draw_epsilon_machine if data.draw(st.booleans(), label="epsilon tails") else draw_machine
+    check_stats_without_a_search(drawn(group, data), data)
 
 
 def check_unpruned_search(machine, data):

@@ -16,6 +16,7 @@ from gramata.simulate import (
     DISTANCE_LEVELS,
     BudgetPolicy,
     Configuration,
+    SearchStats,
     Verdict,
     _distances_to_accept,
     _language_verdicts,
@@ -364,6 +365,49 @@ def test_search_digest_pinned():
                 stats = f"{r.stats.expanded}|{r.stats.max_depth}|{r.stats.accept_depth}"
                 digest.update(f"{name}|{' '.join(word)}|{dedup}|{r.verdict}|{stats}|{path}\n".encode())
     assert digest.hexdigest() == SEARCH_DIGEST
+
+
+# --- words with no register-ignoring path ----------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_a_word_without_a_path_reports_the_stats_of_the_search_it_skips(name):
+    # accepts() decides a word of infinite d_min from its distance table;
+    # the search it skips would expand the root and prune every move
+    spec = CONSTRUCTIONS[name]
+    machine = spec.build()
+    for word in all_words(machine.alphabet, 4 if name == "wp-f2" else 5):
+        dist = _distances_to_accept(machine, word[::-1])
+        if dist[len(word)].get(machine.initial) is not None:
+            continue
+        for policy in (spec.budget, constant_policy(1)):
+            budget = policy(len(word))
+            for dedup, search in ((True, _search_bfs), (False, _search_dfs)):
+                result = accepts(machine, word, policy, dedup=dedup)
+                assert (result.verdict, result.certificate, result.registers) == (Verdict.REJECT, None, None)
+                assert (result.stats, None) == search(machine, word, budget, dist), (word, budget, dedup)
+
+
+def test_most_mult_words_have_no_path():
+    machine = build_mult()
+    words = list(all_words(machine.alphabet, 7))
+    lacking = [w for w in words if _distances_to_accept(machine, w[::-1])[len(w)].get(machine.initial) is None]
+    assert (len(lacking), len(words)) == (3160, 3280)
+
+
+def test_a_word_without_a_path_runs_no_search(monkeypatch):
+    import gramata.simulate as simulate
+
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    for kernel in ("_search_bfs", "_search_dfs", "_run_path", "_dfs_path", "mem_guard"):
+        monkeypatch.setattr(simulate, kernel, refuse)
+    spec = CONSTRUCTIONS["mult"]
+    word = tokenize_word("zxyyzxxyz", spec.build().alphabet)
+    for dedup, expanded in ((True, 1), (False, 0)):
+        result = accepts(spec.build(), word, spec.budget, dedup=dedup)
+        assert (result.verdict, result.stats) == (Verdict.REJECT, SearchStats(expanded, 0))
 
 
 # the sweeps' own search of a word, which also drops configurations beyond
