@@ -110,15 +110,23 @@ def _identity_num(dim):
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
-class Matrix:
-    """Immutable square matrix over the rationals, held as integer numerator
-    rows `num` over one positive common denominator `den` in lowest terms:
-    entry (i, j) is num[i][j] / den. The pair is canonical, so equality and
-    hashing compare it directly."""
+# builds a Matrix, a Word or a Heis from a tuple without its Python-level
+# __new__ (for a Matrix: a pair already in lowest terms; for a Word: codes
+# that are already reduced, with no re-check)
+_tuple_new = tuple.__new__
 
-    __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, rows):
+class Matrix(tuple):
+    """Immutable square matrix over the rationals, the pair (num, den) of
+    integer numerator rows over one positive common denominator in lowest
+    terms: entry (i, j) is num[i][j] / den. The pair is canonical, so
+    equality and hashing are the tuple's own, in C, and hash(m) is
+    hash((num, den)). The group product is `*`; `k * m`, `m * k` and
+    `m + m` are TypeErrors, not the tuple's repetition or concatenation."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows):
         rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -131,13 +139,13 @@ class Matrix:
         # and den without a common factor, so the pair is in lowest terms
         den = lcm(*(x.denominator for row in rows for x in row))
         num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
-        _fill_matrix(self, num, den)
+        return _matrix(num, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    num = property(operator.itemgetter(0), doc="The integer numerator rows.")
+    den = property(operator.itemgetter(1), doc="The positive common denominator.")
 
     def __reduce__(self):
-        return (_matrix, (self.num, self.den))
+        return (_matrix, tuple(self))
 
     @property
     def rows(self):
@@ -154,21 +162,28 @@ class Matrix:
         return _matrix(_identity_num(dim), 1)
 
     def __mul__(self, other):
-        if not isinstance(other, Matrix) or len(other.num) != len(self.num):
+        if not isinstance(other, Matrix) or len(other[0]) != len(self[0]):
             return NotImplemented
-        den = self.den * other.den
-        if len(self.num) == 2:
-            (a, b), (c, d) = self.num
-            (e, f), (g, h) = other.num
-            p, q, r, s = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-            if den != 1:
-                k = gcd(den, p, q, r, s)
-                if k != 1:
-                    p, q, r, s, den = p // k, q // k, r // k, s // k, den // k
-            return _matrix(((p, q), (r, s)), den)
-        cols = list(zip(*other.num))
-        num = tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in self.num])
-        return _matrix(num, 1) if den == 1 else _reduced_matrix(num, den)
+        if len(other[0]) != 2:
+            return _right_action(other)(self)
+        # _right_action's 2x2 arithmetic, without compiling other first
+        ((a, b), (c, d)), den = self
+        ((e, f), (g, k)), hden = other
+        p, q, r, s = a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k
+        den *= hden
+        if den != 1:
+            n = gcd(den, p, q, r, s)
+            if n != 1:
+                p, q, r, s, den = p // n, q // n, r // n, s // n, den // n
+        return _tuple_new(Matrix, (((p, q), (r, s)), den))
+
+    def __rmul__(self, other):
+        # k * m is no group operation; refuse the tuple's repetition
+        return NotImplemented
+
+    def __add__(self, other):
+        # nor is m + m; refuse the tuple's concatenation
+        return NotImplemented
 
     def __pow__(self, exp):
         if exp < 0:
@@ -182,14 +197,9 @@ class Matrix:
             exp >>= 1
         return result
 
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
-
-    def __hash__(self):
-        return self._hash
-
     def is_identity(self):
-        return self.den == 1 and self.num == _identity_num(len(self.num))
+        num, den = self
+        return den == 1 and num == _identity_num(len(num))
 
     def det(self):
         """Exact determinant: det(num / den) = det(num) / den**n, with det(num)
@@ -239,22 +249,10 @@ class Matrix:
         return f"Matrix({format_matrix(self)})"
 
 
-# The internal constructors below fill the slots through their descriptors,
-# which skips Matrix.__init__'s normalization and the immutability guard.
-_new = object.__new__
-_set_num, _set_den, _set_matrix_hash = Matrix.num.__set__, Matrix.den.__set__, Matrix._hash.__set__
-
-
-def _fill_matrix(m, num, den):
-    _set_num(m, num)
-    _set_den(m, den)
-    _set_matrix_hash(m, hash((num, den)))
-    return m
-
-
 def _matrix(num, den):
-    """Matrix num / den from integer rows already in lowest terms, den > 0."""
-    return _fill_matrix(_new(Matrix), num, den)
+    """Matrix num / den from integer rows already in lowest terms, den > 0.
+    The products build the same tuple inline, saving the call."""
+    return _tuple_new(Matrix, (num, den))
 
 
 def _reduced_matrix(num, den):
@@ -266,6 +264,38 @@ def _reduced_matrix(num, den):
         if g != 1:
             num, den = tuple([tuple([x // g for x in row]) for row in num]), den // g
     return _matrix(num, den)
+
+
+def _right_action(h):
+    """The right action m -> m * h, compiled once from h's entries: integer
+    arithmetic on m's numerators and one gcd, skipped when the product's
+    denominator is 1. It checks neither m's type nor its shape, and its
+    product is a Matrix."""
+    hnum, hden = h
+    if len(hnum) == 2:
+        (e, f), (g, k) = hnum
+
+        def act(m):
+            ((a, b), (c, d)), den = m
+            p, q, r, s = a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k
+            den *= hden
+            if den != 1:
+                n = gcd(den, p, q, r, s)
+                if n != 1:
+                    p, q, r, s, den = p // n, q // n, r // n, s // n, den // n
+            return _tuple_new(Matrix, (((p, q), (r, s)), den))
+
+        return act
+    cols = tuple(zip(*hnum))
+    mul = operator.mul
+
+    def act(m):
+        rows, den = m
+        num = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in rows])
+        den *= hden
+        return _matrix(num, 1) if den == 1 else _reduced_matrix(num, den)
+
+    return act
 
 
 def determinant(m):
@@ -324,11 +354,6 @@ class Word(tuple):
 
     def __repr__(self):
         return f"Word({format_word(self)!r})"
-
-
-# builds a Word or a Heis from a tuple without its Python-level __new__
-# (for a Word: codes that are already reduced, with no re-check)
-_tuple_new = tuple.__new__
 
 
 def _reduce_letters(letters):
@@ -648,11 +673,13 @@ class MatrixGroup(Group):
     def identity(self):
         return Matrix.identity(self.dim)
 
+    # a plain (self, g, h) method like every group's: perfbench's tracer
+    # wraps the class's own `mul`
     def mul(self, g, h):
         return g * h
 
     def right_mul(self, h):
-        return lambda g: g * h
+        return _right_action(h)
 
     def inverse(self, g):
         return g.inverse()

@@ -1,8 +1,10 @@
 import itertools
 import pickle
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -872,6 +874,79 @@ def test_matrix_is_integer_rows_over_one_denominator():
     # identity numerators over a denominator are a scalar matrix, not I
     half = Matrix(((Fraction(1, 2), 0), (0, Fraction(1, 2))))
     assert half.num == Matrix.identity(2).num and not half.is_identity()
+
+
+def _matrix_action_cases(rng):
+    """(dim, g, h) pairs for the compiled right actions: integer matrices
+    (den 1, no gcd), rational ones, pairs whose product comes back to den 1,
+    and the identity on either side, in dims 2, 3 and 4."""
+    i2, i3 = Matrix.identity(2), Matrix.identity(3)
+    q2, q3 = MatrixGroup(2, "Q"), MatrixGroup(3, "Q")
+    two = [SANOV_A, SANOV_B, SANOV_A.inverse(), BS_A, BS_B, BS_B.inverse(), i2]
+    two += [qplus_embed(Fraction(2, 3)), qplus_embed(Fraction(3, 2)), Matrix(((2, 1), (1, 1)))]
+    two += [random_element(q2, rng) for _ in range(8)]
+    diag = Matrix(((2, 0, 0), (0, Fraction(1, 3), 0), (0, 0, Fraction(3, 2))))
+    three = [i3, heis_to_matrix(Heis(1, -2, 3)), heis_to_matrix(Heis(-1, 2, -1)), diag, diag.inverse()]
+    three += [random_element(q3, rng) for _ in range(6)]
+    three += [m.inverse() for m in three[-3:]]
+    four = [pair_embed(a, b) for a, b in itertools.product([i2, SANOV_A, BS_B, BS_B.inverse(), two[-1]], repeat=2)]
+    for mats in (two, three, four):
+        for g, h in itertools.product(mats, repeat=2):
+            yield g.dim, g, h
+
+
+def test_matrix_right_action_matches_the_fraction_row_model(rng):
+    # the compiled action against products of Fraction rows, independent of
+    # mul, which shares the action's 2x2 arithmetic
+    q = {dim: MatrixGroup(dim, "Q") for dim in (2, 3, 4)}
+    integral, reduced = Counter(), Counter()
+    cases = list(_matrix_action_cases(rng))
+    for dim, g, h in cases:
+        product = q[dim].right_mul(h)(g)
+        want = _ref_mul(q[dim], g.rows, h.rows)
+        assert type(product) is Matrix and product.rows == want
+        assert product == Matrix(want) and hash(product) == hash(Matrix(want))
+        assert hash(product) == hash((product.num, product.den))
+        assert product.is_identity() == q[dim].is_identity(product) == (want == Matrix.identity(dim).rows)
+        assert product.den == lcm(*(x.denominator for row in want for x in row))
+        integral[dim] += g.den == h.den == 1
+        reduced[dim] += product.den == 1 and g.den * h.den != 1
+    # in every dim, integer factors skip the gcd, and rational factors
+    # reduce to den 1
+    assert min(integral[dim] for dim in q) >= 50 and min(reduced[dim] for dim in q) >= 2
+    # a chain of actions by every factor of a dim stays on the model
+    for dim in q:
+        chain = list(dict.fromkeys(h for d, _, h in cases if d == dim))
+        acted, want = Matrix.identity(dim), Matrix.identity(dim).rows
+        for h in chain:
+            acted, want = q[dim].right_mul(h)(acted), _ref_mul(q[dim], want, h.rows)
+        assert acted.rows == want and acted == Matrix(want)
+
+
+def test_matrix_keeps_the_group_operator_surface():
+    m = Matrix(((1, Fraction(1, 2)), (0, 1)))
+    for refused in (lambda: 3 * m, lambda: m * 3, lambda: m + m, lambda: m * (1, 2)):
+        with pytest.raises(TypeError):
+            refused()
+    assert hash(m) == hash((m.num, m.den)) == hash((((2, 1), (0, 2)), 2))
+    restored = pickle.loads(pickle.dumps(m))
+    assert type(restored) is Matrix and restored == m and hash(restored) == hash(m)
+    assert restored.rows == m.rows and restored * m.inverse() == Matrix.identity(2)
+
+
+def test_a_plain_pair_is_never_a_matrix():
+    m = SANOV_A
+    pair = (m.num, m.den)
+    assert pair == m and hash(pair) == hash(m)
+    MatrixGroup(2, "Z", "one").check(m)
+    with pytest.raises(ElementGroupMismatch):
+        MatrixGroup(2, "Z", "one").check(pair)
+    # nor is a Matrix, a tuple subclass, a vector or a pair of a product
+    with pytest.raises(ElementGroupMismatch):
+        FreeAbelian(2).check(m)
+    for product in (DirectProduct(FreeAbelian(1), FreeAbelian(1)), DirectProduct(MatrixGroup(2, "Z"), FreeAbelian(1))):
+        with pytest.raises(ElementGroupMismatch):
+            product.check(m)
 
 
 _small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)

@@ -7,10 +7,13 @@ import pytest
 from gramata.algebra import (
     HEIS_A,
     HEIS_B,
+    SANOV_A,
+    SANOV_B,
     FreeAbelian,
     FreeGroup,
     HeisenbergGroup,
     Matrix,
+    MatrixGroup,
     parse_group_compact,
 )
 from gramata import analysis
@@ -53,6 +56,16 @@ def test_growth_f2():
 def test_growth_z2():
     table = growth(FreeAbelian(2), gens_of(FreeAbelian(2)), 2)
     assert table.counts == (1, 5, 13)
+
+
+def test_growth_of_bare_sanov_matrices_matches_the_named_pair():
+    # a Matrix is the pair (num, den), a 2-tuple too, but its first item is
+    # no name: bare matrices are elements, named s0 and s1
+    group = MatrixGroup(2, "Q", "one")
+    sanov_f2 = (1, 5, 17, 53, 161, 485, 1457)
+    assert growth(group, [SANOV_A, SANOV_B], 6).counts == sanov_f2
+    assert growth(group, [("A", SANOV_A), ("B", SANOV_B)], 6).counts == sanov_f2
+    assert analysis._named_gens([SANOV_A, ("B", SANOV_B)]) == [("s0", SANOV_A), ("B", SANOV_B)]
 
 
 def test_growth_invariant_under_adding_inverses():
