@@ -164,18 +164,7 @@ class Matrix(tuple):
     def __mul__(self, other):
         if not isinstance(other, Matrix) or len(other[0]) != len(self[0]):
             return NotImplemented
-        if len(other[0]) != 2:
-            return _right_action(other)(self)
-        # _right_action's 2x2 arithmetic, without compiling other first
-        ((a, b), (c, d)), den = self
-        ((e, f), (g, k)), hden = other
-        p, q, r, s = a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k
-        den *= hden
-        if den != 1:
-            n = gcd(den, p, q, r, s)
-            if n != 1:
-                p, q, r, s, den = p // n, q // n, r // n, s // n, den // n
-        return _tuple_new(Matrix, (((p, q), (r, s)), den))
+        return _right_action(other)(self)
 
     def __rmul__(self, other):
         # k * m is no group operation; refuse the tuple's repetition

@@ -897,7 +897,7 @@ def _matrix_action_cases(rng):
 
 def test_matrix_right_action_matches_the_fraction_row_model(rng):
     # the compiled action against products of Fraction rows, independent of
-    # mul, which shares the action's 2x2 arithmetic
+    # mul, which runs the same action
     q = {dim: MatrixGroup(dim, "Q") for dim in (2, 3, 4)}
     integral, reduced = Counter(), Counter()
     cases = list(_matrix_action_cases(rng))
