@@ -101,10 +101,10 @@ def _growth(group, gens, radius):
                     new[h] = back
                     total += 1
                     if total > guard:
-                        raise MemoryGuard(f"search stored more than {guard} elements")
+                        raise MemoryGuard(guard)
         counts.append(total)
         if total + len(counts) > guard:
-            raise MemoryGuard(f"search stored more than {guard} elements and layer counts")
+            raise MemoryGuard(guard, layers=True)
         cur = new
     return GrowthTable(tuple(counts))
 

@@ -183,7 +183,7 @@ def _cmd_dissim(args):
     _emit(
         args,
         payload,
-        report.lines() + ["witnesses: " + " ".join(format_word(w) or "ε" for w in report.witnesses)],
+        report.lines() + ["witnesses: " + " ".join(format_word(w) for w in report.witnesses)],
     )
     return 0
 
@@ -282,7 +282,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a machine on one word")
     p.add_argument("file")
-    p.add_argument("word", help="input word; ε or '' for the empty word")
+    p.add_argument("word", help=f"input word; {model.EMPTY_WORD_TOKEN} or '' for the empty word")
     common(p)
     p.set_defaults(fn=_cmd_run)
 

@@ -44,6 +44,10 @@ class InstanceTooLarge(GramataError):
 class MemoryGuard(GramataError):
     code = "memory-guard"
 
+    def __init__(self, guard, layers=False):
+        # every search's refusal past the guard; a layered search names its layer counts too
+        super().__init__(f"search stored more than {guard} elements" + (" and layer counts" if layers else ""))
+
 
 class EfaParseError(GramataError):
     """Raised on malformed machine documents; points at the offending line."""

@@ -21,7 +21,8 @@ EPSILON = None
 # equals a symbol, which is a string
 ANY = ("any symbol",)
 EPSILON_TOKEN = "~"
-_RESERVED_TOKENS = {EPSILON_TOKEN, "#"}
+EMPTY_WORD_TOKEN = "ε"  # the empty word, as a word on the command line or in a report spells it
+_RESERVED_TOKENS = {EPSILON_TOKEN, EMPTY_WORD_TOKEN, "#"}
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,10 @@ search, grown only as deep as its lookups need.
 
 A deterministic machine (EFA.deterministic: no epsilon move, at most one
 transition per state and symbol) has at most one path per word, and every
-decider walks that path with none of the general machinery: _run_path for
-the breadth-first search, _dfs_path for the unpruned one, and
-_path_verdicts for the language sweep, which walks each length's trie
+decider walks that path with none of the general machinery. For one word
+that is one walk (_path), off which _run_path, for the breadth-first
+search, and _dfs_path, for the unpruned one, read their counts in closed
+form; _path_verdicts, for the language sweep, walks each length's trie
 holding only the current path.
 """
 
@@ -65,7 +66,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import parse_count
 from .errors import GramataError, MemoryGuard, UnknownSymbol
-from .model import ANY
+from .model import ANY, EMPTY_WORD_TOKEN
 
 DEFAULT_MEM_GUARD = 10**7
 
@@ -90,7 +91,7 @@ def bfs_layer(seen, layer, expand, limit, guard):
             if child not in seen:
                 seen[child] = child_data
                 if len(seen) > limit:
-                    raise MemoryGuard(f"search stored more than {guard} elements")
+                    raise MemoryGuard(guard)
                 nxt.append(child)
     return nxt
 
@@ -131,7 +132,7 @@ def _bfs_layers(root, expand, depth, data):
         layer = bfs_layer(seen, layer, expand, guard, guard)
         sizes.append(len(seen))
         if len(seen) + len(sizes) > guard:
-            raise MemoryGuard(f"search stored more than {guard} elements and layer counts")
+            raise MemoryGuard(guard, layers=True)
     return seen, sizes
 
 
@@ -203,7 +204,7 @@ class RunResult:
 
 def tokenize_word(text, alphabet):
     """Split CLI/word input into symbols of the given alphabet."""
-    if text in ("", "ε"):
+    if text in ("", EMPTY_WORD_TOKEN):
         return ()
     alphabet = set(alphabet)
     if any(ch.isspace() for ch in text):
@@ -217,7 +218,7 @@ def tokenize_word(text, alphabet):
 
 def format_word(word):
     if not word:
-        return "ε"
+        return EMPTY_WORD_TOKEN
     if all(len(sym) == 1 for sym in word):
         return "".join(word)
     return " ".join(word)
@@ -252,6 +253,18 @@ def _close_unit(best, nexts):
                             pending.setdefault(d + 1, []).append(t)
         d += 1
     return best
+
+
+def _step_unit(items, following, nexts):
+    """One unit move of (state, distance) items, closed by _close_unit:
+    each state of following(q) gets the least d + 1 over the items (q, d)
+    that lead to it, and the map is then closed under nexts."""
+    best = {}
+    for q, d in items:
+        for t in following(q):
+            if best.get(t, d + 2) > d + 1:
+                best[t] = d + 1
+    return _close_unit(best, nexts)
 
 
 # the most levels a machine's DistanceLevels holds: it starts over when full
@@ -302,13 +315,8 @@ class DistanceLevels:
         if len(self.levels) >= DISTANCE_LEVELS:
             self._start()
             i = self._intern(level)
-        best = {}
-        sources = self.sources.get
-        for q, d in level.items():
-            for src in sources((q, read), ()):
-                if best.get(src, d + 2) > d + 1:
-                    best[src] = d + 1
-        j = self.steps[i][read] = self._intern(_close_unit(best, self.eps_sources))
+        above = _step_unit(level.items(), lambda q: self.sources.get((q, read), ()), self.eps_sources)
+        self.steps[i][read] = j = self._intern(above)
         return j
 
 
@@ -493,7 +501,7 @@ def _search_bfs(efa, word, budget, dist, floor=None):
                     path.reverse()
                     return SearchStats(expanded, depth, depth), tuple(path)
                 if stored > guard:
-                    raise MemoryGuard(f"search stored more than {guard} elements")
+                    raise MemoryGuard(guard)
                 nxt.append((tkey, child))
         if nxt:
             max_depth = depth
@@ -501,37 +509,42 @@ def _search_bfs(efa, word, budget, dist, floor=None):
     return SearchStats(expanded, max_depth), None
 
 
-def _run_path(efa, word, budget, dist):
-    """_search_bfs on a deterministic machine: each depth's frontier is at
-    most one configuration, at the position equal to its depth, so the
-    search follows that one path with the same pruning, counters, memory
-    guard and certificate."""
+def _path(efa, word, budget, dist):
+    """The one path of a deterministic machine on word: each symbol's single
+    move, taken while its target can still accept under the budget. Returns
+    the transitions taken and whether they accept: at the word's end, in an
+    accepting state, with the identity register. Both deciders of one word
+    read their counts off this walk (_run_path, _dfs_path)."""
     n = len(word)
-    accepting = efa.accepting
     moves = efa.moves
-    symbols = word + (None,)  # None at the end of the input, which has no move
-    guard = mem_guard()
     q, reg = efa.initial, efa.group.identity()
     path = []
-    expanded = max_depth = 0
-    for pos in range(min(n + 1, budget)):
-        expanded += 1
-        move = moves[(q, symbols[pos])]
+    for depth, symbol in enumerate(word, 1):
+        move = moves[(q, symbol)]
         if not move:
             break
         q, _, r, t = move[0]
-        depth = pos + 1
         remaining = dist[n - depth].get(q)
-        if remaining is None or remaining > budget - depth:
+        if remaining is None or depth + remaining > budget:
             break
         reg = reg if r is None else r(reg)
         path.append(t)
-        if depth == n and q in accepting and efa.group.is_identity(reg):
-            return SearchStats(expanded, depth, depth), tuple(path)
-        if depth + 1 > guard:  # the root and the path so far
-            raise MemoryGuard(f"search stored more than {guard} elements")
-        max_depth = depth
-    return SearchStats(expanded, max_depth), None
+    return tuple(path), len(path) == n > 0 and q in efa.accepting and efa.group.is_identity(reg)
+
+
+def _run_path(efa, word, budget, dist):
+    """_search_bfs on a deterministic machine, whose frontier is at most one
+    configuration: it follows the one path (_path) and stores the root and
+    the path. An accepting path of n moves expanded n configurations; else
+    the search also expanded the one it stopped at, if the budget let it."""
+    guard = mem_guard()
+    path, accepted = _path(efa, word, budget, dist)
+    n = len(path)
+    if n - accepted >= guard:  # the root and the path, the accepting end aside
+        raise MemoryGuard(guard)
+    if accepted:
+        return SearchStats(n, n, n), path
+    return SearchStats(min(n + 1, max(budget, 0)), n), None
 
 
 def _search_dfs(efa, word, budget, dist, memo=None):
@@ -615,30 +628,14 @@ def _search_dfs(efa, word, budget, dist, memo=None):
 
 def _dfs_path(efa, word, budget, dist):
     """_search_dfs on a deterministic machine: a node has at most one
-    child, by the next symbol's one move, so the tree is a single path.
-    The walk takes that move while its target can still accept under the
-    budget, counts it as a node at its depth, and accepts at the word's
-    end in an accepting state with the identity register. Those are the
-    tree walk's numbers; _run_path counts the nodes it expands instead."""
-    n = len(word)
-    moves = efa.moves
-    q, reg = efa.initial, efa.group.identity()
-    path = []
-    for symbol in word:
-        move = moves[(q, symbol)]
-        if not move:
-            break
-        q, _, r, t = move[0]
-        depth = len(path) + 1
-        remaining = dist[n - depth].get(q)
-        if remaining is None or depth > budget - remaining:
-            break
-        reg = reg if r is None else r(reg)
-        path.append(t)
-    depth = len(path)
-    if depth == n > 0 and q in efa.accepting and efa.group.is_identity(reg):
-        return SearchStats(depth, depth, depth), tuple(path)
-    return SearchStats(depth, depth), None
+    child, by the next symbol's one move, so the tree is the single path
+    of _path, each move of it a node at its depth. Those are the tree
+    walk's numbers; _run_path counts the nodes it expands instead."""
+    path, accepted = _path(efa, word, budget, dist)
+    n = len(path)
+    if accepted:
+        return SearchStats(n, n, n), path
+    return SearchStats(n, n), None
 
 
 def _verify_certificate(efa, word, certificate):
@@ -739,7 +736,7 @@ class _PrefixSearch:
         self.path = []  # those levels' parent links, root first
         self.word = []  # the current prefix
         self.projection_steps = {}  # (projection, symbol) -> the child's projection
-        self.root_projection = self._close_projection({efa.initial: 0})
+        self.root_projection = tuple(sorted(_close_unit({efa.initial: 0}, self.eps_targets).items()))
 
     def verdicts(self, length):
         """Verdicts of the words of this length, at least 1, in lex order."""
@@ -877,7 +874,7 @@ class _PrefixSearch:
                             continue
                         links[key] = (pkey, t)
                         if len(links) > limit:
-                            raise MemoryGuard(f"search stored more than {self.guard} elements")
+                            raise MemoryGuard(self.guard)
                         layer.append(key)
             layers.append(layer)
             front = layer
@@ -889,22 +886,15 @@ class _PrefixSearch:
             start += 1
         return _Level(links, layers[start:], base + start)
 
-    def _close_projection(self, best):
-        """Close a state -> depth map under epsilon moves and freeze it as a
-        sorted tuple of pairs."""
-        return tuple(sorted(_close_unit(best, self.eps_targets).items()))
-
     def _step_projection(self, projection, symbol):
+        """The projection one symbol further: a sorted tuple of (state,
+        least depth) pairs, closed under epsilon moves."""
         key = (projection, symbol)
         child = self.projection_steps.get(key)
         if child is None:
-            best = {}
             moves = self.sym[symbol]
-            for q, d in projection:
-                for target, _, _, _ in moves[q]:
-                    if best.get(target, d + 2) > d + 1:
-                        best[target] = d + 1
-            child = self.projection_steps[key] = self._close_projection(best)
+            best = _step_unit(projection, lambda q: (m[0] for m in moves[q]), self.eps_targets)
+            child = self.projection_steps[key] = tuple(sorted(best.items()))
         return child
 
     def _unaccepted(self, projection):
@@ -1007,7 +997,7 @@ def _path_verdicts(efa, alphabet, max_len, policy):
                     yield from itertools.repeat(Verdict.REJECT, k ** (length - depth))
                     continue
                 if depth >= guard:  # the root, the path and this node
-                    raise MemoryGuard(f"search stored more than {guard} elements")
+                    raise MemoryGuard(guard)
                 target, _, r, t = move
                 child = g if r is None else r(g)
                 if depth < length:

@@ -124,6 +124,16 @@ def test_bad_vector_literal_exits_3(corpus_dir, tmp_path, token, capsys):
     assert "not an integer literal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run", "ε"], ["enum", "--max-len", "2"]])
+def test_an_alphabet_symbol_spelled_as_the_empty_word_exits_3(tmp_path, argv, capsys):
+    # run would read ε as the empty word, and enum would print ε for the
+    # empty word and for the one-symbol word alike
+    bad = tmp_path / "bad.efa"
+    bad.write_text("group free-abelian 1\nstates q\ninitial q\naccepting q\nalphabet ε\ntransitions\nq ε q [0]\n")
+    assert main(argv[:1] + [str(bad)] + argv[1:]) == 3
+    assert "bad-symbol" in capsys.readouterr().err
+
+
 def test_memory_error_exits_3(monkeypatch, upow_file, capsys):
     def out_of_memory(args):
         raise MemoryError

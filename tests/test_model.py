@@ -132,6 +132,9 @@ def test_validate_rejects_unserializable_names():
     assert any(d.code == "bad-state-name" for d in validate(m))
     m = EFA(FreeAbelian(1), ["q0"], ["a", "~"], [], "q0", [])
     assert any(d.code == "bad-symbol" for d in validate(m))
+    # ε spells the empty word, so a symbol spelled so could not be told from it
+    m = EFA(FreeAbelian(1), ["q0"], ["a", "ε"], [], "q0", [])
+    assert any(d.code == "bad-symbol" for d in validate(m))
 
 
 def test_validate_element_mismatch():

@@ -804,6 +804,20 @@ def test_path_run_memory_guard(monkeypatch, guard, first_raise):
                 accepts(machine, ("a",) * k)
 
 
+def test_path_run_memory_guard_spares_the_accepting_end(monkeypatch):
+    # a a^-1 accepts at depth 2: the search stores the root and the first
+    # configuration, and the accepting one ends it before it is stored.
+    # The unpruned walk never raises
+    machine = CONSTRUCTIONS["wp-z"].build()
+    word = ("a", "a^-1")
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "1")
+    with pytest.raises(MemoryGuard, match="more than 1 elements"):
+        accepts(machine, word)
+    assert accepts(machine, word, dedup=False).accepted
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "2")
+    assert accepts(machine, word).accepted
+
+
 @pytest.mark.parametrize("name", DETERMINISTIC)
 def test_path_run_matches_the_compiled_search(name):
     from gramata.simulate import _run_path, _search_bfs
