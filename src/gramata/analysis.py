@@ -21,7 +21,7 @@ from typing import Optional
 from . import algebra
 from .constructions import standard_generators, wp_oracle
 from .errors import GramataError, InstanceTooLarge, MemoryGuard
-from .simulate import all_words, bfs_layers, default_policy, gc_paused, mem_guard, reachable_register_count
+from .simulate import Fold, all_words, bfs_layers, default_policy, gc_paused, mem_guard, reachable_register_count
 
 
 @dataclass(frozen=True)
@@ -174,28 +174,34 @@ def dissimilarity_lower_bound(group, gens, n):
     half = n // 2
     words = ball_with_words(group, gens, half)
     witnesses = sorted(words.values(), key=lambda w: (len(w), w))
-    member = wp_oracle(group, _named_gens(gens)).member
+    fold = Fold.lift(wp_oracle(group, _named_gens(gens)).member)
+    member = fold.member_from
+    # each witness is folded once; a pair continues w2's state with v
+    states = [fold.resume(fold.start, w) for w in witnesses]
 
     # each w1 and its distinguisher are verified once, before its first pair
     for i, w1 in enumerate(witnesses[:-1]):
         v = _invert_word(w1)
         if len(w1) + len(v) > n:
             raise GramataError("witness verification: distinguisher too long")
-        if not member(w1 + v):
+        if not member(states[i], v):
             raise GramataError(f"witness verification failed for {w1!r} vs {witnesses[i + 1]!r}")
-        for w2 in witnesses[i + 1 :]:
+        for w2, state in zip(witnesses[i + 1 :], states[i + 1 :]):
             if len(w2) + len(v) > n:
                 raise GramataError("witness verification: distinguisher too long")
-            if member(w2 + v):
+            if member(state, v):
                 raise GramataError(f"witness verification failed for {w1!r} vs {w2!r}")
     return DissimilarityReport(n=n, lower_bound=len(witnesses), witnesses=witnesses)
 
 
-def _dissimilar(oracle, alphabet, n, w1, w2):
-    budget = n - max(len(w1), len(w2))
-    member = oracle.member
+def _dissimilar(fold, alphabet, budget, s1, s2):
+    """Whether some suffix v of at most budget symbols puts exactly one of
+    two words into the language, from their fold states s1 and s2. A lifted
+    member is asked member(w1 + v), then member(w2 + v), for each v up to
+    the first difference."""
+    member = fold.member_from
     for v in all_words(alphabet, budget):
-        if member(w1 + v) != member(w2 + v):
+        if member(s1, v) != member(s2, v):
             return True
     return False
 
@@ -225,11 +231,14 @@ def dissimilarity_exact(oracle, alphabet, n):
     if work > DISSIMILARITY_GUARD:
         raise InstanceTooLarge(f"{work} pair x suffix comparisons exceed the guard {DISSIMILARITY_GUARD}")
     words = list(all_words(alphabet, n))
+    # each word is folded once; a pair continues both states with each suffix
+    fold = Fold.lift(oracle.member)
+    states = [fold.resume(fold.start, w) for w in words]
     m = len(words)
     adj = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
-            if _dissimilar(oracle, alphabet, n, words[i], words[j]):
+            if _dissimilar(fold, alphabet, n - max(len(words[i]), len(words[j])), states[i], states[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
 

@@ -37,7 +37,7 @@ from .algebra import (
 )
 from .errors import GramataError, UnknownOracle
 from .model import EFA, Transition, save_efa
-from .simulate import BudgetPolicy, default_policy
+from .simulate import BudgetPolicy, Fold, default_policy
 
 
 @dataclass(frozen=True)
@@ -246,134 +246,119 @@ def standard_generators(group):
 
 
 def wp_oracle(group, gens, name=None):
-    """Membership predicate of the word problem: evaluate and test identity.
-    Each symbol maps to its generator's compiled right action, as in the
-    searches; a foreign symbol makes the word a non-member."""
+    """Membership predicate of the word problem, as a Fold: its state is the
+    group element read so far, each symbol steps by its generator's compiled
+    right action, as in the searches, and a member ends at the identity. A
+    foreign symbol makes the word a non-member."""
     table = {}
     for gen_name, elem in gens:
         group.check(elem)
         table[gen_name] = group.right_mul(elem)
         table[gen_name + "^-1"] = group.right_mul(group.inverse(elem))
     alphabet = tuple(sorted(table))
-    identity, is_identity, action = group.identity(), group.is_identity, table.get
+    action = table.get
 
-    def member(word):
-        value = identity
-        for sym in word:
-            act = action(sym)
-            if act is None:
-                return False
-            value = act(value)
-        return is_identity(value)
+    def step(value, sym):
+        act = action(sym)
+        return None if act is None else act(value)
 
+    member = Fold(group.identity(), step, group.is_identity)
     return NamedOracle(name or f"WP:{algebra.compact_group_text(group)}", alphabet, member)
 
 
 # --- arithmetic language oracles ----------------------------------------------
+#
+# Each oracle is a Fold. A unary language's state is the number of letters
+# read; a block language's is the rank of the last symbol and the counts
+# of the blocks, and it dies at the first symbol out of order.
+
+
+def _unary_step(letter, n, sym):
+    return n + 1 if sym == letter else None
 
 
 def _ranks(order):
-    """Each symbol's position in a block order, the table _blocks reads."""
+    """Each symbol's position in a block order, the table _block_step reads."""
     return {sym: i for i, sym in enumerate(order)}
 
 
 _XYZ, _XY, _ABC = _ranks(("x", "y", "z")), _ranks(("x", "y")), _ranks(("a", "b", "c"))
 
 
-def _blocks(word, ranks):
-    """Split word into runs following the symbol order that ranks numbers;
-    None if the order is violated, at the first symbol that is foreign or
-    ranks below its predecessor."""
-    counts = [0] * len(ranks)
-    i = 0
-    for sym in word:
-        r = ranks.get(sym, -1)
-        if r < i:
-            return None
-        i = r
-        counts[r] += 1
-    return counts
+def _block_step(ranks, state, sym):
+    """The block state (rank, counts) one symbol further; None if the symbol
+    is foreign or ranks below its predecessor."""
+    i, counts = state
+    r = ranks.get(sym, -1)
+    if r < i:
+        return None
+    return r, counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
+
+
+def _block_fold(ranks, final):
+    return Fold((0, (0,) * len(ranks)), partial(_block_step, ranks), final)
 
 
 def _is_power_of_two(n):
     return n >= 1 and n & (n - 1) == 0
 
 
-def _upow_member(word):
-    return all(s == "a" for s in word) and _is_power_of_two(len(word))
+def _is_odd_power_of_two(n):
+    return _is_power_of_two(n) and (n.bit_length() - 1) % 2 == 1
 
 
-def _oddpow_member(word):
-    n = len(word)
-    return all(s == "a" for s in word) and _is_power_of_two(n) and (n.bit_length() - 1) % 2 == 1
+def _is_composite(n):
+    return n >= 4 and any(n % d == 0 for d in range(2, math.isqrt(n) + 1))
 
 
-def _mult_member(word):
-    counts = _blocks(word, _XYZ)
-    if counts is None:
-        return False
-    p, q, r = counts
+def _mult_final(state):
+    p, q, r = state[1]
     return r == p * q
 
 
-def _composite_member(word):
-    if any(s != "x" for s in word):
-        return False
-    n = len(word)
-    if n < 4:
-        return False
-    return any(n % d == 0 for d in range(2, math.isqrt(n) + 1))
-
-
-def _multiple_member(word):
-    counts = _blocks(word, _XY)
-    if counts is None:
-        return False
-    p, m = counts
+def _multiple_final(state):
+    p, m = state[1]
     if p == 0:
         return m == 0
     return m % p == 0
 
 
-def _multiple_pos_member(word):
-    counts = _blocks(word, _XY)
-    if counts is None:
-        return False
-    p, m = counts
+def _multiple_pos_final(state):
+    p, m = state[1]
     return p >= 1 and m % p == 0
 
 
-def _anbncn_member(word):
-    counts = _blocks(word, _ABC)
-    return counts is not None and counts[0] == counts[1] == counts[2]
+def _anbncn_final(state):
+    a, b, c = state[1]
+    return a == b == c
 
 
-def _anbn_star_member(word):
-    # unique greedy decomposition into a^k b^k blocks, k >= 1
-    i, n = 0, len(word)
-    while i < n:
-        k = 0
-        while i < n and word[i] == "a":
-            i += 1
-            k += 1
-        if k == 0:
-            return False
-        for _ in range(k):
-            if i >= n or word[i] != "b":
-                return False
-            i += 1
-    return True
+def _anbn_star_step(state, sym):
+    """Words of (a^k b^k)*, k >= 1, split greedily into their unique blocks:
+    the state is the current block's a's and the b's read of it."""
+    a, b = state
+    if sym == "a":
+        if b == 0:
+            return a + 1, 0
+        return (1, 0) if b == a else None
+    if sym == "b" and b < a:
+        return a, b + 1
+    return None
+
+
+def _anbn_star_final(state):
+    return state[0] == state[1]
 
 
 _ORACLES = {
-    "UPOW": NamedOracle("UPOW", ("a",), _upow_member),
-    "ODDPOW": NamedOracle("ODDPOW", ("a",), _oddpow_member),
-    "MULT": NamedOracle("MULT", ("x", "y", "z"), _mult_member),
-    "COMPOSITE": NamedOracle("COMPOSITE", ("x",), _composite_member),
-    "MULTIPLE": NamedOracle("MULTIPLE", ("x", "y"), _multiple_member),
-    "MULTIPLE-POS": NamedOracle("MULTIPLE-POS", ("x", "y"), _multiple_pos_member),
-    "ANBNCN": NamedOracle("ANBNCN", ("a", "b", "c"), _anbncn_member),
-    "ANBN-STAR": NamedOracle("ANBN-STAR", ("a", "b"), _anbn_star_member),
+    "UPOW": NamedOracle("UPOW", ("a",), Fold(0, partial(_unary_step, "a"), _is_power_of_two)),
+    "ODDPOW": NamedOracle("ODDPOW", ("a",), Fold(0, partial(_unary_step, "a"), _is_odd_power_of_two)),
+    "MULT": NamedOracle("MULT", ("x", "y", "z"), _block_fold(_XYZ, _mult_final)),
+    "COMPOSITE": NamedOracle("COMPOSITE", ("x",), Fold(0, partial(_unary_step, "x"), _is_composite)),
+    "MULTIPLE": NamedOracle("MULTIPLE", ("x", "y"), _block_fold(_XY, _multiple_final)),
+    "MULTIPLE-POS": NamedOracle("MULTIPLE-POS", ("x", "y"), _block_fold(_XY, _multiple_pos_final)),
+    "ANBNCN": NamedOracle("ANBNCN", ("a", "b", "c"), _block_fold(_ABC, _anbncn_final)),
+    "ANBN-STAR": NamedOracle("ANBN-STAR", ("a", "b"), Fold((0, 0), _anbn_star_step, _anbn_star_final)),
 }
 
 

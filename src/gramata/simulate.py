@@ -43,7 +43,9 @@ the one decider of it, and decide each length from 1 up with one search
 over the trie of its words (_PrefixSearch), which gives the same verdicts,
 all in the calling process. Its leaves build no configurations: each word
 is finished from one backward table of epsilon tails (_EpsilonTails) per
-search, grown only as deep as its lookups need.
+search, grown only as deep as its lookups need. equiv_check() walks an
+oracle written as a left fold (Fold) over each length's trie too: one
+step per prefix, and no step at all below a prefix the fold has ruled out.
 
 A deterministic machine (EFA.deterministic: no epsilon move, at most one
 transition per state and symbol) has at most one path per word, and every
@@ -62,7 +64,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .algebra import parse_count
 from .errors import GramataError, MemoryGuard, UnknownSymbol
@@ -674,6 +676,77 @@ def all_words(alphabet, max_len):
         yield from itertools.product(alphabet, repeat=length)
 
 
+def _extend(prefix, symbol):
+    return prefix + (symbol,)
+
+
+@dataclass(frozen=True)
+class Fold:
+    """A membership predicate written as a left fold over a word's symbols.
+    step(state, symbol) is the state after one more symbol, or None once no
+    extension of the prefix can be a member; final(state) decides the word
+    read so far. None is never a live state. Calling a Fold folds one word,
+    so it is a drop-in oracle member; answers() decides every word up to a
+    length from one walk of each length's trie of states."""
+
+    start: object
+    step: Callable
+    final: Callable
+
+    @classmethod
+    def lift(cls, member):
+        """member itself if it is a Fold, else the Fold whose state is the
+        prefix read and whose final test asks member, once per word."""
+        return member if isinstance(member, cls) else cls((), _extend, member)
+
+    def __call__(self, word):
+        return self.member_from(self.start, word)
+
+    def member_from(self, state, word):
+        """Whether a prefix whose state is state, followed by word, is a
+        member."""
+        state = self.resume(state, word)
+        return state is not None and self.final(state)
+
+    def resume(self, state, word):
+        """The state after reading word from state; None once dead, and a
+        dead state stays dead."""
+        step = self.step
+        for symbol in word:
+            if state is None:
+                break
+            state = step(state, symbol)
+        return state
+
+    def answers(self, alphabet, max_len):
+        """The answers, as bools, on all_words(alphabet, max_len) in that
+        order. Each length's trie of states is walked depth first, holding
+        only the path to the current node as _path_verdicts does: one step
+        per node, one final test per word, and every word below a dead
+        state answered False without a step."""
+        alphabet = tuple(sorted(alphabet))
+        k = len(alphabet)
+        start, step, final = self.start, self.step, self.final
+        yield bool(final(start))
+        for length in range(1, max_len + 1):
+            # a frame: its symbols' iterator and its state
+            stack = [(iter(alphabet), start)]
+            while stack:
+                it, state = stack[-1]
+                depth = len(stack)  # of the children
+                for s in it:
+                    child = step(state, s)
+                    if child is None:
+                        yield from itertools.repeat(False, k ** (length - depth))
+                    elif depth < length:
+                        stack.append((iter(alphabet), child))
+                        break
+                    else:
+                        yield bool(final(child))
+                else:
+                    stack.pop()
+
+
 class _Level(NamedTuple):
     """One trie node of the language search: (state, register) -> (parent
     key, transition), or None for the root, and the keys in layers by
@@ -1064,15 +1137,22 @@ class EquivReport:
 
 def equiv_check(efa, oracle, alphabet, max_len, policy=default_policy, workers=1, name=""):
     """Exhaustively compare machine verdicts against a membership predicate.
-    workers is ignored, as in enumerate_words."""
+    A Fold gives its answers from one walk of each length's trie of its
+    states; any other predicate is asked once per word, in order. workers
+    is ignored, as in enumerate_words."""
     member = oracle.member if hasattr(oracle, "member") else oracle
     verdicts = _language_verdicts(efa, alphabet, max_len, policy)
+    if isinstance(member, Fold):
+        answers = member.answers(alphabet, max_len)
+    else:
+        answers = (bool(member(word)) for word in all_words(alphabet, max_len))
     accept, exhausted = Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED
     checked, mismatches, undecided = 0, [], []
-    # the oracle answers every word, an undecided one too
-    for word, verdict in zip(all_words(alphabet, max_len), verdicts, strict=True):
+    # the oracle answers every word, an undecided one too; zip takes each
+    # word's verdict before its answer, so a symbol foreign to the machine
+    # raises before the oracle is asked anything
+    for word, verdict, expected in zip(all_words(alphabet, max_len), verdicts, answers, strict=True):
         checked += 1
-        expected = bool(member(word))
         if verdict is exhausted:
             undecided.append(word)
         elif (verdict is accept) != expected:

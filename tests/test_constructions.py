@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,8 +21,9 @@ from gramata.algebra import (
 )
 from gramata.constructions import (
     CONSTRUCTIONS,
+    Fold,
     NamedOracle,
-    _blocks,
+    _block_fold,
     _ranks,
     build_anbncn,
     build_composite,
@@ -33,6 +36,7 @@ from gramata.constructions import (
     construction_budget,
     emit_corpus,
     oracle,
+    oracle_names,
     standard_generators,
     transform_qplus_to_sl2q,
     wp_oracle,
@@ -260,6 +264,123 @@ def test_wp_oracle_member_matches_a_mul_fold(spec):
         assert member(word) == expected, word
 
 
+# the per-word predicates that the oracles were before they became folds,
+# each reading its word from the first symbol: the reference for the folds;
+# the block languages split their words with _scan_blocks below
+
+
+def _ref_is_power_of_two(n):
+    return n >= 1 and n & (n - 1) == 0
+
+
+def _ref_mult(word):
+    counts = _scan_blocks(word, ("x", "y", "z"))
+    return counts is not None and counts[2] == counts[0] * counts[1]
+
+
+def _ref_composite(word):
+    n = len(word)
+    if any(s != "x" for s in word) or n < 4:
+        return False
+    return any(n % d == 0 for d in range(2, math.isqrt(n) + 1))
+
+
+def _ref_multiple(word):
+    counts = _scan_blocks(word, ("x", "y"))
+    if counts is None:
+        return False
+    p, m = counts
+    return m == 0 if p == 0 else m % p == 0
+
+
+def _ref_multiple_pos(word):
+    counts = _scan_blocks(word, ("x", "y"))
+    return counts is not None and counts[0] >= 1 and counts[1] % counts[0] == 0
+
+
+def _ref_anbncn(word):
+    counts = _scan_blocks(word, ("a", "b", "c"))
+    return counts is not None and counts[0] == counts[1] == counts[2]
+
+
+def _ref_anbn_star(word):
+    # unique greedy decomposition into a^k b^k blocks, k >= 1
+    i, n = 0, len(word)
+    while i < n:
+        k = 0
+        while i < n and word[i] == "a":
+            i += 1
+            k += 1
+        if k == 0:
+            return False
+        for _ in range(k):
+            if i >= n or word[i] != "b":
+                return False
+            i += 1
+    return True
+
+
+def _ref_wp(name):
+    """The word problem by folding the public mul from the identity."""
+    group = parse_group_compact(name[3:])
+    table = {}
+    for gen, g in standard_generators(group):
+        table[gen], table[gen + "^-1"] = g, group.inverse(g)
+
+    def member(word):
+        value = group.identity()
+        for sym in word:
+            if sym not in table:
+                return False
+            value = group.mul(value, table[sym])
+        return group.is_identity(value)
+
+    return member
+
+
+_REFERENCE_ORACLES = {
+    "UPOW": lambda w: all(s == "a" for s in w) and _ref_is_power_of_two(len(w)),
+    "ODDPOW": lambda w: all(s == "a" for s in w)
+    and _ref_is_power_of_two(len(w))
+    and (len(w).bit_length() - 1) % 2 == 1,
+    "MULT": _ref_mult,
+    "COMPOSITE": _ref_composite,
+    "MULTIPLE": _ref_multiple,
+    "MULTIPLE-POS": _ref_multiple_pos,
+    "ANBNCN": _ref_anbncn,
+    "ANBN-STAR": _ref_anbn_star,
+}
+# the corpus's word-problem oracles, and two groups beyond them
+_WP_ORACLES = sorted(
+    {spec.oracle_name for spec in CONSTRUCTIONS.values() if (spec.oracle_name or "").startswith("WP:")}
+    | {"WP:zk:2", "WP:prod(free:1,zk:1)"}
+)
+
+
+def test_every_shipped_oracle_has_a_reference():
+    assert sorted(_REFERENCE_ORACLES) == [n for n in oracle_names() if not n.startswith("WP:")]
+    assert {"WP:zk:1", "WP:free:2", "WP:heis"} <= set(_WP_ORACLES)
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_ORACLES) + _WP_ORACLES)
+def test_fold_oracle_matches_its_per_word_predicate(name):
+    language = oracle(name)
+    member = language.member
+    assert isinstance(member, Fold)
+    reference = _REFERENCE_ORACLES[name] if name in _REFERENCE_ORACLES else _ref_wp(name)
+    k = len(language.alphabet)
+    max_len = {1: 12, 2: 9, 3: 6, 4: 5}.get(k, 4)
+    # the alphabet, one foreign symbol more, and an unsorted alphabet that
+    # repeats a symbol, whose words come in all_words order, repeats too
+    unsorted = tuple(reversed(language.alphabet)) + (language.alphabet[0],)
+    for alphabet, n in [(language.alphabet, max_len), (language.alphabet + ("w",), max_len - 1), (unsorted, 3)]:
+        words = list(all_words(alphabet, n))
+        expected = [reference(w) for w in words]
+        assert list(member.answers(alphabet, n)) == expected, alphabet
+        assert [member(w) for w in words] == expected, alphabet
+        assert [language(w) for w in words] == expected, alphabet
+
+
 def test_unknown_oracle():
     with pytest.raises(UnknownOracle):
         oracle("NOPE")
@@ -275,7 +396,7 @@ def test_standard_generators():
 
 def _scan_blocks(word, order):
     """The block split by a forward scan of order for every symbol: the
-    reference for _blocks' rank table."""
+    reference for _block_step's rank table."""
     counts = [0] * len(order)
     i = 0
     for sym in word:
@@ -289,11 +410,12 @@ def _scan_blocks(word, order):
 
 @pytest.mark.parametrize("order", [("x", "y", "z"), ("x", "y"), ("a", "b", "c")])
 def test_blocks_rank_table_matches_the_scan(order):
-    ranks = _ranks(order)
+    fold = _block_fold(_ranks(order), None)
     symbols = order + ("w",)  # one foreign symbol
     for n in range(8):
         for word in itertools.product(symbols, repeat=n):
-            assert _blocks(word, ranks) == _scan_blocks(word, order), word
+            state = fold.resume(fold.start, word)
+            assert (None if state is None else list(state[1])) == _scan_blocks(word, order), word
 
 
 def _per_word_report(machine, member, alphabet, max_len, policy):
@@ -326,6 +448,28 @@ def test_equiv_check_asks_the_oracle_once_per_word_in_order(depth):
     want = _per_word_report(machine, mult, alphabet, 5, policy)
     assert (report.checked, report.mismatches, report.budget_exhausted) == want
     assert report.budget_exhausted and (report.mismatches or depth == 1)
+
+
+@pytest.mark.parametrize(
+    "name, oracle_name, depth",
+    [("mult", "MULTIPLE", None), ("multiple", "MULTIPLE-POS", None), ("mult", "MULT", 2), ("anbncn", "ANBNCN", 3)],
+)
+def test_equiv_check_with_a_fold_oracle_matches_the_per_word_report(name, oracle_name, depth):
+    # depth None is the shipped policy; a constant depth leaves words undecided
+    spec, language = CONSTRUCTIONS[name], oracle(oracle_name)
+    machine, policy = spec.build(), spec.budget if depth is None else constant_policy(depth)
+    alphabet = machine.alphabet
+    report = equiv_check(machine, language, alphabet, 5, policy)
+    want = _per_word_report(machine, _REFERENCE_ORACLES[oracle_name], alphabet, 5, policy)
+    assert (report.checked, report.mismatches, report.budget_exhausted) == want
+    assert report.mismatches if depth is None else report.budget_exhausted
+
+
+def test_equiv_check_reports_a_replaced_member():
+    wrong = dataclasses.replace(oracle("MULT"), member=lambda word: True)
+    report = equiv_check(build_mult(), wrong, ("x", "y", "z"), 4, construction_budget("mult"))
+    assert report.mismatches and not report.passed
+    assert all(expected is True and verdict is not Verdict.ACCEPT for _, expected, verdict in report.mismatches)
 
 
 # --- corpus ------------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from gramata.simulate import (
     DISTANCE_LEVELS,
     BudgetPolicy,
     Configuration,
+    Fold,
     SearchStats,
     Verdict,
     _distances_to_accept,
@@ -763,6 +764,17 @@ def test_shared_search_unknown_symbol_before_any_oracle_call():
     with pytest.raises(UnknownSymbol):
         equiv_check(build_mult(), member, ("x", "y", "w"), 3, construction_budget("mult"))
     assert calls == []
+    # nor does a Fold oracle take a step or a final test
+    mult = oracle("MULT").member
+    steps = []
+    fold = Fold(
+        mult.start,
+        lambda state, sym: steps.append(sym) or mult.step(state, sym),
+        lambda state: steps.append(state) or mult.final(state),
+    )
+    with pytest.raises(UnknownSymbol):
+        equiv_check(build_mult(), fold, ("x", "y", "w"), 3, construction_budget("mult"))
+    assert steps == []
     # the empty word alone needs no symbol
     assert equiv_check(build_mult(), member, ("w",), 0, construction_budget("mult")).checked == 1
 
