@@ -269,8 +269,9 @@ def wp_oracle(group, gens, name=None):
 # --- arithmetic language oracles ----------------------------------------------
 #
 # Each oracle is a Fold. A unary language's state is the number of letters
-# read; a block language's is the rank of the last symbol and the counts
-# of the blocks, and it dies at the first symbol out of order.
+# read; a block language's is the rank of the current block, the counts of
+# the blocks before it and the current block's count, and it dies at the
+# first symbol out of order.
 
 
 def _unary_step(letter, n, sym):
@@ -278,25 +279,37 @@ def _unary_step(letter, n, sym):
 
 
 def _ranks(order):
-    """Each symbol's position in a block order, the table _block_step reads."""
+    """Each symbol's position in a block order, the table a block fold reads."""
     return {sym: i for i, sym in enumerate(order)}
 
 
 _XYZ, _XY, _ABC = _ranks(("x", "y", "z")), _ranks(("x", "y")), _ranks(("a", "b", "c"))
 
 
-def _block_step(ranks, state, sym):
-    """The block state (rank, counts) one symbol further; None if the symbol
-    is foreign or ranks below its predecessor."""
-    i, counts = state
-    r = ranks.get(sym, -1)
-    if r < i:
-        return None
-    return r, counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
+def _block_counts(size, state):
+    """Every block's count in a block state of size blocks."""
+    i, closed, n = state
+    return closed + (n,) + (0,) * (size - i - 1)
 
 
 def _block_fold(ranks, final):
-    return Fold((0, (0,) * len(ranks)), partial(_block_step, ranks), final)
+    """The Fold of a block language whose final(*counts) decides a word. Its
+    state is (rank, closed counts, count): within a block a symbol only
+    adds one to the count, and a later block closes the ones it skips; a
+    foreign symbol or one ranked below the current block kills it."""
+    rank = ranks.get
+    size = len(ranks)
+
+    def step(state, sym):
+        i, closed, n = state
+        r = rank(sym, -1)
+        if r == i:
+            return i, closed, n + 1
+        if r < i:
+            return None
+        return r, closed + (n,) + (0,) * (r - i - 1), 1
+
+    return Fold((0, (), 0), step, lambda state: final(*_block_counts(size, state)))
 
 
 def _is_power_of_two(n):
@@ -311,25 +324,21 @@ def _is_composite(n):
     return n >= 4 and any(n % d == 0 for d in range(2, math.isqrt(n) + 1))
 
 
-def _mult_final(state):
-    p, q, r = state[1]
+def _mult_final(p, q, r):
     return r == p * q
 
 
-def _multiple_final(state):
-    p, m = state[1]
+def _multiple_final(p, m):
     if p == 0:
         return m == 0
     return m % p == 0
 
 
-def _multiple_pos_final(state):
-    p, m = state[1]
+def _multiple_pos_final(p, m):
     return p >= 1 and m % p == 0
 
 
-def _anbncn_final(state):
-    a, b, c = state[1]
+def _anbncn_final(a, b, c):
     return a == b == c
 
 

@@ -700,7 +700,14 @@ class Fold:
         return member if isinstance(member, cls) else cls((), _extend, member)
 
     def __call__(self, word):
-        return self.member_from(self.start, word)
+        """Whether word is a member, in one loop: callers that ask word by
+        word pay one step call per symbol and nothing more."""
+        state, step = self.start, self.step
+        for symbol in word:
+            state = step(state, symbol)
+            if state is None:
+                return False
+        return self.final(state)
 
     def member_from(self, state, word):
         """Whether a prefix whose state is state, followed by word, is a
@@ -1137,15 +1144,13 @@ class EquivReport:
 
 def equiv_check(efa, oracle, alphabet, max_len, policy=default_policy, workers=1, name=""):
     """Exhaustively compare machine verdicts against a membership predicate.
-    A Fold gives its answers from one walk of each length's trie of its
-    states; any other predicate is asked once per word, in order. workers
-    is ignored, as in enumerate_words."""
+    The answers come from one walk of each length's trie of the predicate's
+    fold states (Fold.answers); a predicate that is not a Fold is lifted to
+    one, so it is asked once per word, in order. workers is ignored, as in
+    enumerate_words."""
     member = oracle.member if hasattr(oracle, "member") else oracle
     verdicts = _language_verdicts(efa, alphabet, max_len, policy)
-    if isinstance(member, Fold):
-        answers = member.answers(alphabet, max_len)
-    else:
-        answers = (bool(member(word)) for word in all_words(alphabet, max_len))
+    answers = Fold.lift(member).answers(alphabet, max_len)
     accept, exhausted = Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED
     checked, mismatches, undecided = 0, [], []
     # the oracle answers every word, an undecided one too; zip takes each

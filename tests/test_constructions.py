@@ -23,6 +23,7 @@ from gramata.constructions import (
     CONSTRUCTIONS,
     Fold,
     NamedOracle,
+    _block_counts,
     _block_fold,
     _ranks,
     build_anbncn,
@@ -396,7 +397,7 @@ def test_standard_generators():
 
 def _scan_blocks(word, order):
     """The block split by a forward scan of order for every symbol: the
-    reference for _block_step's rank table."""
+    reference for the block folds' states."""
     counts = [0] * len(order)
     i = 0
     for sym in word:
@@ -415,7 +416,8 @@ def test_blocks_rank_table_matches_the_scan(order):
     for n in range(8):
         for word in itertools.product(symbols, repeat=n):
             state = fold.resume(fold.start, word)
-            assert (None if state is None else list(state[1])) == _scan_blocks(word, order), word
+            counts = None if state is None else list(_block_counts(len(order), state))
+            assert counts == _scan_blocks(word, order), word
 
 
 def _per_word_report(machine, member, alphabet, max_len, policy):
