@@ -37,7 +37,6 @@ from .algebra import (
 from .errors import GramataError
 from .model import EFA, EPSILON, Transition, load_efa, parse_efa, save_efa, serialize_efa, validate
 from .simulate import (
-    Configuration,
     RunResult,
     Verdict,
     accepts,
@@ -45,7 +44,6 @@ from .simulate import (
     enumerate_words,
     equiv_check,
     reachable_register_count,
-    step,
 )
 
 __version__ = "0.1.0"

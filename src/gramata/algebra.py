@@ -486,8 +486,7 @@ class Group:
         for the searches. It may return another representation of the
         product than mul, equal and with the same hash, which every
         operation of the group accepts but check() need not."""
-        mul = self.mul
-        return lambda g: mul(g, h)
+        raise NotImplementedError
 
     def inverse(self, g):
         """The inverse of a checked element."""
@@ -819,12 +818,10 @@ def _split_outside_parens(text, sep):
     """text split in two at the first sep outside parentheses, or None."""
     depth = 0
     for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
+        # the separator is tested first, so sep may be the closing ")"
+        if ch == sep and depth == 0:
             return text[:i], text[i + 1 :]
+        depth += (ch == "(") - (ch == ")")
     return None
 
 
@@ -886,12 +883,10 @@ def _parse_paren_spec(text):
     after them."""
     if not text.startswith("("):
         raise GramataError(f"expected '(' in group spec near {text!r}")
-    depth = 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if depth == 0:
-            return parse_group_spec(text[1:i]), text[i + 1 :]
-    raise GramataError("unbalanced parentheses in group spec")
+    halves = _split_outside_parens(text[1:], ")")
+    if halves is None:
+        raise GramataError("unbalanced parentheses in group spec")
+    return parse_group_spec(halves[0]), halves[1]
 
 
 def parse_group_compact(text):

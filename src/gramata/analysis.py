@@ -14,8 +14,9 @@ the dissimilarity graph on small instances.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import algebra
@@ -175,35 +176,21 @@ def dissimilarity_lower_bound(group, gens, n):
     words = ball_with_words(group, gens, half)
     witnesses = sorted(words.values(), key=lambda w: (len(w), w))
     fold = Fold.lift(wp_oracle(group, _named_gens(gens)).member)
-    member = fold.member_from
-    # each witness is folded once; a pair continues w2's state with v
-    states = [fold.resume(fold.start, w) for w in witnesses]
+    resume, final = fold.resume, fold.final
+    # each witness is folded once; a pair continues w2's state with v. Both
+    # are words over the oracle's own symbols, so no state dies
+    states = [resume(fold.start, w) for w in witnesses]
 
-    # each w1 and its distinguisher are verified once, before its first pair
+    # each w1 and its distinguisher are verified once, before its first pair;
+    # a witness has at most n // 2 symbols, so w + v is never longer than n
     for i, w1 in enumerate(witnesses[:-1]):
         v = _invert_word(w1)
-        if len(w1) + len(v) > n:
-            raise GramataError("witness verification: distinguisher too long")
-        if not member(states[i], v):
+        if not final(resume(states[i], v)):
             raise GramataError(f"witness verification failed for {w1!r} vs {witnesses[i + 1]!r}")
         for w2, state in zip(witnesses[i + 1 :], states[i + 1 :]):
-            if len(w2) + len(v) > n:
-                raise GramataError("witness verification: distinguisher too long")
-            if member(state, v):
+            if final(resume(state, v)):
                 raise GramataError(f"witness verification failed for {w1!r} vs {w2!r}")
     return DissimilarityReport(n=n, lower_bound=len(witnesses), witnesses=witnesses)
-
-
-def _dissimilar(fold, alphabet, budget, s1, s2):
-    """Whether some suffix v of at most budget symbols puts exactly one of
-    two words into the language, from their fold states s1 and s2. A lifted
-    member is asked member(w1 + v), then member(w2 + v), for each v up to
-    the first difference."""
-    member = fold.member_from
-    for v in all_words(alphabet, budget):
-        if member(s1, v) != member(s2, v):
-            return True
-    return False
 
 
 def _pair_work(k, n):
@@ -222,6 +209,36 @@ def _pair_work(k, n):
 DISSIMILARITY_GUARD = 10**6  # the most pair x suffix comparisons of one graph
 
 
+def _dissimilarity_graph(member, alphabet, n):
+    """The words of length <= n over the sorted alphabet, in all_words order,
+    and for each word the bitmask of the words that some suffix keeping both
+    within n symbols separates it from. Each word is folded once, and its
+    answers on every suffix it may take come from one Fold.answers walk
+    rooted at its state; a dead state answers False throughout."""
+    words = list(all_words(alphabet, n))
+    # upto[b]: the suffixes of at most b symbols, a prefix of all_words' order
+    upto = list(itertools.accumulate(len(alphabet) ** b for b in range(n + 1)))
+    fold = Fold.lift(member)
+    answers = []
+    for w in words:
+        state = fold.resume(fold.start, w)
+        budget = n - len(w)
+        if state is None:
+            answers.append((False,) * upto[budget])
+        else:
+            answers.append(tuple(replace(fold, start=state).answers(alphabet, budget)))
+    adj = [0] * len(words)
+    # words come shortest first, so the later word of a pair is the longer
+    # one, and its answers are exactly the suffixes that the pair may take
+    for j, mine in enumerate(answers):
+        width = len(mine)
+        for i in range(j):
+            if answers[i][:width] != mine:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return words, adj
+
+
 def dissimilarity_exact(oracle, alphabet, n):
     """Exact maximum pairwise-dissimilar family via branch-and-bound clique
     search on the dissimilarity graph over words of length <= n, refused
@@ -230,17 +247,8 @@ def dissimilarity_exact(oracle, alphabet, n):
     work = _pair_work(len(alphabet), n)
     if work > DISSIMILARITY_GUARD:
         raise InstanceTooLarge(f"{work} pair x suffix comparisons exceed the guard {DISSIMILARITY_GUARD}")
-    words = list(all_words(alphabet, n))
-    # each word is folded once; a pair continues both states with each suffix
-    fold = Fold.lift(oracle.member)
-    states = [fold.resume(fold.start, w) for w in words]
+    words, adj = _dissimilarity_graph(oracle.member, alphabet, n)
     m = len(words)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _dissimilar(fold, alphabet, n - max(len(words[i]), len(words[j])), states[i], states[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
 
     # greedy seed, highest degree first
     order = sorted(range(m), key=lambda i: -adj[i].bit_count())

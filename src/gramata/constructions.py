@@ -180,21 +180,28 @@ def build_anbncn():
     return EFA(group, ["n0", "n1", "n2"], ["a", "b", "c"], ts, "n0", ["n2"])
 
 
+def _word_problem_symbols(group, gens):
+    """The word problem's alphabet: each named generator's symbol and its
+    inverse's, in order, mapped to their checked elements. Two symbols that
+    coincide are refused."""
+    pairs = []
+    for name, elem in gens:
+        group.check(elem)
+        pairs += [(name, elem), (name + "^-1", group.inverse(elem))]
+    table = dict(pairs)
+    if len(table) != len(pairs):
+        raise GramataError("generator names collide")
+    return table
+
+
 def build_word_problem_acceptor(group, gens):
     """Single-state acceptor of the word problem: one loop per named
     generator and one per its inverse."""
     if not gens:
         raise GramataError("word-problem acceptor needs at least one generator")
-    ts = []
-    alphabet = []
-    for name, elem in gens:
-        group.check(elem)
-        ts.append(Transition("w0", name, "w0", elem))
-        ts.append(Transition("w0", name + "^-1", "w0", group.inverse(elem)))
-        alphabet.extend([name, name + "^-1"])
-    if len(set(alphabet)) != len(alphabet):
-        raise GramataError("generator names collide")
-    return EFA(group, ["w0"], alphabet, ts, "w0", ["w0"])
+    table = _word_problem_symbols(group, gens)
+    ts = [Transition("w0", sym, "w0", elem) for sym, elem in table.items()]
+    return EFA(group, ["w0"], list(table), ts, "w0", ["w0"])
 
 
 def build_qplus_eqcount():
@@ -250,11 +257,7 @@ def wp_oracle(group, gens, name=None):
     group element read so far, each symbol steps by its generator's compiled
     right action, as in the searches, and a member ends at the identity. A
     foreign symbol makes the word a non-member."""
-    table = {}
-    for gen_name, elem in gens:
-        group.check(elem)
-        table[gen_name] = group.right_mul(elem)
-        table[gen_name + "^-1"] = group.right_mul(group.inverse(elem))
+    table = {sym: group.right_mul(elem) for sym, elem in _word_problem_symbols(group, gens).items()}
     alphabet = tuple(sorted(table))
     action = table.get
 

@@ -179,12 +179,6 @@ class Verdict(str, Enum):
         return self.value
 
 
-class Configuration(NamedTuple):
-    state: str
-    position: int
-    register: object
-
-
 @dataclass
 class SearchStats:
     expanded: int = 0
@@ -402,15 +396,6 @@ def _unaccepted_verdict(d_min, budget):
     if d_min is not None and d_min > budget:
         return Verdict.BUDGET_EXHAUSTED
     return Verdict.REJECT
-
-
-def step(efa, config, word):
-    """All one-transition successors of a configuration on the given word."""
-    q, pos, reg = config
-    # a symbol outside the alphabet leaves only the epsilon moves
-    moves = efa.moves.get((q, word[pos] if pos < len(word) else None), efa.moves[(q, None)])
-    mul = efa.group.mul
-    return {Configuration(target, pos + adv, reg if r is None else mul(reg, t.register)) for target, adv, r, t in moves}
 
 
 def accepts(efa, word, policy=default_policy, *, dedup=True):
@@ -666,9 +651,6 @@ class EnumerationResult:
     words: list
     budget_exhausted: list
 
-    def __iter__(self):
-        return iter(self.words)
-
 
 def all_words(alphabet, max_len):
     alphabet = tuple(sorted(alphabet))
@@ -708,12 +690,6 @@ class Fold:
             if state is None:
                 return False
         return self.final(state)
-
-    def member_from(self, state, word):
-        """Whether a prefix whose state is state, followed by word, is a
-        member."""
-        state = self.resume(state, word)
-        return state is not None and self.final(state)
 
     def resume(self, state, word):
         """The state after reading word from state; None once dead, and a

@@ -165,6 +165,36 @@ def test_element_group_mismatch():
         DirectProduct(FreeGroup(2), FreeAbelian(1)).check((Word(), Heis(0, 0, 0)))
 
 
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda: Word(((0, 2),)), GramataError, "letter sign must be"),
+        (lambda: Word(((0, 0),)), GramataError, "letter sign must be"),
+        (lambda: FreeGroup(2).check(Word.generator(2)), ElementGroupMismatch, r"in range\(2\)"),
+        (lambda: PositiveRationals().check(2), ElementGroupMismatch, "expected a Fraction"),
+        (lambda: MatrixGroup(2, "Q").check(Matrix(((1, 2), (2, 4)))), DeterminantConstraint, "invertible"),
+        (lambda: sanov_embed(Word.generator(2)), ElementGroupMismatch, "rank-2 words"),
+        (lambda: pair_embed(Matrix.identity(2), Matrix.identity(3)), ElementGroupMismatch, "2x2 matrices"),
+        (lambda: bs_word_to_matrix(["a", "c"]), GramataError, "bad BS"),
+        (lambda: bs_word_to_matrix(["b^2"]), GramataError, "bad BS"),
+    ],
+    ids=[
+        "word-sign-2",
+        "word-sign-0",
+        "free-index-past-rank",
+        "qplus-not-a-fraction",
+        "singular-matrix-q",
+        "sanov-rank-3",
+        "pair-3x3",
+        "bs-unknown-name",
+        "bs-bad-exponent",
+    ],
+)
+def test_elements_outside_their_domain_are_refused(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()
+
+
 @pytest.mark.parametrize("entry", [0.1, 1.0, "1/2", Decimal("0.5"), None], ids=repr)
 def test_matrix_rejects_non_exact_entries(entry):
     # a float would be silently held as its binary expansion

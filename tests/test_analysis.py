@@ -19,7 +19,6 @@ from gramata.algebra import (
 from gramata import analysis
 from gramata.analysis import (
     _invert_word,
-    _pair_work,
     ball_with_words,
     dissimilarity_exact,
     dissimilarity_lower_bound,
@@ -28,7 +27,7 @@ from gramata.analysis import (
     lemma_growth_check,
     theorem_growth_probe,
 )
-from gramata.constructions import CONSTRUCTIONS, NamedOracle, oracle, standard_generators, wp_oracle
+from gramata.constructions import CONSTRUCTIONS, NamedOracle, oracle, oracle_names, standard_generators, wp_oracle
 from gramata.errors import GramataError, InstanceTooLarge, MemoryGuard
 from gramata.model import EFA, Transition
 from gramata.simulate import all_words
@@ -382,7 +381,9 @@ def test_dissimilarity_exact_guard_bounds_pair_work():
 
 
 def test_pair_work_is_the_comparisons_of_a_language_without_dissimilar_pairs():
-    # an empty language: every pair tries every suffix, two calls each
+    # an empty language: every pair compares its answers on every suffix
+    # (_pair_work of them), but each word asks each suffix it may take once,
+    # sum over l of 2^l words times 2^(5 - l) - 1 suffixes
     calls = []
 
     def nothing(word):
@@ -391,7 +392,48 @@ def test_pair_work_is_the_comparisons_of_a_language_without_dissimilar_pairs():
 
     report = dissimilarity_exact(NamedOracle("empty", ("x", "y"), nothing), ("x", "y"), 4)
     assert report.exact == 1
-    assert len(calls) == 2 * _pair_work(2, 4)
+    assert len(calls) == 129
+    assert calls == [w + v for w in all_words(("x", "y"), 4) for v in all_words(("x", "y"), 4 - len(w))]
+
+
+def _reference_graph(member, alphabet, n):
+    """The dissimilarity graph asked pair by pair and suffix by suffix: two
+    words are joined when some v of at most n - max(|w1|, |w2|) symbols puts
+    exactly one of w1 + v and w2 + v into the language."""
+    words = list(all_words(alphabet, n))
+    adj = [0] * len(words)
+    for i, j in itertools.combinations(range(len(words)), 2):
+        budget = n - max(len(words[i]), len(words[j]))
+        if any(member(words[i] + v) != member(words[j] + v) for v in all_words(alphabet, budget)):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return words, adj
+
+
+def _balanced(word):
+    return word.count("x") == word.count("y")
+
+
+# the longest length of each alphabet size whose reference graph is quick
+_GRAPH_LENGTHS = {1: 9, 2: 6, 3: 4, 4: 3, 6: 2}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in oracle_names() if not n.startswith("WP:")] + ["WP:free:2", "WP:heis", "WP:zk:1", "balanced"]
+)
+def test_dissimilarity_graph_matches_the_per_pair_per_suffix_loop(name, monkeypatch):
+    # each word's answers come from one fold walk rooted at its state; the
+    # reference asks the oracle for every pair and suffix from scratch, and
+    # the same clique search on its graph picks the same witnesses
+    orc = NamedOracle("balanced", ("x", "y"), _balanced) if name == "balanced" else oracle(name)
+    alphabet = tuple(sorted(orc.alphabet))
+    for n in range(_GRAPH_LENGTHS[len(alphabet)] + 1):
+        want = _reference_graph(orc.member, alphabet, n)
+        assert analysis._dissimilarity_graph(orc.member, alphabet, n) == want, n
+        report = dissimilarity_exact(orc, alphabet, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_dissimilarity_graph", lambda *args: want)
+            assert dissimilarity_exact(orc, alphabet, n) == report, n
 
 
 def test_witness_set_verified_pairwise_by_oracle_only():
@@ -479,6 +521,11 @@ def test_probe_identity_machine_constant_column():
     machine = EFA(group, ["q"], ["a"], [Transition("q", "a", "q", (0,))], "q", ["q"])
     report = theorem_growth_probe(machine, range(2, 9))
     assert all(row.configurations == 1 for row in report.rows)
+
+
+def test_probe_needs_a_length():
+    with pytest.raises(GramataError, match="at least one length"):
+        theorem_growth_probe(CONSTRUCTIONS["wp-heis"].build(), [])
 
 
 def test_probe_f2_has_no_crossing():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gramata.analysis import growth
 from gramata.algebra import FreeGroup
-from gramata import cli
+from gramata import cli, experiments
 from gramata.cli import main
 from gramata.constructions import standard_generators
 
@@ -107,6 +107,19 @@ def test_check_unknown_oracle(upow_file, capsys):
     assert "unknown oracle" in capsys.readouterr().err
 
 
+def test_enum_under_a_short_budget_warns_and_exits_2(corpus_dir, capsys):
+    assert main(["enum", str(corpus_dir / "wp-f2.efa"), "--max-len", "4", "--budget", "3"]) == 2
+    assert capsys.readouterr().err == "warning: 256 undecided words\n"
+
+
+def test_check_under_a_short_budget_exits_2(corpus_dir, capsys):
+    path = str(corpus_dir / "wp-f2.efa")
+    assert main(["check", path, "--oracle", "WP:free:2", "--max-len", "4", "--budget", "3"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"machine {path} vs oracle WP:free:2: 341 words up to length 4: 0 mismatches, 256 undecided"
+    assert len(lines) == 1 + 256 and all(line.startswith("undecided\t") for line in lines[1:])
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.efa"
     bad.write_text("group matrix-Q 2 det=1\nstates q0\n")
@@ -163,6 +176,14 @@ def test_growth_custom_gens(capsys):
     assert capsys.readouterr().out.strip() == "1\t5\t17"
 
 
+@pytest.mark.parametrize(
+    "gens, message", [("a", "the form name=element"), (";", "empty generator list")], ids=["no-element", "no-generator"]
+)
+def test_growth_malformed_gens_exit_3(gens, message, capsys):
+    assert main(["growth", "--group", "zk:1", "--gens", gens, "--radius", "1"]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_dissim_json(capsys):
     assert main(["dissim", "--oracle", "UPOW", "--max-len", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -183,6 +204,27 @@ def test_paper_single_experiment(capsys):
     assert main(["paper", "--experiment", "upow-equiv-16"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS  upow-equiv-16")
+
+
+def test_paper_all_runs_the_registry_by_criterion_then_id(monkeypatch, capsys):
+    registry = [
+        experiments.Experiment("b", 2, "second by id", lambda: (True, [])),
+        experiments.Experiment("z", 1, "first by criterion", lambda: (True, [])),
+        experiments.Experiment("a", 2, "first by id", lambda: (False, ["why"])),
+    ]
+    monkeypatch.setattr(experiments, "EXPERIMENTS", {e.experiment_id: e for e in registry})
+    assert main(["paper", "--all", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(r["id"], r["criterion"], r["passed"]) for r in payload["results"]] == [
+        ("z", 1, True),
+        ("a", 2, False),
+        ("b", 2, True),
+    ]
+    assert payload["all_passed"] is False
+    assert main(["paper", "--all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:4]] == [["PASS", "z"], ["FAIL", "a"], ["why"], ["PASS", "b"]]
+    assert lines[-1] == "2/3 criteria passed"
 
 
 def test_paper_unknown_experiment(capsys):

@@ -186,6 +186,19 @@ def test_wp_acceptor_needs_generators():
         build_word_problem_acceptor(FreeAbelian(1), [])
 
 
+@pytest.mark.parametrize(
+    "names", [("a", "a^-1"), ("a", "a")], ids=["name-is-an-inverse-symbol", "repeated-name"]
+)
+@pytest.mark.parametrize("build", [wp_oracle, build_word_problem_acceptor])
+def test_word_problem_symbols_refuse_colliding_names(build, names):
+    # one symbol may not read two elements: an oracle that kept the last
+    # one would read a a^-1 as g0 g1, a non-member
+    group = FreeGroup(2)
+    gens = [(names[0], Word.generator(0)), (names[1], Word.generator(1))]
+    with pytest.raises(GramataError, match="generator names collide"):
+        build(group, gens)
+
+
 # --- embedding transform --------------------------------------------------------------
 
 

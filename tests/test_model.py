@@ -67,6 +67,13 @@ def test_parse_syntax_error_reports_line():
     assert err.value.line == 7
 
 
+def test_transitions_before_the_group_are_refused():
+    text = "states q\ninitial q\naccepting q\nalphabet a\ntransitions\n  q a q [0]\ngroup free-abelian 1\n"
+    with pytest.raises(EfaParseError, match="transitions before group declaration") as err:
+        parse_efa(text)
+    assert err.value.line == 6
+
+
 def test_parse_missing_section():
     with pytest.raises(EfaParseError) as err:
         parse_efa("group heisenberg\nstates q0\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramata.algebra import FreeAbelian, FreeGroup, Matrix, Word
+from gramata.algebra import FreeAbelian, FreeGroup, Word
 from gramata.analysis import ball_with_words, growth
 from gramata.constructions import CONSTRUCTIONS, build_mult, build_upow, construction_budget, oracle
 from gramata.errors import GramataError, MemoryGuard, UnknownSymbol
@@ -15,7 +15,6 @@ from gramata.model import EFA, Transition
 from gramata.simulate import (
     DISTANCE_LEVELS,
     BudgetPolicy,
-    Configuration,
     Fold,
     SearchStats,
     Verdict,
@@ -34,7 +33,6 @@ from gramata.simulate import (
     format_word,
     gc_paused,
     reachable_register_count,
-    step,
     tokenize_word,
 )
 
@@ -45,32 +43,6 @@ def identity_loop_machine():
     group = FreeAbelian(1)
     t = Transition("q", "a", "q", (0,))
     return EFA(group, ["q"], ["a"], [t], "q", ["q"])
-
-
-# --- step ---------------------------------------------------------------------
-
-
-def test_step_identity_loop():
-    m = identity_loop_machine()
-    config = Configuration("q", 0, (0,))
-    assert step(m, config, ("a",)) == {Configuration("q", 1, (0,))}
-
-
-def test_step_upow_initial():
-    m = build_upow()
-    config = Configuration("q0", 0, m.group.identity())
-    successors = step(m, config, ("a", "a"))
-    a1 = Matrix(((2, 0), (1, 1)))
-    assert successors == {
-        Configuration("q0", 0, a1),
-        Configuration("q1", 1, Matrix.identity(2)),
-    }
-
-
-def test_step_no_moves():
-    m = identity_loop_machine()
-    # input exhausted and no epsilon moves
-    assert step(m, Configuration("q", 1, (0,)), ("a",)) == set()
 
 
 # --- accepts -------------------------------------------------------------------
@@ -177,6 +149,18 @@ def test_enumerate_upow():
     result = enumerate_words(build_upow(), 9, UPOW_BUDGET)
     assert [format_word(w) for w in result.words] == ["a", "aa", "aaaa", "aaaaaaaa"]
     assert result.budget_exhausted == []
+
+
+def test_a_short_budget_leaves_every_word_of_the_length_undecided():
+    # a wp-f2 path reads each symbol in one move, so a budget of 3 decides
+    # every word of length <= 3 and none of the 256 words of length 4
+    machine = CONSTRUCTIONS["wp-f2"].build()
+    policy = constant_policy(3)
+    result = enumerate_words(machine, 4, policy)
+    assert result.budget_exhausted == [w for w in all_words(machine.alphabet, 4) if len(w) == 4]
+    report = equiv_check(machine, oracle("WP:free:2"), machine.alphabet, 4, policy, name="wp-f2")
+    assert report.lines()[0] == "machine wp-f2 vs oracle WP:free:2: 341 words up to length 4: 0 mismatches, 256 undecided"
+    assert report.lines()[1:] == [f"undecided\t{format_word(w)}" for w in result.budget_exhausted]
 
 
 def test_enumerate_oddpow():
@@ -496,7 +480,6 @@ def test_identity_registers_cost_no_product(monkeypatch):
     # two letters: the prefix-shared language search
     assert enumerate_words(machine, 3).words == list(all_words(("a", "b"), 3))
     assert reachable_register_count(machine, 3) == [1] * 4
-    assert step(machine, Configuration("q", 0, (0,)), ("a",)) == {Configuration("q", 1, (0,))}
     assert calls == []
 
 
