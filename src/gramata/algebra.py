@@ -580,9 +580,6 @@ class FreeAbelian(Group):
 
     def right_mul(self, h):
         # a tuple display is about 3.5x faster per product than the map
-        if self.k == 1:
-            (h0,) = h
-            return lambda g: (g[0] + h0,)
         if self.k == 2:
             h0, h1 = h
             return lambda g: (g[0] + h0, g[1] + h1)

@@ -159,32 +159,25 @@ class DissimilarityReport:
         return out
 
 
-def _invert_symbol(sym):
-    return sym[:-3] if sym.endswith("^-1") else sym + "^-1"
-
-
-def _invert_word(word):
-    return tuple(_invert_symbol(s) for s in reversed(word))
-
-
 def dissimilarity_lower_bound(group, gens, n):
     """The constructive witness family: shortest representatives of all
     ball(n//2) elements are pairwise n-dissimilar, distinguished by the
-    inverse of one witness. Witnesses are re-verified through the
-    word-problem membership predicate alone."""
+    ball's word for the inverse of one witness. Witnesses are re-verified
+    through the word-problem membership predicate alone."""
     half = n // 2
     words = ball_with_words(group, gens, half)
-    witnesses = sorted(words.values(), key=lambda w: (len(w), w))
+    items = sorted(words.items(), key=lambda item: (len(item[1]), item[1]))
+    witnesses = [w for _, w in items]
     fold = Fold.lift(wp_oracle(group, _named_gens(gens)).member)
     resume, final = fold.resume, fold.final
-    # each witness is folded once; a pair continues w2's state with v. Both
-    # are words over the oracle's own symbols, so no state dies
+    # each witness is folded once; a pair continues w2's state with v. All
+    # three are words over the oracle's own symbols, so no state dies
     states = [resume(fold.start, w) for w in witnesses]
 
     # each w1 and its distinguisher are verified once, before its first pair;
-    # a witness has at most n // 2 symbols, so w + v is never longer than n
-    for i, w1 in enumerate(witnesses[:-1]):
-        v = _invert_word(w1)
+    # v, the symmetric ball's word for g1^-1, is no longer than w1
+    for i, (g1, w1) in enumerate(items[:-1]):
+        v = words[group.inverse(g1)]
         if not final(resume(states[i], v)):
             raise GramataError(f"witness verification failed for {w1!r} vs {witnesses[i + 1]!r}")
         for w2, state in zip(witnesses[i + 1 :], states[i + 1 :]):
@@ -248,12 +241,20 @@ def dissimilarity_exact(oracle, alphabet, n):
     if work > DISSIMILARITY_GUARD:
         raise InstanceTooLarge(f"{work} pair x suffix comparisons exceed the guard {DISSIMILARITY_GUARD}")
     words, adj = _dissimilarity_graph(oracle.member, alphabet, n)
-    m = len(words)
 
-    # greedy seed, highest degree first
-    order = sorted(range(m), key=lambda i: -adj[i].bit_count())
+    # words with equal masks are never joined, and either can stand in for
+    # the other in a clique: the search runs over these classes, each kept
+    # as its first word
+    firsts = {}
+    for i, mask in enumerate(adj):
+        firsts.setdefault(mask, i)
+    classes = sum(1 << i for i in firsts.values())
+
+    # greedy seed, highest degree first, then first index: the word graph's
+    # seed, as a later word of a class is never joined to the first
+    order = sorted(firsts.values(), key=lambda i: -adj[i].bit_count())
     seed = []
-    seed_mask = (1 << m) - 1
+    seed_mask = classes
     for i in order:
         if seed_mask >> i & 1:
             seed.append(i)
@@ -265,8 +266,7 @@ def dissimilarity_exact(oracle, alphabet, n):
         if len(current) + candidates.bit_count() <= len(best):
             return
         if candidates == 0:
-            if len(current) > len(best):
-                best = list(current)
+            best = list(current)
             return
         while candidates:
             if len(current) + candidates.bit_count() <= len(best):
@@ -277,7 +277,7 @@ def dissimilarity_exact(oracle, alphabet, n):
             expand(current, candidates & adj[v])
             current.pop()
 
-    expand([], (1 << m) - 1)
+    expand([], classes)
     chosen = sorted(best)
     return DissimilarityReport(
         n=n,

@@ -17,9 +17,6 @@ from . import algebra
 from .errors import EfaParseError, GramataError
 
 EPSILON = None
-# stands for any one symbol in EFA.sources: a tuple, so that it never
-# equals a symbol, which is a string
-ANY = ("any symbol",)
 EPSILON_TOKEN = "~"
 EMPTY_WORD_TOKEN = "ε"  # the empty word, as a word on the command line or in a report spells it
 _RESERVED_TOKENS = {EPSILON_TOKEN, EMPTY_WORD_TOKEN, "#"}
@@ -70,6 +67,11 @@ class EFA:
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "accepting", frozenset(accepting))
 
+    def __reduce__(self):
+        # rebuilt from its fields: the cached tables hold compiled actions,
+        # which are local functions and do not pickle
+        return EFA, (self.group, self.states, self.alphabet, self.transitions, self.initial, self.accepting)
+
     # The transition tables are built once per machine, on first use.
 
     @cached_property
@@ -101,21 +103,9 @@ class EFA:
         return all(s is not None for _, s in keys) and len(set(keys)) == len(keys)
 
     @cached_property
-    def sources(self):
-        """(state, symbol) -> the states with a transition on that symbol
-        into the state, where the symbol None is the empty input and ANY
-        is every symbol: the backward table of the distance search."""
-        table = {}
-        for t in self.transitions:
-            table.setdefault((t.target, t.symbol), []).append(t.source)
-            if t.symbol is not None:
-                table.setdefault((t.target, ANY), []).append(t.source)
-        return table
-
-    @cached_property
     def distance_levels(self):
-        """The memo of the distance levels that simulate's deciders look up
-        through sources, filled as they need them (DistanceLevels)."""
+        """The memo of the distance levels that simulate's deciders look
+        up, filled as they need them (DistanceLevels)."""
         from .simulate import DistanceLevels  # simulate imports this module
 
         return DistanceLevels(self)

@@ -68,7 +68,10 @@ from typing import Callable, NamedTuple, Optional
 
 from .algebra import parse_count
 from .errors import GramataError, MemoryGuard, UnknownSymbol
-from .model import ANY, EMPTY_WORD_TOKEN
+from .model import EMPTY_WORD_TOKEN
+
+# the read of any one symbol in DistanceLevels.sources: a tuple, never a symbol
+ANY = ("any symbol",)
 
 DEFAULT_MEM_GUARD = 10**7
 
@@ -281,8 +284,14 @@ class DistanceLevels:
     it over from the root level and the level at hand."""
 
     def __init__(self, efa):
-        self.sources = efa.sources
-        self.eps_sources = {q: states for (q, s), states in efa.sources.items() if s is None}
+        # the backward table: (state, read) -> the sources of the moves on
+        # that read into the state, the read None being the empty input
+        self.sources = {}
+        for t in efa.transitions:
+            self.sources.setdefault((t.target, t.symbol), []).append(t.source)
+            if t.symbol is not None:
+                self.sources.setdefault((t.target, ANY), []).append(t.source)
+        self.eps_sources = {q: states for (q, s), states in self.sources.items() if s is None}
         self.root = _close_unit(dict.fromkeys(efa.accepting, 0), self.eps_sources)
         self.levels = []  # index -> level
         self.index = {}  # a level's sorted items -> its index
@@ -320,11 +329,11 @@ def _distances_to_accept(efa, reads):
     """dist[r][q]: the fewest transitions from state q, with r symbols still
     to read, to an accepting state with none left (q is missing from
     dist[r] if there is no such path), registers ignored. The r-th symbol
-    from the end is read through the key reads[r - 1] of efa.sources: a
-    word's symbols reversed give its distances, and [ANY] * length a lower
-    bound on them for every word of that length. The levels come from the
-    machine's memo (DistanceLevels), one lookup per read, and are shared:
-    the caller only reads them."""
+    from the end is read through the key reads[r - 1] of the backward
+    table DistanceLevels.sources: a word's symbols reversed give its
+    distances, and [ANY] * length a lower bound on them for every word of
+    that length. The levels come from the machine's memo (DistanceLevels),
+    one lookup per read, and are shared: the caller only reads them."""
     memo = efa.distance_levels
     levels, steps = memo.levels, memo.steps
     i = 0
@@ -682,14 +691,9 @@ class Fold:
         return member if isinstance(member, cls) else cls((), _extend, member)
 
     def __call__(self, word):
-        """Whether word is a member, in one loop: callers that ask word by
-        word pay one step call per symbol and nothing more."""
-        state, step = self.start, self.step
-        for symbol in word:
-            state = step(state, symbol)
-            if state is None:
-                return False
-        return self.final(state)
+        """Whether word is a member."""
+        state = self.resume(self.start, word)
+        return state is not None and self.final(state)
 
     def resume(self, state, word):
         """The state after reading word from state; None once dead, and a

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import re
 
 import pytest
@@ -18,7 +19,6 @@ from gramata.algebra import (
 )
 from gramata import analysis
 from gramata.analysis import (
-    _invert_word,
     ball_with_words,
     dissimilarity_exact,
     dissimilarity_lower_bound,
@@ -305,6 +305,14 @@ def test_dissimilarity_lower_bound_f2():
     assert report.lower_bound == 17
 
 
+@pytest.mark.parametrize("group", [FreeGroup(1), FreeAbelian(1)], ids=repr)
+def test_dissimilarity_lower_bound_of_a_generator_named_like_an_inverse(group):
+    # the oracle's symbols are a^-1 and a^-1^-1: each distinguisher is the
+    # ball's word for an inverse, never a rewrite of the name into a
+    report = dissimilarity_lower_bound(group, [("a^-1", gens_of(group)[0][1])], 2)
+    assert report.witnesses == [(), ("a^-1",), ("a^-1^-1",)]
+
+
 def _brute_force_max_dissimilar(oracle_, alphabet, n):
     words = list(all_words(alphabet, n))
 
@@ -356,6 +364,44 @@ def test_dissimilarity_exact_matches_brute_force_on_more_oracles():
     for orc, alphabet, n in cases:
         report = dissimilarity_exact(orc, alphabet, n)
         assert report.exact == _brute_force_max_dissimilar(orc, alphabet, n), orc.name
+
+
+def _brute_force_max_clique(adj):
+    vertices = range(len(adj))
+    for size in range(len(adj), 0, -1):
+        for subset in itertools.combinations(vertices, size):
+            if all(adj[a] >> b & 1 for a, b in itertools.combinations(subset, 2)):
+                return size
+    return 0
+
+
+def _graph(m, edges):
+    adj = [0] * m
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def test_dissimilarity_exact_search_improves_on_the_greedy_seed(monkeypatch):
+    # the hub 0, of degree 5, is joined to the leaves 1..5, one class of
+    # interchangeable words, and the greedy seed takes it with one leaf: 2.
+    # The clique 6..9, of degree 3 each, is the maximum: 4
+    hub = _graph(10, [(0, leaf) for leaf in range(1, 6)] + list(itertools.combinations(range(6, 10), 2)))
+    rng = random.Random(2801)
+    graphs = [hub] + [
+        _graph(9, [e for e in itertools.combinations(range(9), 2) if rng.random() < density])
+        for density in (0.3, 0.5, 0.7)
+        for _ in range(5)
+    ]
+    for adj in graphs:
+        labels = [(str(i),) for i in range(len(adj))]
+        monkeypatch.setattr(analysis, "_dissimilarity_graph", lambda *args: (labels, adj))
+        report = dissimilarity_exact(oracle("UPOW"), ("a",), 1)
+        chosen = [labels.index(w) for w in report.witnesses]
+        assert all(adj[a] >> b & 1 for a, b in itertools.combinations(chosen, 2))
+        assert report.exact == len(chosen) == _brute_force_max_clique(adj)
+    assert _brute_force_max_clique(hub) == 4
 
 
 def test_dissimilarity_exact_guard():
@@ -475,7 +521,9 @@ def test_witness_verification_names_the_pair_an_oracle_is_wrong_on(monkeypatch, 
     group, gens = FreeGroup(2), gens_of(FreeGroup(2))
     witnesses = dissimilarity_lower_bound(group, gens, 4).witnesses
     w1, w2 = witnesses[first], witnesses[second]
-    v = _invert_word(w1)
+    words = ball_with_words(group, gens, 2)
+    (g1,) = [g for g, w in words.items() if w == w1]
+    v = words[group.inverse(g1)]
     # the oracle is wrong on w1 + v from the first pair of w1 on, so the
     # failure names that first pair; wrong on w2 + v it names (w1, w2)
     if wrong_on == "w1 + v":

@@ -10,7 +10,7 @@ from gramata.algebra import FreeAbelian, Matrix, MatrixGroup, PositiveRationals
 from gramata.constructions import CONSTRUCTIONS
 from gramata.errors import EfaParseError, GramataError
 from gramata.model import EFA, Transition, parse_efa, serialize_efa, validate
-from gramata.simulate import Verdict, accepts
+from gramata.simulate import Verdict, accepts, enumerate_words
 
 from conftest import ALL_GROUPS, CORPUS_DIR, random_element
 
@@ -124,6 +124,14 @@ def test_validate_unknown_accepting_state():
     m = EFA(group, ["q0"], ["a"], [], "q0", ["q9"])
     codes = [d.code for d in validate(m)]
     assert codes == ["unknown-accepting-state"]
+
+
+def test_validate_empty_alphabet():
+    m = EFA(FreeAbelian(1), ["q0"], [], [], "q0", ["q0"])
+    assert [d.code for d in validate(m)] == ["empty-alphabet"]
+    with pytest.raises(EfaParseError) as err:
+        parse_efa(MINIMAL.replace("alphabet a\n", "alphabet\n").replace("q0 a q0", "q0 ~ q0"))
+    assert err.value.cause == "empty-alphabet"
 
 
 def test_validate_unknown_symbol():
@@ -268,6 +276,13 @@ def test_deterministic_machines():
         expected = m.deterministic
         assert pickle.loads(pickle.dumps(m)).deterministic is expected
         assert parse_efa(serialize_efa(m)).deterministic is expected
+    # a machine that has decided words holds compiled actions in its cached
+    # tables, which are local functions: it pickles from its fields
+    decided = corpus["wp-heis"]
+    enumerated = enumerate_words(decided, 3).words
+    restored = pickle.loads(pickle.dumps(decided))
+    assert restored == decided and restored.deterministic
+    assert enumerate_words(restored, 3).words == enumerated
 
 
 # the characters of the grammar, letters of the corpus names and an

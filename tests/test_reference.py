@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from gramata.constructions import standard_generators
 from gramata.errors import GramataError
-from gramata.model import ANY, EFA, Transition, parse_efa, serialize_efa
+from gramata.model import EFA, Transition, parse_efa, serialize_efa
 from gramata.simulate import (
+    ANY,
     Verdict,
     _distances_to_accept,
     _EpsilonTails,
@@ -114,7 +115,7 @@ def reference_tree_walk(efa, word, budget):
 def reference_distances(efa, reads):
     """The table of simulate._distances_to_accept from one backward
     breadth-first search over (state, r), all levels at once."""
-    sources = efa.sources.get
+    sources = efa.distance_levels.sources.get
     top = len(reads)
     dist = [{} for _ in range(top + 1)]
     dist[0] = dict.fromkeys(efa.accepting, 0)
