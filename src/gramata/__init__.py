@@ -21,10 +21,8 @@ from .algebra import (
     Matrix,
     MatrixGroup,
     PositiveRationals,
-    Rational,
     Word,
     bs_word_to_matrix,
-    determinant,
     heis_to_matrix,
     pair_embed,
     parse_group_compact,
@@ -35,7 +33,7 @@ from .algebra import (
     z2_to_heisenberg,
 )
 from .errors import GramataError
-from .model import EFA, EPSILON, Transition, load_efa, parse_efa, save_efa, serialize_efa, validate
+from .model import EFA, Transition, load_efa, parse_efa, save_efa, serialize_efa, validate
 from .simulate import (
     RunResult,
     Verdict,

@@ -27,8 +27,6 @@ from .errors import (
     ZeroDenominator,
 )
 
-Rational = Fraction
-
 
 def rat_normalize(num, den):
     """Exact rational num/den in lowest terms with a positive denominator."""
@@ -285,10 +283,6 @@ def _right_action(h):
         return _matrix(num, 1) if den == 1 else _reduced_matrix(num, den)
 
     return act
-
-
-def determinant(m):
-    return m.det()
 
 
 def format_matrix(m):
@@ -579,10 +573,6 @@ class FreeAbelian(Group):
         return tuple(map(operator.add, g, h))
 
     def right_mul(self, h):
-        # a tuple display is about 3.5x faster per product than the map
-        if self.k == 2:
-            h0, h1 = h
-            return lambda g: (g[0] + h0, g[1] + h1)
         add = operator.add
         return lambda g: tuple(map(add, g, h))
 

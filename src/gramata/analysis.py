@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import algebra
@@ -205,21 +205,21 @@ DISSIMILARITY_GUARD = 10**6  # the most pair x suffix comparisons of one graph
 def _dissimilarity_graph(member, alphabet, n):
     """The words of length <= n over the sorted alphabet, in all_words order,
     and for each word the bitmask of the words that some suffix keeping both
-    within n symbols separates it from. Each word is folded once, and its
-    answers on every suffix it may take come from one Fold.answers walk
-    rooted at its state; a dead state answers False throughout."""
+    within n symbols separates it from. Every answer comes from one
+    Fold.answers walk over the words of length <= n."""
     words = list(all_words(alphabet, n))
-    # upto[b]: the suffixes of at most b symbols, a prefix of all_words' order
-    upto = list(itertools.accumulate(len(alphabet) ** b for b in range(n + 1)))
-    fold = Fold.lift(member)
-    answers = []
-    for w in words:
-        state = fold.resume(fold.start, w)
-        budget = n - len(w)
-        if state is None:
-            answers.append((False,) * upto[budget])
-        else:
-            answers.append(tuple(replace(fold, start=state).answers(alphabet, budget)))
+    k = len(alphabet)
+    walk = list(Fold.lift(member).answers(alphabet, n))
+    # first[m]: the index of the first word of length m. The word of length
+    # l and lex rank i answers on its suffixes of b symbols with the k**b
+    # consecutive answers from first[l + b] + i * k**b, and the suffixes of
+    # at most b symbols are a prefix of all_words' order
+    first = [0, *itertools.accumulate(k**m for m in range(n + 1))]
+    answers = [
+        [a for b in range(n - l + 1) for a in walk[first[l + b] + i * k**b : first[l + b] + (i + 1) * k**b]]
+        for l in range(n + 1)
+        for i in range(k**l)
+    ]
     adj = [0] * len(words)
     # words come shortest first, so the later word of a pair is the longer
     # one, and its answers are exactly the suffixes that the pair may take
@@ -308,7 +308,6 @@ def lemma_growth_check(group, gens, n):
 @dataclass(frozen=True)
 class ProbeRow:
     n: int
-    half: int
     configurations: int
     demand: int
 
@@ -354,6 +353,6 @@ def theorem_growth_probe(efa, lengths, policy=None, machine_name="machine"):
     config_counts = reachable_register_count(efa, max_half, policy)
     f2 = growth(algebra.FreeGroup(2), standard_generators(algebra.FreeGroup(2)), max_half)
     rows = [
-        ProbeRow(n, n // 2, config_counts[n // 2], f2.counts[n // 2]) for n in lengths
+        ProbeRow(n, config_counts[n // 2], f2.counts[n // 2]) for n in lengths
     ]
     return ProbeReport(machine_name=machine_name, rows=rows)

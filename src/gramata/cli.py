@@ -314,7 +314,7 @@ def build_parser():
 
     p = sub.add_parser("probe", help="configuration-count vs growth-demand table")
     p.add_argument("--experiment", required=True, help=", ".join(sorted(_PROBE_MACHINES)))
-    p.add_argument("--max-len", type=_int_at_least(0), default=16)
+    p.add_argument("--max-len", type=_int_at_least(2), default=16)
     common(p, budget=False)
     p.set_defaults(fn=_cmd_probe)
 

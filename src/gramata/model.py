@@ -1,8 +1,9 @@
 """The group-automaton data model and its textual file format.
 
 A machine document has the sections group / states / initial / accepting /
-alphabet / transitions; each transition line reads
-`from symbol|~ to element-literal` with `~` standing for the empty input.
+alphabet, each once and in any order, then transitions; each transition
+line reads `from symbol|~ to element-literal` with `~` standing for the
+empty input.
 Serialization is canonical (sorted states and transitions), so documents
 round-trip byte-exactly after one pass.
 """
@@ -16,10 +17,10 @@ from typing import Optional
 from . import algebra
 from .errors import EfaParseError, GramataError
 
-EPSILON = None
 EPSILON_TOKEN = "~"
 EMPTY_WORD_TOKEN = "ε"  # the empty word, as a word on the command line or in a report spells it
 _RESERVED_TOKENS = {EPSILON_TOKEN, EMPTY_WORD_TOKEN, "#"}
+_SECTIONS = ("group", "states", "initial", "accepting", "alphabet")
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,14 @@ def validate(efa):
     states = set(efa.states)
     if not efa.alphabet:
         diags.append(Diagnostic("empty-alphabet", "alphabet must be non-empty"))
+    # a word of one-character symbols prints without spaces, so a longer
+    # symbol spelled by them would print alike and read back as itself
+    letters = {sym for sym in efa.alphabet if len(sym) == 1}
     for sym in efa.alphabet:
         if sym in _RESERVED_TOKENS or not sym or any(ch.isspace() for ch in sym):
             diags.append(Diagnostic("bad-symbol", f"symbol {sym!r} is reserved or contains whitespace"))
+        elif len(sym) > 1 and set(sym) <= letters:
+            diags.append(Diagnostic("bad-symbol", f"symbol {sym!r} is spelled by one-character symbols"))
     for q in efa.states:
         if not q or any(ch.isspace() for ch in q) or q.startswith("#"):
             diags.append(Diagnostic("bad-state-name", f"state {q!r} would not serialize"))
@@ -160,11 +166,7 @@ def serialize_efa(efa):
 
 
 def parse_efa(text):
-    group = None
-    states = None
-    initial = None
-    accepting = None
-    alphabet = None
+    sections = {}  # each of _SECTIONS once, by name
     transitions = []
     in_transitions = False
 
@@ -178,10 +180,10 @@ def parse_efa(text):
                 raise EfaParseError("transition needs 'from symbol to element'", line=lineno)
             src, sym, dst, literal = parts
             symbol = None if sym == EPSILON_TOKEN else sym
-            if group is None:
+            if "group" not in sections:
                 raise EfaParseError("transitions before group declaration", line=lineno)
             try:
-                register = group.parse_element(literal)
+                register = sections["group"].parse_element(literal)
             except GramataError as err:
                 column = raw.find(literal) + 1 or None
                 raise EfaParseError(str(err), line=lineno, column=column, cause=err) from err
@@ -189,41 +191,30 @@ def parse_efa(text):
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key == "transitions":
+            in_transitions = True
+            continue
+        if key not in _SECTIONS:
+            raise EfaParseError(f"unknown section {key!r}", line=lineno)
+        if key in sections:
+            raise EfaParseError(f"repeated section {key!r}", line=lineno)
         if key == "group":
             try:
-                group = algebra.parse_group_spec(rest)
+                sections[key] = algebra.parse_group_spec(rest)
             except GramataError as err:
                 raise EfaParseError(str(err), line=lineno, cause=err) from err
-        elif key == "states":
-            states = rest.split()
         elif key == "initial":
             if len(rest.split()) != 1:
                 raise EfaParseError("initial takes exactly one state", line=lineno)
-            initial = rest
-        elif key == "accepting":
-            accepting = rest.split()
-        elif key == "alphabet":
-            alphabet = rest.split()
-        elif key == "transitions":
-            in_transitions = True
+            sections[key] = rest
         else:
-            raise EfaParseError(f"unknown section {key!r}", line=lineno)
+            sections[key] = rest.split()
 
-    missing = [
-        name
-        for name, value in (
-            ("group", group),
-            ("states", states),
-            ("initial", initial),
-            ("accepting", accepting),
-            ("alphabet", alphabet),
-        )
-        if value is None
-    ]
+    missing = [name for name in _SECTIONS if name not in sections]
     if missing:
         raise EfaParseError("missing sections: " + ", ".join(missing))
 
-    efa = EFA(group, states, alphabet, transitions, initial, accepting)
+    efa = EFA(transitions=transitions, **sections)
     diags = validate(efa)
     if diags:
         first = diags[0]

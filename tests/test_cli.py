@@ -137,6 +137,14 @@ def test_bad_vector_literal_exits_3(corpus_dir, tmp_path, token, capsys):
     assert "not an integer literal" in capsys.readouterr().err
 
 
+def test_an_alphabet_symbol_spelled_by_one_character_symbols_exits_3(tmp_path, capsys):
+    # enum would print ab for the word (a, b) and for the word (ab) alike
+    bad = tmp_path / "bad.efa"
+    bad.write_text("group free-abelian 1\nstates q\ninitial q\naccepting q\nalphabet a ab b\ntransitions\nq a q [0]\n")
+    assert main(["enum", str(bad), "--max-len", "2"]) == 3
+    assert "bad-symbol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["run", "ε"], ["enum", "--max-len", "2"]])
 def test_an_alphabet_symbol_spelled_as_the_empty_word_exits_3(tmp_path, argv, capsys):
     # run would read ε as the empty word, and enum would print ε for the
@@ -194,6 +202,14 @@ def test_probe(capsys):
     assert main(["probe", "--experiment", "theorem-growth-probe-h", "--max-len", "12"]) == 0
     out = capsys.readouterr().out
     assert "crossing at n=10" in out
+
+
+def test_probe_below_two_is_a_usage_error(capsys):
+    # the probe's first length is 2, so a shorter bound names the flag
+    assert main(["probe", "--experiment", "theorem-growth-probe-h", "--max-len", "1"]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "gramata probe: error: argument --max-len: the value must be an integer of at least 2 in decimal digits, got '1'"
+    )
 
 
 def test_probe_unknown_experiment(capsys):

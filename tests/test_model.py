@@ -10,7 +10,7 @@ from gramata.algebra import FreeAbelian, Matrix, MatrixGroup, PositiveRationals
 from gramata.constructions import CONSTRUCTIONS
 from gramata.errors import EfaParseError, GramataError
 from gramata.model import EFA, Transition, parse_efa, serialize_efa, validate
-from gramata.simulate import Verdict, accepts, enumerate_words
+from gramata.simulate import Verdict, accepts, all_words, enumerate_words, format_word, tokenize_word
 
 from conftest import ALL_GROUPS, CORPUS_DIR, random_element
 
@@ -78,6 +78,24 @@ def test_parse_missing_section():
     with pytest.raises(EfaParseError) as err:
         parse_efa("group heisenberg\nstates q0\n")
     assert "missing sections" in str(err.value)
+
+
+@pytest.mark.parametrize("section", ["group", "states", "initial", "accepting", "alphabet"])
+def test_a_repeated_section_is_refused_at_its_repeat(section):
+    # a second header of the same name does not silently win
+    lines = MINIMAL.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith(section + " "))
+    lines.insert(header + 1, lines[header])
+    with pytest.raises(EfaParseError, match=f"repeated section '{section}'") as err:
+        parse_efa("\n".join(lines) + "\n")
+    assert err.value.line == header + 2
+
+
+def test_sections_parse_in_any_order():
+    lines = MINIMAL.splitlines()
+    reordered = lines[4::-1] + lines[5:]
+    assert reordered[0] == "alphabet a"
+    assert parse_efa("\n".join(reordered) + "\n") == parse_efa(MINIMAL)
 
 
 def test_parse_unknown_section():
@@ -175,6 +193,23 @@ def test_multi_token_symbols_round_trip():
     machine = CONSTRUCTIONS["wp-heis"].build()
     assert "a^-1" in machine.alphabet
     assert parse_efa(serialize_efa(machine)) == machine
+
+
+def test_a_symbol_spelled_by_one_character_symbols_is_refused():
+    # with a, b and ab, the word (a, b) would print as ab and read back as (ab)
+    text = "group free-abelian 1\nstates q\ninitial q\naccepting q\nalphabet a ab b\ntransitions\nq a q [0]\n"
+    with pytest.raises(EfaParseError, match="'ab' is spelled by one-character symbols") as err:
+        parse_efa(text)
+    assert err.value.cause == "bad-symbol"
+    # a longer symbol with a character that is no symbol reads back
+    assert parse_efa(text.replace("alphabet a ab b", "alphabet a ab")).alphabet == ("a", "ab")
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_every_printed_corpus_word_reads_back(name):
+    alphabet = CONSTRUCTIONS[name].build().alphabet
+    for word in all_words(alphabet, 3):
+        assert tokenize_word(format_word(word), alphabet) == word
 
 
 DIRECT_PRODUCT = """\
