@@ -15,9 +15,10 @@ small for the machine to even consume the input and reach an accepting
 state, so nothing was decided. Otherwise a failed search is a Reject:
 either acceptance is structurally impossible (d_min infinite), or every
 configuration that could still have accepted within the budget was
-explored. accepts() decides a word of infinite d_min from the distance
-table alone, with no search, and reports the stats that the search would
-have counted: it would expand the root and prune all of its moves.
+explored. accepts() decides a word that the budget cannot reach (d_min
+infinite or above the budget) from the distance table alone, with no
+search, and reports the stats that the search would have counted: it
+would expand the root and prune all of its moves.
 Branches that provably cannot reach acceptance in the remaining depth are
 pruned by the same register-ignoring distance table; the pruning is
 admissible, so it never changes a verdict. The language sweeps also
@@ -49,11 +50,12 @@ step per prefix, and no step at all below a prefix the fold has ruled out.
 
 A deterministic machine (EFA.deterministic: no epsilon move, at most one
 transition per state and symbol) has at most one path per word, and every
-decider walks that path with none of the general machinery. For one word
-that is one walk (_path), off which _run_path, for the breadth-first
-search, and _dfs_path, for the unpruned one, read their counts in closed
-form; _path_verdicts, for the language sweep, walks each length's trie
-holding only the current path.
+decider walks that path with none of the general machinery. A word that
+the budget can reach has d_min = |w|: its one path of |w| moves ends in
+an accepting state, so accepts() walks it once (_path), its register
+decides, and both searches' counts follow in closed form. _path_verdicts,
+for the language sweep, walks each length's trie holding only the current
+path.
 """
 
 from __future__ import annotations
@@ -400,8 +402,8 @@ class _EpsilonTails:
 
 
 def _unaccepted_verdict(d_min, budget):
-    """The verdict of a search that found no acceptance: BudgetExhausted
-    when acceptance needs more transitions than the budget, else Reject."""
+    """The verdict of a word that no search accepted: BudgetExhausted when
+    acceptance needs more transitions than the budget, else Reject."""
     if d_min is not None and d_min > budget:
         return Verdict.BUDGET_EXHAUSTED
     return Verdict.REJECT
@@ -410,28 +412,35 @@ def _unaccepted_verdict(d_min, budget):
 def accepts(efa, word, policy=default_policy, *, dedup=True):
     """Run the machine on a word under a depth budget.
 
-    A word with no register-ignoring path (d_min is None) is a Reject read
-    off the distance table, with no search: a move of the root to a target
-    at a finite distance would put the root at a finite distance too, so
-    the search would prune every move. No memory guard is read and no move
-    is compiled. The stats are those of that search: the breadth-first
-    search expands the root alone (nothing under a budget of 0), and the
-    unpruned walk counts no node."""
+    A word that the budget cannot reach (d_min is None, or d_min > budget)
+    is decided off the distance table, with no search: Reject when d_min
+    is None, else BudgetExhausted. Every move of the root reaches a target
+    at no finite distance, or at one with 1 + remaining >= d_min > budget,
+    so the search would prune every move. No memory guard is read and no
+    move is compiled. The stats are those of that search: the
+    breadth-first search expands the root alone (nothing under a budget of
+    0), and the unpruned walk counts no node.
+
+    Any other word is searched, and a failed search is a Reject. The empty
+    path accepts with no search; a deterministic machine's word has one
+    path, of d_min = n moves, which _path walks once."""
     word = _checked_word(word, efa.alphabet)
     budget = policy(len(word))
     dist = _distances_to_accept(efa, word[::-1])
     d_min = dist[len(word)].get(efa.initial)
-    if d_min is None:
-        return RunResult(Verdict.REJECT, SearchStats(int(dedup and budget >= 1), 0))
+    if d_min is None or d_min > budget:
+        return RunResult(_unaccepted_verdict(d_min, budget), SearchStats(int(dedup and budget >= 1), 0))
 
-    if not word and efa.initial in efa.accepting and budget >= 0:
+    if not word and efa.initial in efa.accepting:
         stats, certificate = SearchStats(accept_depth=0), ()  # the empty path accepts
+    elif efa.deterministic:
+        stats, certificate = _path(efa, word, budget, dedup)
     else:
         search = _search_bfs if dedup else _search_dfs
         stats, certificate = search(efa, word, budget, dist)
-    if certificate is not None:
-        return RunResult(Verdict.ACCEPT, stats, certificate, _verify_certificate(efa, word, certificate))
-    return RunResult(_unaccepted_verdict(d_min, budget), stats)
+    if certificate is None:
+        return RunResult(Verdict.REJECT, stats)
+    return RunResult(Verdict.ACCEPT, stats, certificate, _verify_certificate(efa, word, certificate))
 
 
 def _search_bfs(efa, word, budget, dist, floor=None):
@@ -444,11 +453,9 @@ def _search_bfs(efa, word, budget, dist, floor=None):
     move capped below it is dropped, and so is a target that cannot accept.
     Given the machine's move floor (Group.move_floor), a new child at depth
     d is dropped too when floor(child) > budget - d: its register cannot
-    return to the identity in the moves left. accepts() passes none. A
-    deterministic machine has one path and runs on it, with nothing to
-    compile."""
-    if efa.deterministic:
-        return _run_path(efa, word, budget, dist)
+    return to the identity in the moves left. accepts() passes none, and
+    runs it only on a nondeterministic machine's word that the budget can
+    reach."""
     n = len(word)
     accepting = efa.accepting
     is_identity = efa.group.is_identity
@@ -505,42 +512,32 @@ def _search_bfs(efa, word, budget, dist, floor=None):
     return SearchStats(expanded, max_depth), None
 
 
-def _path(efa, word, budget, dist):
-    """The one path of a deterministic machine on word: each symbol's single
-    move, taken while its target can still accept under the budget. Returns
-    the transitions taken and whether they accept: at the word's end, in an
-    accepting state, with the identity register. Both deciders of one word
-    read their counts off this walk (_run_path, _dfs_path)."""
-    n = len(word)
+def _path(efa, word, budget, dedup):
+    """Both searches on a deterministic machine's word of n >= 1 symbols
+    that the budget can reach: d_min = n <= budget, so the word has one
+    path, of n moves, which ends in an accepting state. It accepts when its
+    register is the identity, and both searches then count (n, n, n).
+    Else the breadth-first search also expands the configuration it stops
+    at, if the budget lets it, (min(n + 1, budget), n), and the unpruned
+    walk counts the path's n nodes, (n, n). The breadth-first search
+    stores the root and the path, the accepting end aside, against the
+    memory guard."""
     moves = efa.moves
     q, reg = efa.initial, efa.group.identity()
     path = []
-    for depth, symbol in enumerate(word, 1):
-        move = moves[(q, symbol)]
-        if not move:
-            break
-        q, _, r, t = move[0]
-        remaining = dist[n - depth].get(q)
-        if remaining is None or depth + remaining > budget:
-            break
+    for symbol in word:
+        q, _, r, t = moves[(q, symbol)][0]
         reg = reg if r is None else r(reg)
         path.append(t)
-    return tuple(path), len(path) == n > 0 and q in efa.accepting and efa.group.is_identity(reg)
-
-
-def _run_path(efa, word, budget, dist):
-    """_search_bfs on a deterministic machine, whose frontier is at most one
-    configuration: it follows the one path (_path) and stores the root and
-    the path. An accepting path of n moves expanded n configurations; else
-    the search also expanded the one it stopped at, if the budget let it."""
-    guard = mem_guard()
-    path, accepted = _path(efa, word, budget, dist)
     n = len(path)
-    if n - accepted >= guard:  # the root and the path, the accepting end aside
-        raise MemoryGuard(guard)
+    accepted = efa.group.is_identity(reg)
+    if dedup:
+        guard = mem_guard()
+        if n - accepted >= guard:
+            raise MemoryGuard(guard)
     if accepted:
-        return SearchStats(n, n, n), path
-    return SearchStats(min(n + 1, max(budget, 0)), n), None
+        return SearchStats(n, n, n), tuple(path)
+    return SearchStats(min(n + 1, budget) if dedup else n, n), None
 
 
 def _search_dfs(efa, word, budget, dist, memo=None):
@@ -566,10 +563,8 @@ def _search_dfs(efa, word, budget, dist, memo=None):
     independent oracle. The memo stops recording at mem_guard() entries,
     so this search never raises MemoryGuard. The memo is fresh per call
     unless the caller passes an empty dict for it, to look at afterwards.
-    A deterministic machine's tree is one path, which _dfs_path walks
-    with nothing compiled and no memo."""
-    if efa.deterministic:
-        return _dfs_path(efa, word, budget, dist)
+    accepts() runs it only on a nondeterministic machine's word that the
+    budget can reach."""
     n = len(word)
     accepting = efa.accepting
     is_identity = efa.group.is_identity
@@ -620,18 +615,6 @@ def _search_dfs(efa, word, budget, dist, memo=None):
             if mkey is not None and len(memo) < room:
                 memo[mkey] = expanded - before
     return SearchStats(expanded, max_depth), None
-
-
-def _dfs_path(efa, word, budget, dist):
-    """_search_dfs on a deterministic machine: a node has at most one
-    child, by the next symbol's one move, so the tree is the single path
-    of _path, each move of it a node at its depth. Those are the tree
-    walk's numbers; _run_path counts the nodes it expands instead."""
-    path, accepted = _path(efa, word, budget, dist)
-    n = len(path)
-    if accepted:
-        return SearchStats(n, n, n), path
-    return SearchStats(n, n), None
 
 
 def _verify_certificate(efa, word, certificate):
@@ -1012,10 +995,13 @@ def _language_verdicts(efa, alphabet, max_len, policy):
 
 
 def _floored_verdict(efa, word, policy, floor):
-    """accepts(efa, word, policy).verdict for a word of length at least 1,
-    from a search that also drops the children beyond the move floor. It
-    repeats accepts' last steps rather than share them, which would cost
-    every single decide one more call."""
+    """accepts(efa, word, policy).verdict for a word of length at least 1
+    of a nondeterministic machine, from a search that also drops the
+    children beyond the move floor. Unlike accepts(), it searches a word
+    that the budget cannot reach too; that search expands the root alone
+    and finds nothing, so the verdict is the same. It repeats accepts'
+    steps rather than share them, which would cost every single decide
+    one more call."""
     budget = policy(len(word))
     dist = _distances_to_accept(efa, word[::-1])
     _, certificate = _search_bfs(efa, word, budget, dist, floor)
@@ -1035,7 +1021,7 @@ def _path_verdicts(efa, alphabet, max_len, policy):
     when L > t(L), else Accept at the identity register and Reject at any
     other; a node with no move rejects every word below it. Each Accept's
     certificate is checked as accepts() checks it. The root and the nodes
-    along the path count against the memory guard, as in _run_path."""
+    along the path count against the memory guard, as in _path."""
     moves = efa.moves
     accepting = efa.accepting
     is_identity = efa.group.is_identity

@@ -467,7 +467,7 @@ _GRAPH_LENGTHS = {1: 9, 2: 6, 3: 4, 4: 3, 6: 2}
     "name", [n for n in oracle_names() if not n.startswith("WP:")] + ["WP:free:2", "WP:heis", "WP:zk:1", "balanced"]
 )
 def test_dissimilarity_graph_matches_the_per_pair_per_suffix_loop(name, monkeypatch):
-    # each word's answers come from one fold walk rooted at its state; the
+    # every word's answers are read off one fold walk over all words; the
     # reference asks the oracle for every pair and suffix from scratch, and
     # the same clique search on its graph picks the same witnesses
     orc = NamedOracle("balanced", ("x", "y"), _balanced) if name == "balanced" else oracle(name)

@@ -444,18 +444,19 @@ def test_accepts_reports_the_stats_of_the_search_it_skips(group, data):
 @given(data=st.data())
 @settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
 def test_path_walks_match_the_general_searches(group, data):
-    # a deterministic machine's searches read their stats and certificates
-    # off its one path; the same machine marked nondeterministic runs the
-    # general kernels, which must agree with them under every budget, a
-    # negative one too, which a policy may return
+    # accepts() reads a deterministic machine's stats and certificates off
+    # its one path; the same machine marked nondeterministic runs the
+    # general kernels, which must agree with it in both modes under every
+    # budget, a negative one too, which a policy may return
     machine = draw_machine(group, data, deterministic=True)
     general = EFA(group, machine.states, machine.alphabet, machine.transitions, machine.initial, machine.accepting)
     general.__dict__["deterministic"] = False
     for word in all_words(machine.alphabet, 3):
-        dist = _distances_to_accept(machine, word[::-1])
         for budget in range(-1, 7):
-            for search in (_search_bfs, _search_dfs):
-                assert search(machine, word, budget, dist) == search(general, word, budget, dist), (word, budget)
+            policy = ((budget,) * 4).__getitem__
+            for dedup in (True, False):
+                path, search = (accepts(m, word, policy, dedup=dedup) for m in (machine, general))
+                assert path == search, (word, budget, dedup)
 
 
 def check_unpruned_search(machine, data):

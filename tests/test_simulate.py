@@ -386,13 +386,21 @@ def test_a_word_without_a_path_runs_no_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("searched")
 
-    for kernel in ("_search_bfs", "_search_dfs", "_run_path", "_dfs_path", "mem_guard"):
+    for kernel in ("_search_bfs", "_search_dfs", "_path", "mem_guard"):
         monkeypatch.setattr(simulate, kernel, refuse)
-    spec = CONSTRUCTIONS["mult"]
-    word = tokenize_word("zxyyzxxyz", spec.build().alphabet)
-    for dedup, expanded in ((True, 1), (False, 0)):
-        result = accepts(spec.build(), word, spec.budget, dedup=dedup)
-        assert (result.verdict, result.stats) == (Verdict.REJECT, SearchStats(expanded, 0))
+    # a word with no path, and two words whose paths the budget cannot
+    # reach: mult's xyyzz has d_min 9, wp-f2's word d_min 4
+    cases = [
+        ("mult", "zxyyzxxyz", CONSTRUCTIONS["mult"].budget, Verdict.REJECT),
+        ("mult", "xyyzz", constant_policy(8), Verdict.BUDGET_EXHAUSTED),
+        ("wp-f2", "a b a^-1 b^-1", constant_policy(2), Verdict.BUDGET_EXHAUSTED),
+    ]
+    for name, text, policy, verdict in cases:
+        machine = CONSTRUCTIONS[name].build()
+        word = tokenize_word(text, machine.alphabet)
+        for dedup, expanded in ((True, 1), (False, 0)):
+            result = accepts(machine, word, policy, dedup=dedup)
+            assert (result.verdict, result.stats) == (verdict, SearchStats(expanded, 0)), (name, text, dedup)
 
 
 # the sweeps' own search of a word, which also drops configurations beyond
@@ -815,19 +823,8 @@ def test_path_run_memory_guard_spares_the_accepting_end(monkeypatch):
 
 @pytest.mark.parametrize("name", DETERMINISTIC)
 def test_path_run_matches_the_compiled_search(name):
-    from gramata.simulate import _run_path, _search_bfs
-
     spec = CONSTRUCTIONS[name]
-    machine = spec.build()
-    assert machine.deterministic
-    compiled = spec.build()
-    compiled.__dict__["deterministic"] = False  # force the general kernel
-    policies = [constant_policy(d) for d in range(1, 7)] + [spec.budget]
-    for word in all_words(machine.alphabet, 3 if name == "wp-heis" else 4):
-        dist = _distances_to_accept(machine, word[::-1])
-        for policy in policies:
-            budget = max(1, policy(len(word)))
-            assert _run_path(machine, word, budget, dist) == _search_bfs(compiled, word, budget, dist), (word, budget)
+    _check_path_decides_as_the_general_search(spec.build(), spec.budget, 3 if name == "wp-heis" else 4)
 
 
 def _general_copy(machine):
@@ -855,16 +852,25 @@ WALK_CASES = [
 WALK_POLICIES = [constant_policy(d) for d in range(1, 7)] + [(1, 3, 1, 5, 2, 9, 4, 6, 7, 8).__getitem__]
 
 
-@pytest.mark.parametrize("machine, budget, max_len", WALK_CASES)
-def test_unpruned_path_walk_matches_the_tree_walk(machine, budget, max_len):
+def _check_path_decides_as_the_general_search(machine, budget, max_len):
+    """accepts() on a deterministic machine, which walks a word's one path,
+    against accepts() on its nondeterministic copy, which runs the general
+    kernels: the same verdict, stats, certificate and registers in both
+    modes, under every budget from -1 to 6, the non-monotone walk policy
+    and the machine's own."""
     assert machine.deterministic
     general = _general_copy(machine)
-    policies = WALK_POLICIES + [budget]
+    policies = [(lambda _, d=d: d) for d in range(-1, 7)] + [WALK_POLICIES[-1], budget]
     for word in all_words(machine.alphabet, max_len):
-        dist = _distances_to_accept(machine, word[::-1])
         for policy in policies:
-            depth = policy(len(word))
-            assert _search_dfs(machine, word, depth, dist) == _search_dfs(general, word, depth, dist), (word, depth)
+            for dedup in (True, False):
+                path, search = (accepts(m, word, policy, dedup=dedup) for m in (machine, general))
+                assert path == search, (word, policy(len(word)), dedup)
+
+
+@pytest.mark.parametrize("machine, budget, max_len", WALK_CASES)
+def test_unpruned_path_walk_matches_the_tree_walk(machine, budget, max_len):
+    _check_path_decides_as_the_general_search(machine, budget, max_len)
 
 
 @pytest.mark.parametrize("machine, budget, max_len", WALK_CASES)
