@@ -1,12 +1,19 @@
 """Cayley-graph growth, dissimilarity counts, and desk-scale checks of the
 time-complexity argument.
 
-The growth function is computed by exact breadth-first search over group
-elements, sphere by sphere: with a symmetric generating set every neighbour
-of an element at radius r lies at radius r-1, r or r+1, so growth() keeps
-only the current and the new sphere, each element with a mask of its back
-generators, and skips every product back into the previous sphere. The
-memory guard still counts the whole ball and its layers. Dissimilarity uses
+The growth function is computed by exact breadth-first search, sphere by
+sphere: with a symmetric generating set every neighbour of an element at
+radius r lies at radius r-1, r or r+1, so growth() keeps only the last
+spheres. Its element kernel keeps each element with a mask of its back
+generators and skips every product back into the previous sphere. A
+Heisenberg set whose symmetric closure has every coordinate in {-1, 0, 1}
+is counted by columns instead: a generator moves the column over the
+abelianised (x, y) and shifts all its z values by one amount, so each
+column of a sphere is one integer bitset over z, and a layer takes one
+shift and one OR per column and generator. Every other set stays on
+elements: a sparse z would make the bitsets huge, and a sphere of Z^3 has
+at most two elements in a column over (x, y). Both kernels count the whole ball's
+elements and its layers against the memory guard. Dissimilarity uses
 either the constructive witness family (each ball element's shortest word,
 distinguished by appending inverses) or an exact maximum-clique search over
 the dissimilarity graph on small instances.
@@ -59,23 +66,54 @@ def growth(group, gens, radius):
     """Exact ball cardinalities on the Cayley graph, radii 0..radius.
 
     A breadth-first search over spheres. The generating set is symmetric, so
-    every neighbour of sphere r lies in sphere r-1, r or r+1. Only the
-    current and the new sphere are stored, each element with a mask of its
-    back generators: a product g*s that lands in the new sphere sets the bit
-    of s^-1 in its mask, and a product by a generator in the mask is
-    skipped. An element of sphere r-1 skips only products into sphere r-2,
-    so each product from sphere r back into sphere r-1 is the inverse of one
-    that set a bit; every product left lands in sphere r or r+1. Each layer
-    takes one generator at a time across the whole sphere, so an element
-    is found by its first generator in that order, not by its first parent.
-    The memory guard counts every element found, checked on each insert,
-    plus each recorded layer, exactly as bfs_layers does, so it fires at the
-    same count. Runs with the collector paused (gc_paused)."""
-    return gc_paused(_growth, group, gens, radius)
-
-
-def _growth(group, gens, radius):
+    every neighbour of sphere r lies in sphere r-1, r or r+1, and sphere r+1
+    is the products of sphere r less spheres r and r-1. A Heisenberg set
+    whose generators and their inverses all have coordinates in {-1, 0, 1}
+    is counted by columns (_column_growth); every other set by elements
+    (_element_growth). Both kernels count the same elements against the
+    memory guard and raise at the same radius with the same message. Runs
+    with the collector paused (gc_paused)."""
     sym_gens = _symmetric_gens(group, gens)
+    columns = isinstance(group, algebra.HeisenbergGroup) and all(
+        v in (-1, 0, 1) for _, elem in sym_gens for v in elem
+    )
+    return gc_paused(_column_growth if columns else _element_growth, group, sym_gens, radius)
+
+
+def _record(counts, total, guard):
+    """Append the ball size after a layer. MemoryGuard when the ball holds
+    more than guard elements, or the ball and its recorded layers do, as
+    bfs_layers counts them."""
+    if total > guard:
+        raise MemoryGuard(guard)
+    counts.append(total)
+    if total + len(counts) > guard:
+        raise MemoryGuard(guard, layers=True)
+
+
+def _element_growth(group, sym_gens, radius):
+    """growth over elements, for any group. Only the current and the new
+    sphere are stored, each element with a mask of its back generators: a
+    product g*s that lands in the new sphere sets the bit of s^-1 in its
+    mask, and a product by a generator in the mask is skipped. An element of
+    sphere r-1 skips only products into sphere r-2, so each product from
+    sphere r back into sphere r-1 is the inverse of one that set a bit; every
+    product left lands in sphere r or r+1. Each layer takes one generator at
+    a time across the whole sphere, so an element is found by its first
+    generator in that order, not by its first parent. The memory guard is
+    checked on each insert. A set of s > 64 generators is refused with
+    InstanceTooLarge before any product when the first sphere's masks, up
+    to s elements of ceil(s/64) words each, take more words than the
+    guard."""
+    guard = mem_guard()
+    # 64 generators or fewer charge at most s words, which the first
+    # sphere's inserts check anyway
+    s = len(sym_gens)
+    words = s * -(-s // 64)
+    if radius and s > 64 and words > guard:
+        raise InstanceTooLarge(
+            f"the first sphere's masks of {s} generators take {words} words, more than the guard {guard}"
+        )
     index = {elem: i for i, (_, elem) in enumerate(sym_gens)}
     # (action, bit of the generator, bit of its inverse): the inverse of an
     # involution is its own bit, and an identity generator lands in cur
@@ -83,7 +121,6 @@ def _growth(group, gens, radius):
         (group.right_mul(elem), 1 << i, 1 << index[group.inverse(elem)])
         for i, (_, elem) in enumerate(sym_gens)
     ]
-    guard = mem_guard()
     cur = {group.identity(): 0}
     total = 1
     counts = [1]
@@ -103,10 +140,54 @@ def _growth(group, gens, radius):
                     total += 1
                     if total > guard:
                         raise MemoryGuard(guard)
-        counts.append(total)
-        if total + len(counts) > guard:
-            raise MemoryGuard(guard, layers=True)
+        _record(counts, total, guard)
         cur = new
+    return GrowthTable(tuple(counts))
+
+
+def _column_growth(group, sym_gens, radius):
+    """growth over columns, for a Heisenberg set of unit triples. (x, y, z)
+    times (hx, hy, hz) is (x + hx, y + hy, z + hz + y*hx), so a generator
+    moves the whole column over (x, y) to (x + hx, y + hy) and shifts its z
+    values by hz + y*hx, one amount for the column. A column is stored as
+    (low, bits): bit i of the int bits is the element (x, y, low + i). A
+    layer shifts and ORs each column of sphere r by each generator, then
+    clears the bits of the same column in spheres r and r-1, and
+    int.bit_count counts what is left. low follows each column, so a bitset
+    spans that column's z values in one sphere, at most r(r+1) + 1 bits with
+    unit generators, however large the radius. The memory guard counts the
+    elements, checked once per layer."""
+    moves = [elem for _, elem in sym_gens]
+    guard = mem_guard()
+    prev, cur = {}, {(0, 0): (0, 1)}
+    total = 1
+    counts = [1]
+    for _ in range(radius):
+        new = {}
+        get = new.get
+        for hx, hy, hz in moves:
+            for (x, y), (low, bits) in cur.items():
+                key = (x + hx, y + hy)
+                low += hz + y * hx
+                old = get(key)
+                if old is not None:
+                    # the lower of the two lows is the merged column's
+                    if old[0] < low:
+                        low, bits, old = old[0], old[1], (low, bits)
+                    bits |= old[1] << (old[0] - low)
+                new[key] = (low, bits)
+        cur_get, prev_get = cur.get, prev.get
+        sphere = {}
+        for key, (low, bits) in new.items():
+            for side in (cur_get(key), prev_get(key)):
+                if side is not None:
+                    shift = side[0] - low
+                    bits &= ~(side[1] << shift if shift >= 0 else side[1] >> -shift)
+            if bits:
+                sphere[key] = (low, bits)
+                total += bits.bit_count()
+        _record(counts, total, guard)
+        prev, cur = cur, sphere
     return GrowthTable(tuple(counts))
 
 

@@ -35,9 +35,9 @@ from .algebra import (
     heis_inverse,
     qplus_embed,
 )
-from .errors import GramataError, UnknownOracle
+from .errors import GramataError, InstanceTooLarge, UnknownOracle
 from .model import EFA, Transition, save_efa
-from .simulate import BudgetPolicy, Fold, default_policy
+from .simulate import BudgetPolicy, Fold, default_policy, mem_guard
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,17 @@ _GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 def standard_generators(group):
-    """A conventional named generating set for the groups that have one."""
+    """A conventional named generating set for the groups that have one.
+    The k one-letter words of free:k and the k vectors of length k of zk:k
+    are charged against mem_guard() before any is built: InstanceTooLarge
+    past it."""
+    if isinstance(group, (FreeGroup, FreeAbelian)):
+        size = group.rank if isinstance(group, FreeGroup) else group.k**2
+        guard = mem_guard()
+        if size > guard:
+            raise InstanceTooLarge(
+                f"the standard generating set of {group.spec_text()} has {size} entries, more than the guard {guard}"
+            )
     if isinstance(group, FreeGroup):
         names = [_GEN_NAMES[i] if group.rank <= 26 else f"g{i}" for i in range(group.rank)]
         return [(names[i], Word.generator(i)) for i in range(group.rank)]

@@ -12,6 +12,7 @@ from gramata.algebra import (
     SANOV_B,
     FreeAbelian,
     FreeGroup,
+    Heis,
     HeisenbergGroup,
     Matrix,
     MatrixGroup,
@@ -157,7 +158,7 @@ def test_growth_matches_reference_on_a_product_and_on_heisenberg_triples():
     group = parse_group_compact("prod(free:2,zk:1)")
     gens = gens_of(group)
     assert growth(group, gens, 4).counts == _reference_counts(group, gens, 4)
-    # growth multiplies by right_mul actions, which build plain int triples;
+    # growth counts both Heisenberg sets by columns and builds no element;
     # the reference multiplies Heis elements with the public mul
     heis = HeisenbergGroup()
     for gens in ([("a", HEIS_A), ("b", HEIS_B)], gens_of(heis)):
@@ -185,9 +186,16 @@ def test_growth_skips_each_elements_product_back_to_its_parent():
     assert len(products) == 52
 
 
+def _element_growth(group, gens, radius):
+    """growth's element kernel on any generating set: a seeded Heisenberg
+    draw with unit coordinates would take the column kernel, which takes no
+    products, so the product-counting properties call this kernel directly."""
+    return analysis._element_growth(group, analysis._symmetric_gens(group, gens), radius)
+
+
 def _assert_no_product_back_into_the_previous_sphere(group, gens, radius):
     products = []
-    assert growth(_counting(group, products), gens, radius).counts == _reference_counts(group, gens, radius)
+    assert _element_growth(_counting(group, products), gens, radius).counts == _reference_counts(group, gens, radius)
     radii = _reference_radii(group, gens, radius)
     assert products
     for g, h in products:
@@ -214,7 +222,7 @@ def test_growth_of_z2_takes_4_r_squared_products(radius, products):
     # the identity 4
     recorded = []
     group = _counting(FreeAbelian(2), recorded)
-    growth(group, gens_of(FreeAbelian(2)), radius)
+    _element_growth(group, gens_of(FreeAbelian(2)), radius)
     assert len(recorded) == products == 4 * radius**2
 
 
@@ -244,6 +252,99 @@ def test_growth_memory_guard_on_a_ball_that_stops_growing(monkeypatch):
     assert growth(FreeAbelian(1), [(0,)], 48).counts == (1,) * 49
     with pytest.raises(MemoryGuard, match="and layer counts"):
         growth(FreeAbelian(1), [(0,)], 49)
+
+
+_UNIT_TRIPLES = [Heis(*t) for t in itertools.product((-1, 0, 1), repeat=3)]
+
+
+def _unit_heisenberg_sets():
+    """Every generating set of one or two unit Heisenberg triples, one for
+    each symmetric closure: two sets with the same closure count alike."""
+    heis = HeisenbergGroup()
+    sets = {}
+    for gens in itertools.chain(
+        itertools.combinations(_UNIT_TRIPLES, 1), itertools.combinations(_UNIT_TRIPLES, 2)
+    ):
+        closure = frozenset(elem for _, elem in analysis._symmetric_gens(heis, gens))
+        sets.setdefault(closure, list(gens))
+    return sets
+
+
+def _no_kernel(*args):
+    raise AssertionError("growth took the wrong kernel")
+
+
+def test_column_kernel_matches_the_reference_on_every_unit_heisenberg_set(monkeypatch):
+    # the inverse of (x, y, z) is (-x, -y, xy - z): H(1, 1, -1)^-1 is
+    # H(-1, -1, 2), so a set with it takes the element kernel
+    heis = HeisenbergGroup()
+    sets = _unit_heisenberg_sets()
+    columns = 0
+    for closure, gens in sets.items():
+        unit = all(v in (-1, 0, 1) for elem in closure for v in elem)
+        columns += unit
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_element_growth" if unit else "_column_growth", _no_kernel)
+            assert growth(heis, gens, 5).counts == _reference_counts(heis, gens, 5), gens
+    # 16 closures of one triple and 120 of two, 78 of them all unit
+    assert (len(sets), columns) == (136, 78)
+
+
+def test_column_kernel_matches_the_element_kernel_at_larger_radii():
+    heis = HeisenbergGroup()
+    for gens, radius in (([HEIS_A, HEIS_B], 24), (gens_of(heis), 12), ([Heis(1, 1, 0), Heis(1, -1, 1)], 14)):
+        assert growth(heis, gens, radius).counts == _element_growth(heis, gens, radius).counts
+
+
+def _outcome(kernel, group, gens, radius):
+    try:
+        return kernel(group, gens, radius).counts
+    except MemoryGuard as err:
+        return err.message
+
+
+@pytest.mark.parametrize("gens", [[("a", HEIS_A), ("b", HEIS_B)], gens_of(HeisenbergGroup())], ids=["ab", "abc"])
+@pytest.mark.parametrize("radius", [3, 5])
+def test_column_kernel_raises_where_the_element_kernel_does(monkeypatch, gens, radius):
+    # the column kernel checks the guard once per layer, the element kernel
+    # on each insert: both refuse the same layer with the same message. The
+    # guards run past the ball and its recorded layers, so every outcome is met
+    heis = HeisenbergGroup()
+    kinds = set()
+    for guard in range(1, _element_growth(heis, gens, radius).counts[-1] + radius + 4):
+        monkeypatch.setenv("GRAMATA_MEM_GUARD", str(guard))
+        outcome = _outcome(growth, heis, gens, radius)
+        assert outcome == _outcome(_element_growth, heis, gens, radius), guard
+        kinds.add("counts" if isinstance(outcome, tuple) else "layers" if outcome.endswith("layer counts") else "elements")
+    assert kinds == {"counts", "layers", "elements"}
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [Heis(2, 0, 0), Heis(0, 1, 0)],
+        # a column kernel would hold bitsets 10^9 bits apart
+        [HEIS_A, HEIS_B, Heis(0, 0, 10**9)],
+    ],
+)
+def test_heisenberg_sets_past_unit_coordinates_take_the_element_kernel(monkeypatch, gens):
+    monkeypatch.setattr(analysis, "_column_growth", _no_kernel)
+    heis = HeisenbergGroup()
+    assert growth(heis, gens, 4).counts == _reference_counts(heis, gens, 4)
+
+
+def test_heisenberg_ball_sizes_satisfy_their_rational_series():
+    # the ⟨a, b⟩ ball sizes from r = 9 on satisfy the recurrence whose
+    # characteristic polynomial is (1 - x)^5 (1 + x^2)(1 + x + x^2): the root
+    # 1 of multiplicity 5 is a ball that grows like r^4, Bass's degree 4
+    counts = growth(HeisenbergGroup(), [("a", HEIS_A), ("b", HEIS_B)], 60).counts
+    assert counts[30] == 345149 and counts[40] == 1092681
+    poly = [1, -4, 7, -9, 11, -11, 9, -7, 4, -1]
+    # ten values fix a polynomial of degree 9
+    for x in range(-5, 5):
+        assert sum(c * x**i for i, c in enumerate(poly)) == (1 - x) ** 5 * (1 + x * x) * (1 + x + x * x)
+    for r in range(9, 61):
+        assert sum(c * counts[r - i] for i, c in enumerate(poly)) == 0, r
 
 
 def test_ball_with_words_are_shortest():

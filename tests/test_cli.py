@@ -370,6 +370,32 @@ def test_growth_radius_bounded_on_a_ball_that_stops_growing(monkeypatch, capsys)
     assert "stored more than 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "group, guard, code, text",
+    [
+        # 200,000 symmetric generators with masks of 3,125 words each, and
+        # 40,000 with 625: refused before any product
+        ("free:100000", None, 3, "masks of 200000 generators take 625000000 words, more than the guard 10000000"),
+        ("free:20000", None, 3, "masks of 40000 generators take 25000000 words, more than the guard 10000000"),
+        ("free:2000", None, 0, "1\t4001\n"),  # masks of 63 words
+        # 64 generators or fewer are checked by the first sphere's inserts
+        ("free:32", "64", 3, "stored more than 64 elements\n"),
+        ("free:32", "67", 0, "1\t65\n"),  # 65 elements and 2 recorded layers
+        # the standard set's entries, refused before any is built
+        ("zk:20000", None, 3, "free-abelian 20000 has 400000000 entries, more than the guard 10000000"),
+        ("zk:32", "1000", 3, "free-abelian 32 has 1024 entries, more than the guard 1000"),
+        ("zk:31", "1000", 0, "1\t63\n"),
+        ("free:1001", "1000", 3, "free 1001 has 1001 entries, more than the guard 1000"),
+    ],
+)
+def test_growth_charges_the_generating_set_against_the_guard(monkeypatch, capsys, group, guard, code, text):
+    if guard is not None:
+        monkeypatch.setenv("GRAMATA_MEM_GUARD", guard)
+    assert main(["growth", "--group", group, "--radius", "1"]) == code
+    captured = capsys.readouterr()
+    assert text in (captured.out if code == 0 else captured.err)
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("a word was decided")
 
