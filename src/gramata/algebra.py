@@ -425,11 +425,18 @@ def parse_heis(text):
 
 # --- groups -----------------------------------------------------------------
 
+# the weight that a broken pin adds to a norm (Group.move_floor): an element
+# that moves a coordinate which no register moves never returns, and a floor
+# of NEVER / scale moves is more than any budget below 2^64 / scale leaves
+NEVER = 1 << 64
+
+
 class MoveFloor(NamedTuple):
     """h(g) = ceil(norm(g) / scale), a lower bound on the moves that take
     g back to the identity when each move multiplies by a register of norm
     at most scale. A search compares norm(g) with scale * moves left, which
-    is the same test without the division."""
+    is the same test without the division. The scale is at least 1, also
+    for registers that all have norm 0 (Group.move_floor)."""
 
     norm: Callable
     scale: int
@@ -440,6 +447,26 @@ class MoveFloor(NamedTuple):
 
 # the floor of a component with none, inside a direct product
 _NO_FLOOR = MoveFloor(lambda g: 0, 1)
+
+
+def _move_floor(group, registers, pins=()):
+    """Group.move_floor of a group with a norm, pins being the indices of
+    the coordinates that no register moves."""
+    norm = group.norm
+    scale = max(map(norm, registers), default=0)
+    if pins:
+        moved = operator.itemgetter(*pins)
+        rest = moved(group.identity())
+
+        def pinned(g):
+            n = norm(g)
+            return n + NEVER if moved(g) != rest else n
+
+        # with scale 0 the pins cover the norm: what is not pinned has norm 0
+        return MoveFloor(pinned, scale or 1)
+    if scale:
+        return MoveFloor(norm, scale)
+    return MoveFloor(lambda g: (n := norm(g)) and n + NEVER, 1)
 
 
 DET_ANY = "any"
@@ -464,12 +491,15 @@ class Group:
 
     def move_floor(self, registers):
         """h with h(e) = 0 and h(g) <= 1 + h(g*r) for every r in registers:
-        the MoveFloor of the norm, scaled by the registers' largest norm.
-        None when the group has no norm or every register has norm 0."""
-        if self.norm is None:
-            return None
-        scale = max(map(self.norm, registers), default=0)
-        return MoveFloor(self.norm, scale) if scale else None
+        the MoveFloor of the norm, scaled by the registers' largest norm c.
+        A group may pin a coordinate that no register moves: an element
+        that moves it never returns, and its norm gains NEVER. When c is 0
+        no register moves the norm, so an element of norm > 0 never
+        returns either, and the scale is 1. The floor of a subset of the
+        registers is at least as high, so a search may give each state the
+        floor of the registers that its paths can still apply. None when
+        the group has no norm."""
+        return None if self.norm is None else _move_floor(self, registers)
 
     def mul(self, g, h):
         """The product g*h of two checked elements."""
@@ -575,6 +605,10 @@ class FreeAbelian(Group):
     def right_mul(self, h):
         add = operator.add
         return lambda g: tuple(map(add, g, h))
+
+    def move_floor(self, registers):
+        # a coordinate that every register leaves at 0 is pinned
+        return _move_floor(self, registers, tuple(i for i in range(self.k) if all(r[i] == 0 for r in registers)))
 
     def inverse(self, g):
         return tuple(map(operator.neg, g))
@@ -725,6 +759,16 @@ class HeisenbergGroup(Group):
 
         return act
 
+    def move_floor(self, registers):
+        # x or y is pinned when every register's is 0, and then z too when
+        # every register's z is 0: (x, y, z)(hx, hy, hz) moves z by
+        # hz + y*hx, which is hz when hx = 0, or when y = 0, as it is on a
+        # returning element whose y is pinned
+        pins = [i for i in (0, 1) if all(r[i] == 0 for r in registers)]
+        if pins and all(r[2] == 0 for r in registers):
+            pins.append(2)
+        return _move_floor(self, registers, tuple(pins))
+
     def inverse(self, g):
         return heis_inverse(g)
 
@@ -762,8 +806,8 @@ class DirectProduct(Group):
         return lambda g: (left(g[0]), right(g[1]))
 
     def move_floor(self, registers):
-        """The larger of the components' floors, each scaled by its own
-        registers: max(ln/lc, rn/rc) is max(ln*rc, rn*lc) / (lc*rc)."""
+        """The larger of the components' floors, each scaled and pinned by
+        its own registers: max(ln/lc, rn/rc) is max(ln*rc, rn*lc) / (lc*rc)."""
         left = self.left.move_floor([r[0] for r in registers])
         right = self.right.move_floor([r[1] for r in registers])
         if left is None and right is None:

@@ -101,11 +101,15 @@ def _element_growth(group, sym_gens, radius):
     product left lands in sphere r or r+1. Each layer takes one generator at
     a time across the whole sphere, so an element is found by its first
     generator in that order, not by its first parent. The memory guard is
-    checked on each insert. A set of s > 64 generators is refused with
-    InstanceTooLarge before any product when the first sphere's masks, up
-    to s elements of ceil(s/64) words each, take more words than the
-    guard."""
+    checked on each insert. An element of Z^k holds k ints, so it counts as
+    ceil(k/3) elements, one per Heisenberg triple's worth: Z^1 to Z^3 count
+    one each, as every other group does. A set of s > 64 generators is
+    refused with InstanceTooLarge before any product when the first
+    sphere's masks, up to s elements of ceil(s/64) words each, take more
+    words than the guard."""
     guard = mem_guard()
+    width = group.k if isinstance(group, algebra.FreeAbelian) else 1
+    limit = guard // -(-width // 3)  # the elements that may be stored
     # 64 generators or fewer charge at most s words, which the first
     # sphere's inserts check anyway
     s = len(sym_gens)
@@ -138,7 +142,7 @@ def _element_growth(group, sym_gens, radius):
                 elif h not in cur:
                     new[h] = back
                     total += 1
-                    if total > guard:
+                    if total > limit:
                         raise MemoryGuard(guard)
         _record(counts, total, guard)
         cur = new

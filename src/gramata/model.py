@@ -104,6 +104,15 @@ class EFA:
         return all(s is not None for _, s in keys) and len(set(keys)) == len(keys)
 
     @cached_property
+    def move_floors(self):
+        """state -> the move floor of the registers that a path from the
+        state can still apply (simulate.state_floors), built on the first
+        sweep that reads it."""
+        from .simulate import state_floors  # simulate imports this module
+
+        return state_floors(self)
+
+    @cached_property
     def distance_levels(self):
         """The memo of the distance levels that simulate's deciders look
         up, filled as they need them (DistanceLevels)."""

@@ -23,12 +23,14 @@ Branches that provably cannot reach acceptance in the remaining depth are
 pruned by the same register-ignoring distance table; the pruning is
 admissible, so it never changes a verdict. The language sweeps also
 drop a configuration whose register cannot return to the identity in the
-depth left: a move multiplies by one register, so a register g needs at
-least h(g) = ceil(norm(g) / c) more moves, c the largest norm of a register
-of the machine (Group.move_floor). That is an admissible A* bound (Hart,
-Nilsson and Raphael, 1968), so it changes no verdict either. accepts() does
-not take it, so its stats and certificates stay those of the distance
-pruning alone.
+depth left. A path from state q applies only the registers R(q) of the
+transitions reachable from q, so a register g at q needs at least
+h_q(g) = ceil(norm(g) / c_q) more moves, c_q the largest norm in R(q), and
+never returns if it moves a coordinate that no register of R(q) moves
+(Group.move_floor, EFA.move_floors). That is an admissible and consistent
+A* bound (Hart, Nilsson and Raphael, 1968), so it changes no verdict
+either. accepts() does not take it, so its stats and certificates stay
+those of the distance pruning alone.
 
 accepts(..., dedup=False) is the unpruned oracle of that search: a
 depth-first walk of every path, with no duplicate pruning. It reuses the
@@ -268,6 +270,21 @@ def _step_unit(items, following, nexts):
     return _close_unit(best, nexts)
 
 
+def state_floors(efa):
+    """state -> Group.move_floor of R(q), the registers of every transition
+    reachable from the state q, its own included; None where the group has
+    no norm. A move from q to q' leaves R(q') a subset of R(q), so
+    h_q(g) <= 1 + h_q'(g*r): the floors are consistent, as one floor for
+    the whole machine is."""
+    after, own = {}, {q: [] for q in efa.states}
+    for t in efa.transitions:
+        after.setdefault(t.source, []).append(t.target)
+        own[t.source].append(t.register)
+    return {
+        q: efa.group.move_floor([r for p in _close_unit({q: 0}, after) for r in own[p]]) for q in efa.states
+    }
+
+
 # the most levels a machine's DistanceLevels holds: it starts over when full
 DISTANCE_LEVELS = 4096
 
@@ -443,19 +460,24 @@ def accepts(efa, word, policy=default_policy, *, dedup=True):
     return RunResult(Verdict.ACCEPT, stats, certificate, _verify_certificate(efa, word, certificate))
 
 
-def _search_bfs(efa, word, budget, dist, floor=None):
+# the (norm, scale) of a move whose target has no floor
+_UNFLOORED = (None, 0)
+
+
+def _search_bfs(efa, word, budget, dist, floors=None):
     """Breadth-first search over (state, position, register) configurations
     that stores each one once, with its parent link for the certificate.
     Like _search_dfs, each (state, position) compiles on its first
     expansion into capped moves (cap, action, transition, the target's
-    register -> parent link dict, target key, accepts there), so a move
-    costs one register hash. That expansion is at its least depth, so a
-    move capped below it is dropped, and so is a target that cannot accept.
-    Given the machine's move floor (Group.move_floor), a new child at depth
-    d is dropped too when floor(child) > budget - d: its register cannot
-    return to the identity in the moves left. accepts() passes none, and
-    runs it only on a nondeterministic machine's word that the budget can
-    reach."""
+    register -> parent link dict, target key, accepts there, the target's
+    move floor), so a move costs one register hash. That expansion is at
+    its least depth, so a move capped below it is dropped, and so is a
+    target that cannot accept. Given the machine's floors per state
+    (EFA.move_floors), a new child at depth d is dropped too when its
+    target's floor exceeds budget - d: the registers that its paths can
+    still apply cannot return it to the identity in the moves left.
+    accepts() passes none, and runs it only on a nondeterministic machine's
+    word that the budget can reach."""
     n = len(word)
     accepting = efa.accepting
     is_identity = efa.group.is_identity
@@ -469,11 +491,10 @@ def _search_bfs(efa, word, budget, dist, floor=None):
     stored = 1
     expanded = max_depth = depth = 0
     frontier = [(key, reg)]
-    norm, scale = floor or (None, 0)
     while frontier and depth < budget:
         depth += 1
         nxt = []
-        limit = scale * (budget - depth)  # the largest norm a child may have
+        left = budget - depth  # the moves left below a child
         for key, reg in frontier:
             expanded += 1
             entries = capped.get(key)
@@ -485,12 +506,13 @@ def _search_bfs(efa, word, budget, dist, floor=None):
                     remaining = dist[n - pos - adv].get(target)
                     if remaining is not None and budget - remaining >= depth:
                         final = tkey[1] == n and target in accepting
-                        entries.append((budget - remaining, r, t, seen.setdefault(tkey, {}), tkey, final))
-            for cap, r, t, regs, tkey, final in entries:
+                        norm, scale = floors and floors[target] or _UNFLOORED
+                        entries.append((budget - remaining, r, t, seen.setdefault(tkey, {}), tkey, final, norm, scale))
+            for cap, r, t, regs, tkey, final, norm, scale in entries:
                 if depth > cap:  # the target is too far from acceptance
                     continue
                 child = reg if r is None else r(reg)
-                if child in regs or norm is not None and norm(child) > limit:
+                if child in regs or norm is not None and norm(child) > scale * left:
                     continue
                 regs[child] = (key, reg, t)
                 stored += 1
@@ -740,10 +762,12 @@ class _PrefixSearch:
     and closes under epsilon moves, depth by depth. A configuration at
     depth d with r symbols still to read is pruned when d + lb[r][q]
     exceeds the word length's budget, lb being the distance table over any
-    symbols, or when d + floor(register) does, floor being the machine's
-    move floor. Both are admissible, so the last level holds every
-    configuration that an accepting path of a word can pass through before
-    its last symbol. The leaves' tails are exact and take no floor.
+    symbols, or when d + floor_q(register) does, floor_q being the move
+    floor of the registers that paths from q can still apply
+    (EFA.move_floors), compiled into each move to q. Both are admissible,
+    so the last level holds every configuration that an accepting path of
+    a word can pass through before its last symbol. The leaves' tails are
+    exact and take no floor.
 
     A leaf builds no level. The backward half is one table of epsilon
     tails (_EpsilonTails) for the whole search. The leaf walks its
@@ -760,16 +784,20 @@ class _PrefixSearch:
     accepts(). Every word has a last symbol: L >= 1, and the empty word
     is accepts()'s to decide."""
 
-    def __init__(self, efa, alphabet, max_len, policy, floor=None):
+    def __init__(self, efa, alphabet, max_len, policy, floors=None):
         group = efa.group
         self.efa = efa
         self.alphabet = alphabet
         self.policy = policy
-        self.norm, self.scale = floor or (None, 0)
-        self.eps = {q: efa.moves[(q, None)] for q in efa.states}
+
+        def compiled(moves):
+            # (target, action, transition, the target's norm and scale)
+            return [(q, r, t, *(floors and floors[q] or _UNFLOORED)) for q, _, r, t in moves]
+
+        self.eps = {q: compiled(efa.moves[(q, None)]) for q in efa.states}
         self.eps_targets = {q: [m[0] for m in moves] for q, moves in self.eps.items() if moves}
         self.sym = {
-            s: {q: efa.moves[(q, s)][len(self.eps[q]) :] for q in efa.states} for s in alphabet
+            s: {q: compiled(efa.moves[(q, s)][len(self.eps[q]) :]) for q in efa.states} for s in alphabet
         }
         self.lb = _distances_to_accept(efa, [ANY] * max_len)
         self.tails = _EpsilonTails(efa)
@@ -850,7 +878,7 @@ class _PrefixSearch:
                 g = pkey[1]
                 # the moves as in _level; a generator shared by the two
                 # loops measured slower on this, the hottest path
-                for q, _, r, t in sym[pkey[0]]:
+                for q, r, t, _, _ in sym[pkey[0]]:
                     if d > cap[q]:
                         continue
                     key = (q, g if r is None else r(g))
@@ -881,7 +909,7 @@ class _PrefixSearch:
         is None, with r >= 1 symbols still to read."""
         cap = self.caps[r]
         eps = self.eps
-        norm, scale, budget = self.norm, self.scale, self.budget
+        budget = self.budget
         limit = self.guard - self.stored - len(self.tails.entries)
         links = {}
         layers = []
@@ -904,16 +932,16 @@ class _PrefixSearch:
             below = parents[j] if j < len(parents) else ()
             j += 1
             layer = []
-            most = scale * (budget - d)  # the largest norm a register may have
+            left = budget - d  # the moves left below this layer
             for keys, table in ((front, eps), (below, sym)):
                 for pkey in keys:
                     g = pkey[1]
-                    for q, _, r, t in table[pkey[0]]:
+                    for q, r, t, norm, scale in table[pkey[0]]:
                         if d > cap[q]:
                             continue
                         child = g if r is None else r(g)
                         key = (q, child)
-                        if key in links or norm is not None and norm(child) > most:
+                        if key in links or norm is not None and norm(child) > scale * left:
                             continue
                         links[key] = (pkey, t)
                         if len(links) > limit:
@@ -971,8 +999,9 @@ def _language_verdicts(efa, alphabet, max_len, policy):
     accepting configuration. The tails do not pay there: on composite <= 30
     the table grows to 110,704 entries, and the prefix search took 233 ms
     against 125 ms per word (best of 9, both with the floor). Both kinds of
-    search drop the configurations beyond the machine's move floor, as the
-    distance table drops those too far from an accepting state."""
+    search drop a configuration beyond the move floor of its state
+    (EFA.move_floors), as the distance table drops those too far from an
+    accepting state."""
     if max_len < 0:
         raise GramataError(f"max_len must be at least 0, got {max_len}")
     alphabet = tuple(sorted(alphabet))
@@ -982,29 +1011,29 @@ def _language_verdicts(efa, alphabet, max_len, policy):
     if efa.deterministic:
         yield from _path_verdicts(efa, alphabet, max_len, policy)
         return
-    floor = efa.group.move_floor([t.register for t in efa.transitions])
+    floors = efa.move_floors
     if len(alphabet) < 2:
         # the collector is paused per word, never across a yield, so the
         # caller's code and its oracle run with it on
         for word in itertools.islice(all_words(alphabet, max_len), 1, None):
-            yield gc_paused(_floored_verdict, efa, word, policy, floor)
+            yield gc_paused(_floored_verdict, efa, word, policy, floors)
         return
-    search = _PrefixSearch(efa, alphabet, max_len, policy, floor)
+    search = _PrefixSearch(efa, alphabet, max_len, policy, floors)
     for length in range(1, max_len + 1):
         yield from search.verdicts(length)
 
 
-def _floored_verdict(efa, word, policy, floor):
+def _floored_verdict(efa, word, policy, floors):
     """accepts(efa, word, policy).verdict for a word of length at least 1
     of a nondeterministic machine, from a search that also drops the
-    children beyond the move floor. Unlike accepts(), it searches a word
-    that the budget cannot reach too; that search expands the root alone
-    and finds nothing, so the verdict is the same. It repeats accepts'
+    children beyond their states' move floors. Unlike accepts(), it
+    searches a word that the budget cannot reach too; that search expands
+    the root alone and finds nothing, so the verdict is the same. It repeats accepts'
     steps rather than share them, which would cost every single decide
     one more call."""
     budget = policy(len(word))
     dist = _distances_to_accept(efa, word[::-1])
-    _, certificate = _search_bfs(efa, word, budget, dist, floor)
+    _, certificate = _search_bfs(efa, word, budget, dist, floors)
     if certificate is not None:
         _verify_certificate(efa, word, certificate)
         return Verdict.ACCEPT

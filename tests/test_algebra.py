@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gramata.algebra import (
     BS_A,
     BS_B,
+    NEVER,
     SANOV_A,
     SANOV_B,
     DirectProduct,
@@ -1037,17 +1038,50 @@ def test_bareiss_handles_zero_pivots():
         (MatrixGroup(2, "Q", "one"), [SANOV_A, SANOV_B]),
         (MatrixGroup(2, "Z", "pm1"), [SANOV_A]),
         (MatrixGroup(3, "Q"), [Matrix(((2, 0, 0), (0, 1, 0), (0, 0, 1)))]),
-        # every register of norm 0: the identity, or a central Heisenberg element
-        (FreeGroup(2), [Word()]),
-        (FreeAbelian(3), [(0, 0, 0)]),
-        (HeisenbergGroup(), [Heis(0, 0, 0), Heis(0, 0, 5)]),
-        (DirectProduct(PositiveRationals(), HeisenbergGroup()), [(Fraction(3), Heis(0, 0, -1))]),
-        (FreeGroup(2), []),
     ],
     ids=repr,
 )
 def test_no_move_floor(group, registers):
     assert group.move_floor(registers) is None
+
+
+def _refuses(floor, g):
+    # g breaks a pin: no budget below 2^64 moves leaves room for it
+    return floor(g) >= NEVER // floor.scale
+
+
+# registers that all have norm 0, the identity, a central Heisenberg
+# element or none: (group, registers, elements kept at floor 0, elements refused)
+NORM_0_REGISTERS = {
+    "free-identity": (FreeGroup(2), [Word()], [], [Word.generator(0), Word.generator(1, -1)]),
+    "zk-identity": (FreeAbelian(3), [(0, 0, 0)], [], [(0, 0, 1), (-2, 0, 0)]),
+    # a central register moves z, so z is not pinned
+    "heis-central": (
+        HeisenbergGroup(),
+        [Heis(0, 0, 0), Heis(0, 0, 5)],
+        [Heis(0, 0, 3), (0, 0, -1)],
+        [Heis(1, 0, 0), Heis(0, -1, 4)],
+    ),
+    "qplus-heis-central": (
+        DirectProduct(PositiveRationals(), HeisenbergGroup()),
+        [(Fraction(3), Heis(0, 0, -1))],
+        [(Fraction(7), Heis(0, 0, 2))],
+        [(Fraction(1), Heis(1, 0, 0))],
+    ),
+    "free-none": (FreeGroup(2), [], [], [Word.generator(1)]),
+}
+
+
+@pytest.mark.parametrize(
+    "group, registers, kept, refused", [pytest.param(*case, id=name) for name, case in NORM_0_REGISTERS.items()]
+)
+def test_registers_of_norm_0_pin_the_norm(group, registers, kept, refused):
+    # no register moves the norm, so an element of norm > 0 never returns:
+    # the state of such registers, or of none, keeps a register of norm 0 alone
+    floor = group.move_floor(registers)
+    assert floor.scale == 1 and floor(group.identity()) == 0
+    assert [floor(g) for g in kept] == [0] * len(kept)
+    assert all(_refuses(floor, g) for g in refused)
 
 
 def test_move_floors_of_the_normed_groups():
@@ -1057,6 +1091,18 @@ def test_move_floors_of_the_normed_groups():
     assert zk.scale == 2 and [zk(v) for v in [(0, 0), (1, 0), (1, 1), (2, -1), (-3, 2)]] == [0, 1, 1, 2, 3]
     free = FreeGroup(2).move_floor([Word.generator(0), Word(((0, 1), (1, -1), (0, 1)))])
     assert free.scale == 3 and free(Word(((1, 1),) * 7)) == 3 and free(Word()) == 0
+    # a coordinate that no register moves is pinned: an element that moves
+    # it never returns. With x moving alone, y is pinned and so is z
+    tail = HeisenbergGroup().move_floor([Heis(-1, 0, 0)])
+    assert tail.scale == 1 and tail(Heis(5, 0, 0)) == 5 and tail(Heis(0, 0, 0)) == 0
+    assert _refuses(tail, Heis(0, 1, 0)) and _refuses(tail, Heis(1, 0, 1)) and _refuses(tail, (1, 0, 1))
+    plane = FreeAbelian(2).move_floor([(0, -1)])
+    assert plane.scale == 1 and plane((0, 3)) == 3 and _refuses(plane, (1, 0))
+    # z is pinned only together with x or y, and only when no register moves it
+    assert not any(_refuses(heis, g) for g in [Heis(0, 0, 1), Heis(3, -4, 99)])
+    up = HeisenbergGroup().move_floor([Heis(0, 1, 0)])
+    assert _refuses(up, Heis(0, 0, 1)) and _refuses(up, Heis(1, 0, 0)) and up(Heis(0, -2, 0)) == 2
+    assert HeisenbergGroup().move_floor([Heis(0, 1, 2)])(Heis(0, 1, 1)) == 1
 
 
 def test_direct_product_takes_the_larger_component_floor():
@@ -1069,4 +1115,8 @@ def test_direct_product_takes_the_larger_component_floor():
     # a component without a floor leaves the other's
     half = DirectProduct(PositiveRationals(), HeisenbergGroup())
     floor = half.move_floor([(Fraction(2), Heis(0, 2, 0)), (Fraction(1, 2), Heis(1, 0, 0))])
-    assert floor((Fraction(7), Heis(3, 2, 0))) == 3 == HeisenbergGroup().move_floor([Heis(0, 2, 0)])(Heis(3, 2, 0))
+    heis = HeisenbergGroup().move_floor([Heis(0, 2, 0), Heis(1, 0, 0)])
+    assert floor((Fraction(7), Heis(3, 2, 0))) == 3 == heis(Heis(3, 2, 0))
+    # and its pins: no register of the right component moves y
+    floor = half.move_floor([(Fraction(2), Heis(1, 0, 0))])
+    assert _refuses(floor, (Fraction(1), Heis(0, 1, 0))) and floor((Fraction(5), Heis(-2, 0, 0))) == 2

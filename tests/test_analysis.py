@@ -246,6 +246,32 @@ def test_growth_memory_guard_raise_point(monkeypatch, guard, radius, raised):
             growth(FreeGroup(2), gens_of(FreeGroup(2)), radius)
 
 
+@pytest.mark.parametrize(
+    "k, guard, raised",
+    [
+        # 13 elements of 6 ints, charged 2 each
+        (6, "26", None),
+        (6, "25", "elements$"),
+        # 15 elements of 7 ints, charged 3 each
+        (7, "45", None),
+        (7, "44", "elements$"),
+        # 7 elements of 3 ints and 2 recorded layers, charged 1 each as before
+        (3, "9", None),
+        (3, "8", "elements and layer counts"),
+        (3, "6", "elements$"),
+    ],
+)
+def test_growth_charges_a_zk_element_by_its_ints(monkeypatch, k, guard, raised):
+    group = FreeAbelian(k)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", guard)
+    if raised is None:
+        assert growth(group, units, 1).counts == (1, 2 * k + 1)
+    else:
+        with pytest.raises(MemoryGuard, match=f"more than {guard} {raised}"):
+            growth(group, units, 1)
+
+
 def test_growth_memory_guard_on_a_ball_that_stops_growing(monkeypatch):
     # the ball of the trivial generator is {0}: only the recorded layers grow
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "50")

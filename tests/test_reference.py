@@ -277,6 +277,68 @@ def test_the_move_floor_keeps_every_word_accepted_at_its_least_depth(group, data
         assert verdict is reference_decide(machine, word, budgets[len(word)])[0], (word, budgets)
 
 
+# the groups with a norm, whose sweeps prune by each state's move floor
+NORMED_GROUPS = [g for g in ALL_GROUPS if g.move_floor([]) is not None]
+
+
+def draw_tail_machine(group, data):
+    """A random machine over the group whose accepting tail state f loops
+    on one coordinate only: by one standard generator or its inverse, and
+    by nothing else. f is entered from the other states with drawn
+    registers, so its floor pins every other coordinate."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g = random_element(group, rng)
+    gens = [x for _, x in standard_generators(group)]
+    loop = data.draw(st.sampled_from(gens + [group.inverse(x) for x in gens]), label="loop")
+    # entries that the loop can cancel, and one that it cannot
+    registers = [group.identity(), g, group.inverse(g), group.inverse(loop), group.mul(loop, loop)]
+    states = [f"s{i}" for i in range(data.draw(st.integers(1, 3), label="states"))]
+    alphabet = ("a", "b", "c")[: data.draw(st.integers(1, 3), label="letters")]
+    reads = (None,) + alphabet
+    inner = st.builds(
+        Transition, st.sampled_from(states), st.sampled_from(reads), st.sampled_from(states), st.sampled_from(registers)
+    )
+    entry = st.builds(
+        Transition, st.sampled_from(states), st.sampled_from(reads), st.just("f"), st.sampled_from(registers)
+    )
+    transitions = data.draw(st.lists(inner, max_size=5), label="transitions")
+    transitions += data.draw(st.lists(entry, min_size=1, max_size=3), label="entries")
+    transitions.append(Transition("f", data.draw(st.sampled_from(reads), label="loop read"), "f", loop))
+    return EFA(group, states + ["f"], alphabet, transitions, "s0", ["f"])
+
+
+@pytest.mark.parametrize("group", NORMED_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_state_floors_are_consistent_on_every_move(group, data):
+    # each state's floor is scaled and pinned by the registers that its
+    # paths can still apply: h_q(e) = 0 and h_q(g) <= 1 + h_q'(g*r) for
+    # every transition q -> q' with register r, through the public product
+    # and the searches' right actions alike. The elements include the
+    # inverses of the registers and of their products, which can return
+    drawn = draw_tail_machine if data.draw(st.booleans(), label="tail") else draw_machine
+    machine = drawn(group, data)
+    floors = machine.move_floors
+    registers = [t.register for t in machine.transitions]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="elements"))
+    elements = [random_element(group, rng) for _ in range(6)] + registers
+    elements += [group.inverse(group.mul(r, s)) for r in registers for s in [group.identity()] + registers]
+    for q in machine.states:
+        assert floors[q](group.identity()) == 0
+    for t in machine.transitions:
+        here, there = floors[t.source], floors[t.target]
+        for g in elements:
+            for moved in (group.mul(g, t.register), group.right_mul(t.register)(g)):
+                assert here(g) <= 1 + there(moved), (t, g)
+
+
+@pytest.mark.parametrize("group", [g for g in NORMED_GROUPS if _has_standard_generators(g)], ids=repr)
+@given(data=st.data())
+@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
+def test_machines_whose_tail_loops_on_one_coordinate(group, data):
+    check_deciders(draw_tail_machine(group, data), data)
+
+
 def check_deciders(machine, data):
     """Every decider against reference_decide on every word up to length
     3, and the parse round trip and the register count against theirs,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gramata.algebra import FreeAbelian, FreeGroup, Word
+from gramata.algebra import NEVER, FreeAbelian, FreeGroup, Heis, HeisenbergGroup, Word
 from gramata.analysis import ball_with_words, growth
 from gramata.constructions import CONSTRUCTIONS, build_mult, build_upow, construction_budget, oracle
 from gramata.errors import GramataError, MemoryGuard, UnknownSymbol
@@ -404,16 +404,12 @@ def test_a_word_without_a_path_runs_no_search(monkeypatch):
 
 
 # the sweeps' own search of a word, which also drops configurations beyond
-# the move floor: (expanded, max_depth, accept_depth) and the verdict
+# their states' move floors: (expanded, max_depth, accept_depth) and the verdict
 FLOORED_SEARCHES = [
-    ("composite", "xxxx", (157, 14, 14), True),
-    ("composite", "xxxxx", (292, 19, None), False),
-    ("mult", "xyzz", (48, 15, None), False),
+    ("composite", "xxxx", (134, 14, 14), True),
+    ("composite", "xxxxx", (210, 18, None), False),
+    ("mult", "xyzz", (14, 13, None), False),
 ]
-
-
-def _floor(machine):
-    return machine.group.move_floor([t.register for t in machine.transitions])
 
 
 @pytest.mark.parametrize("name, text, stats, accepted", FLOORED_SEARCHES)
@@ -422,11 +418,26 @@ def test_floored_search_stats_pinned(name, text, stats, accepted):
     machine = spec.build()
     word = tokenize_word(text, machine.alphabet)
     dist = _distances_to_accept(machine, word[::-1])
-    found, certificate = _search_bfs(machine, word, spec.budget(len(word)), dist, _floor(machine))
+    found, certificate = _search_bfs(machine, word, spec.budget(len(word)), dist, machine.move_floors)
     assert (found.expanded, found.max_depth, found.accept_depth) == stats
     assert (certificate is not None) == accepted
     if accepted:
         _verify_certificate(machine, word, certificate)
+
+
+def test_the_composite_sweep_expands_the_nodes_of_its_state_floors():
+    # the words of length 1 to 30, each searched as the unary sweep searches
+    # it: 328,234 nodes with no floor, 159,293 with one floor for the whole
+    # machine, and 108,344 with each state's own, where the tail state c6,
+    # which applies H(-1,0,0) alone, pins y and z
+    spec = CONSTRUCTIONS["composite"]
+    machine = spec.build()
+    total = 0
+    for n in range(1, 31):
+        word = ("x",) * n
+        dist = _distances_to_accept(machine, word[::-1])
+        total += _search_bfs(machine, word, spec.budget(n), dist, machine.move_floors)[0].expanded
+    assert total == 108344
 
 
 # each machine whose sweep prunes by a move floor, with its gate length
@@ -435,7 +446,7 @@ FLOORED_SWEEPS = {"composite": 30, "mult": 7, "multiple": 10, "anbncn": 8}
 
 def test_every_floored_sweep_is_checked():
     machines = {name: spec.build() for name, spec in CONSTRUCTIONS.items()}
-    floored = {name for name, m in machines.items() if _floor(m) is not None and not m.deterministic}
+    floored = {name for name, m in machines.items() if any(m.move_floors.values()) and not m.deterministic}
     assert floored == set(FLOORED_SWEEPS)
 
 
@@ -466,6 +477,32 @@ def test_the_floor_keeps_a_register_that_returns_in_exactly_the_moves_left(alpha
     verdicts = list(_language_verdicts(machine, alphabet, 7, policy))
     assert verdicts == [accepts(machine, word, policy).verdict for word in words]
     assert all(v is Verdict.ACCEPT for word, v in zip(words, verdicts) if len(word) >= 2)
+
+
+@pytest.mark.parametrize(
+    "group, up, down",
+    [
+        (FreeAbelian(1), (1,), (-2,)),
+        (HeisenbergGroup(), Heis(0, 0, 1), Heis(0, 0, -2)),
+        (FreeGroup(2), Word.generator(0), Word(((0, -1), (0, -1)))),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("alphabet", [("a",), ("a", "b")], ids=["unary", "prefix-search"])
+def test_a_sink_with_no_move_keeps_the_identity_alone(group, up, down, alphabet):
+    # q goes up on every symbol and enters the accepting sink f, which has
+    # no move, down by two: f's registers are none, so its floor keeps the
+    # identity alone, with no division by a scale of 0. Exactly the words
+    # of length 2 accept
+    transitions = [Transition("q", s, "q", up) for s in alphabet] + [Transition("q", None, "f", down)]
+    machine = EFA(group, ["q", "f"], alphabet, transitions, "q", ["f"])
+    sink = machine.move_floors["f"]
+    assert sink.scale == 1 and sink(group.identity()) == 0 and sink(up) >= NEVER
+    policy = constant_policy(6)
+    words = list(all_words(alphabet, 4))
+    verdicts = list(_language_verdicts(machine, alphabet, 4, policy))
+    assert verdicts == [accepts(machine, word, policy).verdict for word in words]
+    assert [word for word, v in zip(words, verdicts) if v is Verdict.ACCEPT] == [w for w in words if len(w) == 2]
 
 
 def test_identity_registers_cost_no_product(monkeypatch):
