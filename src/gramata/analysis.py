@@ -91,6 +91,13 @@ def _record(counts, total, guard):
         raise MemoryGuard(guard, layers=True)
 
 
+def _charge(group):
+    """What one element counts as against the guard: ceil(k/3) for Z^k, a product's sum, else 1."""
+    if isinstance(group, algebra.DirectProduct):
+        return _charge(group.left) + _charge(group.right)
+    return -(-group.k // 3) if isinstance(group, algebra.FreeAbelian) else 1
+
+
 def _element_growth(group, sym_gens, radius):
     """growth over elements, for any group. Only the current and the new
     sphere are stored, each element with a mask of its back generators: a
@@ -101,15 +108,14 @@ def _element_growth(group, sym_gens, radius):
     product left lands in sphere r or r+1. Each layer takes one generator at
     a time across the whole sphere, so an element is found by its first
     generator in that order, not by its first parent. The memory guard is
-    checked on each insert. An element of Z^k holds k ints, so it counts as
-    ceil(k/3) elements, one per Heisenberg triple's worth: Z^1 to Z^3 count
-    one each, as every other group does. A set of s > 64 generators is
-    refused with InstanceTooLarge before any product when the first
-    sphere's masks, up to s elements of ceil(s/64) words each, take more
-    words than the guard."""
+    checked on each insert, and an element counts as _charge(group)
+    elements, which the guard's message names when it is more than one. A
+    set of s > 64 generators is refused with InstanceTooLarge before any
+    product when the first sphere's masks, up to s elements of ceil(s/64)
+    words each, take more words than the guard."""
     guard = mem_guard()
-    width = group.k if isinstance(group, algebra.FreeAbelian) else 1
-    limit = guard // -(-width // 3)  # the elements that may be stored
+    charge = _charge(group)
+    limit = guard // charge  # the elements that may be stored
     # 64 generators or fewer charge at most s words, which the first
     # sphere's inserts check anyway
     s = len(sym_gens)
@@ -143,7 +149,7 @@ def _element_growth(group, sym_gens, radius):
                     new[h] = back
                     total += 1
                     if total > limit:
-                        raise MemoryGuard(guard)
+                        raise MemoryGuard(guard, charge=charge)
         _record(counts, total, guard)
         cur = new
     return GrowthTable(tuple(counts))

@@ -44,9 +44,10 @@ class InstanceTooLarge(GramataError):
 class MemoryGuard(GramataError):
     code = "memory-guard"
 
-    def __init__(self, guard, layers=False):
-        # every search's refusal past the guard; a layered search names its layer counts too
-        super().__init__(f"search stored more than {guard} elements" + (" and layer counts" if layers else ""))
+    def __init__(self, guard, layers=False, charge=1):
+        # every search's refusal past the guard, naming its layer counts and its elements' charge when they count
+        charged = f", each charged as {charge} elements" if charge > 1 else ""
+        super().__init__(f"search stored more than {guard} elements" + (" and layer counts" if layers else "") + charged)
 
 
 class EfaParseError(GramataError):

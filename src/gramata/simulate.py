@@ -16,9 +16,9 @@ state, so nothing was decided. Otherwise a failed search is a Reject:
 either acceptance is structurally impossible (d_min infinite), or every
 configuration that could still have accepted within the budget was
 explored. accepts() decides a word that the budget cannot reach (d_min
-infinite or above the budget) from the distance table alone, with no
-search, and reports the stats that the search would have counted: it
-would expand the root and prune all of its moves.
+infinite or above the budget) with no search, off the distance table or
+a deterministic machine's one walk, and reports the stats that the
+search would have counted: the root expanded and all its moves pruned.
 Branches that provably cannot reach acceptance in the remaining depth are
 pruned by the same register-ignoring distance table; the pruning is
 admissible, so it never changes a verdict. The language sweeps also
@@ -51,13 +51,11 @@ oracle written as a left fold (Fold) over each length's trie too: one
 step per prefix, and no step at all below a prefix the fold has ruled out.
 
 A deterministic machine (EFA.deterministic: no epsilon move, at most one
-transition per state and symbol) has at most one path per word, and every
-decider walks that path with none of the general machinery. A word that
-the budget can reach has d_min = |w|: its one path of |w| moves ends in
-an accepting state, so accepts() walks it once (_path), its register
-decides, and both searches' counts follow in closed form. _path_verdicts,
-for the language sweep, walks each length's trie holding only the current
-path.
+transition per state and symbol) has at most one path per word, which
+every decider walks with none of the general machinery: accepts() reads
+d_min off it with no distance table and multiplies its registers only
+for a word in reach, and _path_verdicts walks each length's trie holding
+only the current path.
 """
 
 from __future__ import annotations
@@ -421,42 +419,65 @@ class _EpsilonTails:
 def _unaccepted_verdict(d_min, budget):
     """The verdict of a word that no search accepted: BudgetExhausted when
     acceptance needs more transitions than the budget, else Reject."""
-    if d_min is not None and d_min > budget:
-        return Verdict.BUDGET_EXHAUSTED
-    return Verdict.REJECT
+    return Verdict.BUDGET_EXHAUSTED if d_min is not None and d_min > budget else Verdict.REJECT
 
 
 def accepts(efa, word, policy=default_policy, *, dedup=True):
     """Run the machine on a word under a depth budget.
 
     A word that the budget cannot reach (d_min is None, or d_min > budget)
-    is decided off the distance table, with no search: Reject when d_min
-    is None, else BudgetExhausted. Every move of the root reaches a target
-    at no finite distance, or at one with 1 + remaining >= d_min > budget,
-    so the search would prune every move. No memory guard is read and no
-    move is compiled. The stats are those of that search: the
-    breadth-first search expands the root alone (nothing under a budget of
-    0), and the unpruned walk counts no node.
+    is decided with no search and no guard read: Reject when d_min is
+    None, else BudgetExhausted, with the stats of a search that prunes
+    every move of the root: the breadth-first search expands the root
+    alone (nothing under a budget of 0), the unpruned walk none.
 
-    Any other word is searched, and a failed search is a Reject. The empty
-    path accepts with no search; a deterministic machine's word has one
-    path, of d_min = n moves, which _path walks once."""
-    word = _checked_word(word, efa.alphabet)
-    budget = policy(len(word))
-    dist = _distances_to_accept(efa, word[::-1])
-    d_min = dist[len(word)].get(efa.initial)
+    d_min comes from the distance table, which compiles no move, or from a
+    deterministic machine's one path along efa.moves, walked before the
+    policy is asked: n when it reads the word into an accepting state, else
+    None. A found move proves that its symbol is in the alphabet, so only a
+    walk that breaks off checks every symbol. A word in reach multiplies
+    the path's registers once and the last decides; both searches' counts
+    follow in closed form, the breadth-first one also expanding the
+    configuration it stops at and storing the path against the guard.
+    Other words are searched; the empty path accepts with no search."""
+    if efa.deterministic:
+        word = tuple(word)
+        n = len(word)
+        moves, q, path = efa.moves, efa.initial, []
+        for symbol in word:
+            move = moves.get((q, symbol))
+            if not move:
+                _checked_word(word, efa.alphabet)
+                break
+            q = move[0][0]
+            path.append(move[0])
+        d_min = n if len(path) == n and q in efa.accepting else None
+    else:
+        word = _checked_word(word, efa.alphabet)
+        n = len(word)
+        dist = _distances_to_accept(efa, word[::-1])
+        d_min = dist[n].get(efa.initial)
+    budget = policy(n)
     if d_min is None or d_min > budget:
         return RunResult(_unaccepted_verdict(d_min, budget), SearchStats(int(dedup and budget >= 1), 0))
 
-    if not word and efa.initial in efa.accepting:
+    if efa.deterministic:
+        reg = efa.group.identity()
+        for _, _, r, _ in path:
+            reg = reg if r is None else r(reg)
+        accepted = efa.group.is_identity(reg)
+        if dedup and n and n - accepted >= (guard := mem_guard()):
+            raise MemoryGuard(guard)
+        if not accepted:
+            return RunResult(Verdict.REJECT, SearchStats(min(n + 1, budget) if dedup else n, n))
+        stats, certificate = SearchStats(n, n, n), tuple(m[3] for m in path)
+    elif not word and efa.initial in efa.accepting:
         stats, certificate = SearchStats(accept_depth=0), ()  # the empty path accepts
-    elif efa.deterministic:
-        stats, certificate = _path(efa, word, budget, dedup)
     else:
         search = _search_bfs if dedup else _search_dfs
         stats, certificate = search(efa, word, budget, dist)
-    if certificate is None:
-        return RunResult(Verdict.REJECT, stats)
+        if certificate is None:
+            return RunResult(Verdict.REJECT, stats)
     return RunResult(Verdict.ACCEPT, stats, certificate, _verify_certificate(efa, word, certificate))
 
 
@@ -532,34 +553,6 @@ def _search_bfs(efa, word, budget, dist, floors=None):
             max_depth = depth
         frontier = nxt
     return SearchStats(expanded, max_depth), None
-
-
-def _path(efa, word, budget, dedup):
-    """Both searches on a deterministic machine's word of n >= 1 symbols
-    that the budget can reach: d_min = n <= budget, so the word has one
-    path, of n moves, which ends in an accepting state. It accepts when its
-    register is the identity, and both searches then count (n, n, n).
-    Else the breadth-first search also expands the configuration it stops
-    at, if the budget lets it, (min(n + 1, budget), n), and the unpruned
-    walk counts the path's n nodes, (n, n). The breadth-first search
-    stores the root and the path, the accepting end aside, against the
-    memory guard."""
-    moves = efa.moves
-    q, reg = efa.initial, efa.group.identity()
-    path = []
-    for symbol in word:
-        q, _, r, t = moves[(q, symbol)][0]
-        reg = reg if r is None else r(reg)
-        path.append(t)
-    n = len(path)
-    accepted = efa.group.is_identity(reg)
-    if dedup:
-        guard = mem_guard()
-        if n - accepted >= guard:
-            raise MemoryGuard(guard)
-    if accepted:
-        return SearchStats(n, n, n), tuple(path)
-    return SearchStats(min(n + 1, budget) if dedup else n, n), None
 
 
 def _search_dfs(efa, word, budget, dist, memo=None):
@@ -1050,7 +1043,7 @@ def _path_verdicts(efa, alphabet, max_len, policy):
     when L > t(L), else Accept at the identity register and Reject at any
     other; a node with no move rejects every word below it. Each Accept's
     certificate is checked as accepts() checks it. The root and the nodes
-    along the path count against the memory guard, as in _path."""
+    along the path count against the memory guard, as in accepts()."""
     moves = efa.moves
     accepting = efa.accepting
     is_identity = efa.group.is_identity

@@ -249,12 +249,12 @@ def test_growth_memory_guard_raise_point(monkeypatch, guard, radius, raised):
 @pytest.mark.parametrize(
     "k, guard, raised",
     [
-        # 13 elements of 6 ints, charged 2 each
+        # 13 elements of 6 ints, charged 2 each, which the message names
         (6, "26", None),
-        (6, "25", "elements$"),
+        (6, "25", "elements, each charged as 2 elements$"),
         # 15 elements of 7 ints, charged 3 each
         (7, "45", None),
-        (7, "44", "elements$"),
+        (7, "44", "elements, each charged as 3 elements$"),
         # 7 elements of 3 ints and 2 recorded layers, charged 1 each as before
         (3, "9", None),
         (3, "8", "elements and layer counts"),
@@ -270,6 +270,31 @@ def test_growth_charges_a_zk_element_by_its_ints(monkeypatch, k, guard, raised):
     else:
         with pytest.raises(MemoryGuard, match=f"more than {guard} {raised}"):
             growth(group, units, 1)
+
+
+@pytest.mark.parametrize(
+    "spec, guard, raised",
+    [
+        # 15 elements of 6 + 1 ints, charged 2 + 1 each
+        ("prod(zk:6,zk:1)", "45", None),
+        ("prod(zk:6,zk:1)", "44", "elements, each charged as 3 elements$"),
+        # 17 elements of 4 + 4 ints, charged 2 + 2 each
+        ("prod(zk:4,zk:4)", "68", None),
+        ("prod(zk:4,zk:4)", "67", "elements, each charged as 4 elements$"),
+        # F2 x Z: 7 elements, charged 1 + 1 each
+        ("prod(free:2,zk:1)", "14", None),
+        ("prod(free:2,zk:1)", "13", "elements, each charged as 2 elements$"),
+    ],
+)
+def test_growth_charges_a_product_element_by_its_components(monkeypatch, spec, guard, raised):
+    group = parse_group_compact(spec)
+    gens = [elem for _, elem in gens_of(group)]
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", guard)
+    if raised is None:
+        assert growth(group, gens, 1).counts == (1, 2 * len(gens) + 1)
+    else:
+        with pytest.raises(MemoryGuard, match=f"more than {guard} {raised}"):
+            growth(group, gens, 1)
 
 
 def test_growth_memory_guard_on_a_ball_that_stops_growing(monkeypatch):

@@ -386,21 +386,34 @@ def test_a_word_without_a_path_runs_no_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("searched")
 
-    for kernel in ("_search_bfs", "_search_dfs", "_path", "mem_guard"):
+    for kernel in ("_search_bfs", "_search_dfs", "mem_guard"):
         monkeypatch.setattr(simulate, kernel, refuse)
-    # a word with no path, and two words whose paths the budget cannot
-    # reach: mult's xyyzz has d_min 9, wp-f2's word d_min 4
+    # words with no path, and words whose paths the budget cannot reach:
+    # mult's xyyzz has d_min 9, wp-f2's word d_min 4, wp-heis's d_min 3;
+    # the partial machine's words break off at r's missing a move, and end
+    # in q, which does not accept
     cases = [
         ("mult", "zxyyzxxyz", CONSTRUCTIONS["mult"].budget, Verdict.REJECT),
         ("mult", "xyyzz", constant_policy(8), Verdict.BUDGET_EXHAUSTED),
         ("wp-f2", "a b a^-1 b^-1", constant_policy(2), Verdict.BUDGET_EXHAUSTED),
+        ("wp-heis", "a a b", constant_policy(1), Verdict.BUDGET_EXHAUSTED),
+        ("partial", "aaab", default_policy, Verdict.REJECT),
+        ("partial", "ac", default_policy, Verdict.REJECT),
     ]
     for name, text, policy, verdict in cases:
-        machine = CONSTRUCTIONS[name].build()
+        machine = _partial_machine() if name == "partial" else CONSTRUCTIONS[name].build()
         word = tokenize_word(text, machine.alphabet)
+        # nor is a register multiplied: every compiled action refuses, which
+        # the one walk of a deterministic word would reach
+        machine.__dict__["moves"] = {
+            key: tuple((target, adv, refuse, t) for target, adv, _, t in moves)
+            for key, moves in machine.moves.items()
+        }
         for dedup, expanded in ((True, 1), (False, 0)):
             result = accepts(machine, word, policy, dedup=dedup)
             assert (result.verdict, result.stats) == (verdict, SearchStats(expanded, 0)), (name, text, dedup)
+        # and a deterministic machine's walk builds no distance level
+        assert not machine.deterministic or len(machine.distance_levels.levels) == 1, name
 
 
 # the sweeps' own search of a word, which also drops configurations beyond
@@ -872,6 +885,22 @@ def _general_copy(machine):
     return copy
 
 
+def _partial_machine():
+    # deterministic but partial: p has no b or c move and r no a move, so a
+    # word can break off in mid-word, and a word can end in q, which is not
+    # accepting; ab and aac return to p with the identity, aa ends in r
+    # with the register 2
+    ts = [
+        Transition("p", "a", "q", (1,)),
+        Transition("q", "a", "r", (1,)),
+        Transition("q", "b", "p", (-1,)),
+        Transition("q", "c", "q", (0,)),
+        Transition("r", "b", "q", (-1,)),
+        Transition("r", "c", "p", (-2,)),
+    ]
+    return EFA(FreeAbelian(1), ["p", "q", "r"], ["a", "b", "c"], ts, "p", ["p", "r"])
+
+
 def _unary_parity_machine():
     # a^n for even n: each a steps between q and p, and the register is
     # back at 0 on every return to q
@@ -879,12 +908,15 @@ def _unary_parity_machine():
     return EFA(FreeAbelian(1), ["q", "p"], ["a"], ts, "q", ["q"])
 
 
-# every deterministic corpus machine, and a unary one, with its policy and
-# the longest words to compare
+# every deterministic corpus machine, a unary one and a partial one, with
+# its policy and the longest words to compare
 WALK_CASES = [
     pytest.param(CONSTRUCTIONS[name].build(), CONSTRUCTIONS[name].budget, 3 if name == "wp-heis" else 4, id=name)
     for name in DETERMINISTIC
-] + [pytest.param(_unary_parity_machine(), default_policy, 9, id="unary-parity")]
+] + [
+    pytest.param(_unary_parity_machine(), default_policy, 9, id="unary-parity"),
+    pytest.param(_partial_machine(), default_policy, 4, id="partial"),
+]
 # constant budgets, and one that is not monotone
 WALK_POLICIES = [constant_policy(d) for d in range(1, 7)] + [(1, 3, 1, 5, 2, 9, 4, 6, 7, 8).__getitem__]
 
@@ -942,6 +974,26 @@ def test_path_sweep_memory_guard(monkeypatch, guard):
     assert enumerate_words(machine, guard - 1).words
     with pytest.raises(MemoryGuard, match=f"more than {guard} elements"):
         enumerate_words(machine, guard)
+
+
+@pytest.mark.parametrize(
+    "machine, text",
+    [
+        (_partial_machine(), "bz"),  # breaks at p's missing b move, z later
+        (_partial_machine(), "az"),  # breaks at z, which no move reads
+        (CONSTRUCTIONS["wp-heis"].build(), "a x"),
+        (CONSTRUCTIONS["wp-f2"].build(), "a a^-1 x a"),
+        (build_mult(), "x z q"),  # the general decider, for comparison
+    ],
+)
+def test_an_unknown_symbol_is_refused_before_the_policy_is_asked(machine, text):
+    def refuse(m):
+        raise AssertionError("the policy was asked")
+
+    word = tuple(text.split()) if " " in text else tuple(text)
+    for dedup in (True, False):
+        with pytest.raises(UnknownSymbol):
+            accepts(machine, word, refuse, dedup=dedup)
 
 
 # --- the distance memo ------------------------------------------------------------
