@@ -300,7 +300,7 @@ def _dissimilarity_graph(member, alphabet, n):
     Fold.answers walk over the words of length <= n."""
     words = list(all_words(alphabet, n))
     k = len(alphabet)
-    walk = list(Fold.lift(member).answers(alphabet, n))
+    walk = list(Fold.lift(member).answers(alphabet, range(n + 1)))
     # first[m]: the index of the first word of length m. The word of length
     # l and lex rank i answers on its suffixes of b symbols with the k**b
     # consecutive answers from first[l + b] + i * k**b, and the suffixes of

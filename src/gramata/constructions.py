@@ -231,18 +231,25 @@ def transform_qplus_to_sl2q(efa):
 _GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _standard_entries(group):
+    """k for free:k's words, k^2 for zk:k's vectors, a product's sum, else 0."""
+    if isinstance(group, algebra.DirectProduct):
+        return _standard_entries(group.left) + _standard_entries(group.right)
+    if isinstance(group, FreeGroup):
+        return group.rank
+    return group.k**2 if isinstance(group, FreeAbelian) else 0
+
+
 def standard_generators(group):
     """A conventional named generating set for the groups that have one.
-    The k one-letter words of free:k and the k vectors of length k of zk:k
-    are charged against mem_guard() before any is built: InstanceTooLarge
-    past it."""
-    if isinstance(group, (FreeGroup, FreeAbelian)):
-        size = group.rank if isinstance(group, FreeGroup) else group.k**2
-        guard = mem_guard()
-        if size > guard:
-            raise InstanceTooLarge(
-                f"the standard generating set of {group.spec_text()} has {size} entries, more than the guard {guard}"
-            )
+    Its entries (_standard_entries) are charged against mem_guard() before
+    any is built: InstanceTooLarge past it."""
+    size = _standard_entries(group)
+    guard = mem_guard()
+    if size > guard:
+        raise InstanceTooLarge(
+            f"the standard generating set of {group.spec_text()} has {size} entries, more than the guard {guard}"
+        )
     if isinstance(group, FreeGroup):
         names = [_GEN_NAMES[i] if group.rank <= 26 else f"g{i}" for i in range(group.rank)]
         return [(names[i], Word.generator(i)) for i in range(group.rank)]

@@ -46,16 +46,16 @@ the one decider of it, and decide each length from 1 up with one search
 over the trie of its words (_PrefixSearch), which gives the same verdicts,
 all in the calling process. Its leaves build no configurations: each word
 is finished from one backward table of epsilon tails (_EpsilonTails) per
-search, grown only as deep as its lookups need. equiv_check() walks an
-oracle written as a left fold (Fold) over each length's trie too: one
-step per prefix, and no step at all below a prefix the fold has ruled out.
+search, grown only as deep as its lookups need.
 
-A deterministic machine (EFA.deterministic: no epsilon move, at most one
-transition per state and symbol) has at most one path per word, which
-every decider walks with none of the general machinery: accepts() reads
-d_min off it with no distance table and multiplies its registers only
-for a word in reach, and _path_verdicts walks each length's trie holding
-only the current path.
+One trie walker, Fold.answers, serves every left fold (Fold) over a
+word's symbols: one step per prefix, only the current path held, and no
+step below a prefix that the fold has ruled out. equiv_check() walks its
+oracle with it, and the sweeps walk a deterministic machine as a fold
+over (state, register). Such a machine (EFA.deterministic: no epsilon
+move, at most one transition per state and symbol) has at most one path
+per word, which accepts() walks too, reading d_min off it with no
+distance table and multiplying its registers only for a word in reach.
 """
 
 from __future__ import annotations
@@ -675,8 +675,8 @@ class Fold:
     step(state, symbol) is the state after one more symbol, or None once no
     extension of the prefix can be a member; final(state) decides the word
     read so far. None is never a live state. Calling a Fold folds one word,
-    so it is a drop-in oracle member; answers() decides every word up to a
-    length from one walk of each length's trie of states."""
+    so it is a drop-in oracle member; answers() decides every word of the
+    lengths asked from one walk of each length's trie of states."""
 
     start: object
     step: Callable
@@ -703,17 +703,19 @@ class Fold:
             state = step(state, symbol)
         return state
 
-    def answers(self, alphabet, max_len):
-        """The answers, as bools, on all_words(alphabet, max_len) in that
-        order. Each length's trie of states is walked depth first, holding
-        only the path to the current node as _path_verdicts does: one step
-        per node, one final test per word, and every word below a dead
-        state answered False without a step."""
+    def answers(self, alphabet, lengths):
+        """The answers, as bools, on the words of each length in lengths, in
+        lex order within a length (all_words' order for range(n + 1)). Each
+        length's trie of states is walked depth first, holding only the path
+        to the current node: one step per node, one final test per word, and
+        every word below a dead state answered False without a step."""
         alphabet = tuple(sorted(alphabet))
         k = len(alphabet)
         start, step, final = self.start, self.step, self.final
-        yield bool(final(start))
-        for length in range(1, max_len + 1):
+        for length in lengths:
+            if not length:
+                yield bool(final(start))
+                continue
             # a frame: its symbols' iterator and its state
             stack = [(iter(alphabet), start)]
             while stack:
@@ -983,8 +985,8 @@ class _PrefixSearch:
 
 def _language_verdicts(efa, alphabet, max_len, policy):
     """The verdicts of all_words(alphabet, max_len), streamed in that
-    order. The empty word's is accepts()'s. A deterministic machine walks
-    each length's trie along its one path per word (_path_verdicts).
+    order. The empty word's is accepts()'s. A deterministic machine is
+    folded over (state, register) along its one path per word (_path_verdicts).
     Otherwise one prefix-shared search decides each length from 1, its
     leaves finished from one table of epsilon tails; but a unary alphabet
     has one word per length and nothing to share, so each word gets its
@@ -1034,55 +1036,44 @@ def _floored_verdict(efa, word, policy, floors):
 
 
 def _path_verdicts(efa, alphabet, max_len, policy):
-    """The verdicts of a deterministic machine for the lengths L >= 1. It
-    has no epsilon move, so a word has at most one path, all of whose
-    moves read a symbol, and d_min is L when that path ends in an
-    accepting state, None otherwise. Each length's trie is walked depth
-    first with one (state, register) per node, holding only the path to
-    the current node: a word whose path ends accepting is BudgetExhausted
-    when L > t(L), else Accept at the identity register and Reject at any
-    other; a node with no move rejects every word below it. Each Accept's
-    certificate is checked as accepts() checks it. The root and the nodes
-    along the path count against the memory guard, as in accepts()."""
-    moves = efa.moves
+    """The verdicts of a deterministic machine for the lengths L >= 1, from
+    Fold.answers walks over (state, register) whose step is the symbol's
+    one move. A word has at most one path, and d_min is L when it ends in
+    an accepting state, else None. So a length with L <= t(L) folds to
+    "accepting state and identity register", Accept or Reject, and one
+    with L > t(L) to "accepting state", BudgetExhausted or Reject. Each
+    Accept's path is replayed as accepts() replays its certificate. A walk
+    holds the root and at most L nodes: MemoryGuard before a length
+    L >= mem_guard() is walked."""
     accepting = efa.accepting
     is_identity = efa.group.is_identity
     guard = mem_guard()
-    k = len(alphabet)
     # each symbol's table: state -> its one move on the symbol
-    table = [(s, {q: moves[(q, s)][0] for q in efa.states if moves[(q, s)]}) for s in alphabet]
+    table = {s: {q: efa.moves[(q, s)][0] for q in efa.states if efa.moves[(q, s)]} for s in alphabet}
+
+    def step(node, s):
+        move = table[s].get(node[0])
+        return None if move is None else (move[0], node[1] if move[2] is None else move[2](node[1]))
+
     root = (efa.initial, efa.group.identity())
+    accepted = Fold(root, step, lambda node: node[0] in accepting and is_identity(node[1]))
+    reached = Fold(root, step, lambda node: node[0] in accepting)
     for length in range(1, max_len + 1):
-        exhausted = length > policy(length)
-        # a frame: its symbols' iterator, its node, the symbol and transition into it
-        stack = [(iter(table), root, None, None)]
-        while stack:
-            it, (q, g), _, _ = stack[-1]
-            depth = len(stack)  # of the children
-            for s, step in it:
-                move = step.get(q)
-                if move is None:
-                    yield from itertools.repeat(Verdict.REJECT, k ** (length - depth))
-                    continue
-                if depth >= guard:  # the root, the path and this node
-                    raise MemoryGuard(guard)
-                target, _, r, t = move
-                child = g if r is None else r(g)
-                if depth < length:
-                    stack.append((iter(table), (target, child), s, t))
-                    break
-                if target not in accepting:
-                    yield Verdict.REJECT
-                elif exhausted:
-                    yield Verdict.BUDGET_EXHAUSTED
-                elif is_identity(child):
-                    word = tuple(f[2] for f in stack[1:]) + (s,)
-                    _verify_certificate(efa, word, tuple(f[3] for f in stack[1:]) + (t,))
-                    yield Verdict.ACCEPT
-                else:
-                    yield Verdict.REJECT
-            else:
-                stack.pop()
+        if length >= guard:
+            raise MemoryGuard(guard)
+        if length > policy(length):
+            for reach in reached.answers(alphabet, (length,)):
+                yield Verdict.BUDGET_EXHAUSTED if reach else Verdict.REJECT
+            continue
+        words = itertools.product(alphabet, repeat=length)
+        for word, accept in zip(words, accepted.answers(alphabet, (length,))):
+            if accept:
+                q, certificate = efa.initial, []
+                for s in word:
+                    q, _, _, t = table[s][q]
+                    certificate.append(t)
+                _verify_certificate(efa, word, tuple(certificate))
+            yield Verdict.ACCEPT if accept else Verdict.REJECT
 
 
 def enumerate_words(efa, max_len, policy=default_policy, workers=1):
@@ -1138,7 +1129,7 @@ def equiv_check(efa, oracle, alphabet, max_len, policy=default_policy, workers=1
     enumerate_words."""
     member = oracle.member if hasattr(oracle, "member") else oracle
     verdicts = _language_verdicts(efa, alphabet, max_len, policy)
-    answers = Fold.lift(member).answers(alphabet, max_len)
+    answers = Fold.lift(member).answers(alphabet, range(max_len + 1))
     accept, exhausted = Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED
     checked, mismatches, undecided = 0, [], []
     # the oracle answers every word, an undecided one too; zip takes each

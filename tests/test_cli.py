@@ -386,6 +386,10 @@ def test_growth_radius_bounded_on_a_ball_that_stops_growing(monkeypatch, capsys)
         ("zk:32", "1000", 3, "free-abelian 32 has 1024 entries, more than the guard 1000"),
         ("zk:31", "1000", 0, "1\t63\n"),
         ("free:1001", "1000", 3, "free 1001 has 1001 entries, more than the guard 1000"),
+        # a direct product's set is charged its components' entries together:
+        # 225 + 1 is over a guard of 225, though each component alone fits
+        ("prod(zk:15,free:1)", "225", 3, "(free 1) has 226 entries, more than the guard 225"),
+        ("prod(zk:15,free:1)", "226", 0, "1\t33\n"),
     ],
 )
 def test_growth_charges_the_generating_set_against_the_guard(monkeypatch, capsys, group, guard, code, text):

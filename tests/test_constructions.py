@@ -390,7 +390,9 @@ def test_fold_oracle_matches_its_per_word_predicate(name):
     for alphabet, n in [(language.alphabet, max_len), (language.alphabet + ("w",), max_len - 1), (unsorted, 3)]:
         words = list(all_words(alphabet, n))
         expected = [reference(w) for w in words]
-        assert list(member.answers(alphabet, n)) == expected, alphabet
+        assert list(member.answers(alphabet, range(n + 1))) == expected, alphabet
+        # the walks of one length each, put together, are the walk of them all
+        assert [a for length in range(n + 1) for a in member.answers(alphabet, (length,))] == expected, alphabet
         assert [member(w) for w in words] == expected, alphabet
         assert [language(w) for w in words] == expected, alphabet
 

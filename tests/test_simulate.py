@@ -965,15 +965,23 @@ def test_path_sweep_matches_the_prefix_search(monkeypatch, machine, budget, max_
         assert verified == [w for w, v in zip(all_words(alphabet, max_len), verdicts) if v is Verdict.ACCEPT]
 
 
+def _one_move_machine():
+    # p a q and nothing else: every path ends after one move
+    return EFA(FreeAbelian(1), ["p", "q"], ["a"], [Transition("p", "a", "q", (0,))], "p", ["q"])
+
+
 @pytest.mark.parametrize("guard", [3, 6])
 def test_path_sweep_memory_guard(monkeypatch, guard):
-    # every word of wp-z has a path: at length L the walk holds the root and
-    # L nodes, so the first length to pass the guard is the guard itself
-    machine = CONSTRUCTIONS["wp-z"].build()
+    # at length L the walk holds the root and at most L nodes, so the first
+    # length to pass the guard is the guard itself: on wp-z, where every
+    # word has a path, and on a machine whose paths all end short of that
+    # depth, since the guard is checked before a length is walked
     monkeypatch.setenv("GRAMATA_MEM_GUARD", str(guard))
-    assert enumerate_words(machine, guard - 1).words
-    with pytest.raises(MemoryGuard, match=f"more than {guard} elements"):
-        enumerate_words(machine, guard)
+    for machine in (CONSTRUCTIONS["wp-z"].build(), _one_move_machine()):
+        assert machine.deterministic
+        assert enumerate_words(machine, guard - 1).words
+        with pytest.raises(MemoryGuard, match=f"more than {guard} elements"):
+            enumerate_words(machine, guard)
 
 
 @pytest.mark.parametrize(
