@@ -29,7 +29,16 @@ from typing import Optional
 from . import algebra
 from .constructions import standard_generators, wp_oracle
 from .errors import GramataError, InstanceTooLarge, MemoryGuard
-from .simulate import Fold, all_words, bfs_layers, default_policy, gc_paused, mem_guard, reachable_register_count
+from .simulate import (
+    Fold,
+    all_words,
+    bfs_layers,
+    default_policy,
+    gc_paused,
+    mem_guard,
+    reachable_register_count,
+    record_layer,
+)
 
 
 @dataclass(frozen=True)
@@ -78,17 +87,6 @@ def growth(group, gens, radius):
         v in (-1, 0, 1) for _, elem in sym_gens for v in elem
     )
     return gc_paused(_column_growth if columns else _element_growth, group, sym_gens, radius)
-
-
-def _record(counts, total, guard):
-    """Append the ball size after a layer. MemoryGuard when the ball holds
-    more than guard elements, or the ball and its recorded layers do, as
-    bfs_layers counts them."""
-    if total > guard:
-        raise MemoryGuard(guard)
-    counts.append(total)
-    if total + len(counts) > guard:
-        raise MemoryGuard(guard, layers=True)
 
 
 def _charge(group):
@@ -150,7 +148,7 @@ def _element_growth(group, sym_gens, radius):
                     total += 1
                     if total > limit:
                         raise MemoryGuard(guard, charge=charge)
-        _record(counts, total, guard)
+        record_layer(counts, total, guard)
         cur = new
     return GrowthTable(tuple(counts))
 
@@ -196,7 +194,7 @@ def _column_growth(group, sym_gens, radius):
             if bits:
                 sphere[key] = (low, bits)
                 total += bits.bit_count()
-        _record(counts, total, guard)
+        record_layer(counts, total, guard)
         prev, cur = cur, sphere
     return GrowthTable(tuple(counts))
 
@@ -259,6 +257,7 @@ def dissimilarity_lower_bound(group, gens, n):
     words = ball_with_words(group, gens, half)
     items = sorted(words.items(), key=lambda item: (len(item[1]), item[1]))
     witnesses = [w for _, w in items]
+    # lifted, since a wrapped or replaced member may be a plain callable
     fold = Fold.lift(wp_oracle(group, _named_gens(gens)).member)
     resume, final = fold.resume, fold.final
     # each witness is folded once; a pair continues w2's state with v. All

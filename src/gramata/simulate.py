@@ -44,9 +44,8 @@ accepts() decides one word. enumerate_words() and equiv_check() need every
 word up to a length. They take the empty word's verdict from accepts(),
 the one decider of it, and decide each length from 1 up with one search
 over the trie of its words (_PrefixSearch), which gives the same verdicts,
-all in the calling process. Its leaves build no configurations: each word
-is finished from one backward table of epsilon tails (_EpsilonTails) per
-search, grown only as deep as its lookups need.
+all in the calling process. A leaf, the word itself, is one more level of
+that trie, built only up to the word's least accepting time.
 
 One trie walker, Fold.answers, serves every left fold (Fold) over a
 word's symbols: one step per prefix, only the current path held, and no
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -86,21 +84,15 @@ def mem_guard():
     return parse_count(value, 1, "GRAMATA_MEM_GUARD")
 
 
-def bfs_layer(seen, layer, expand, limit, guard):
-    """One layer of a breadth-first search: the children of layer's nodes
-    that seen does not hold yet, in order of discovery. expand(node, data)
-    lists (child, child data) pairs; a child reached for the first time is
-    stored in seen with its data. MemoryGuard, naming guard, when seen
-    would hold more than limit nodes."""
-    nxt = []
-    for node in layer:
-        for child, child_data in expand(node, seen[node]):
-            if child not in seen:
-                seen[child] = child_data
-                if len(seen) > limit:
-                    raise MemoryGuard(guard)
-                nxt.append(child)
-    return nxt
+def record_layer(counts, total, guard):
+    """Append the number of nodes stored after a layer. MemoryGuard when
+    more than guard are stored, or they and the recorded layers are, so
+    that a ball that stops growing still cannot loop without limit."""
+    if total > guard:
+        raise MemoryGuard(guard)
+    counts.append(total)
+    if total + len(counts) > guard:
+        raise MemoryGuard(guard, layers=True)
 
 
 def gc_paused(fn, *args):
@@ -120,13 +112,13 @@ def gc_paused(fn, *args):
 
 
 def bfs_layers(root, expand, depth, data=None):
-    """Layered breadth-first search from root, at most depth layers deep,
-    with expand as in bfs_layer and the memory guard checked on every
-    insert. Each recorded layer counts against the guard too, checked once
-    per layer, so a ball that stops growing still cannot loop without
-    limit. Returns the stored nodes, node -> data, in order of discovery,
-    and the number stored after each layer (root's first). Runs with the
-    collector paused (gc_paused)."""
+    """Layered breadth-first search from root, at most depth layers deep.
+    expand(node, data) lists (child, child data) pairs; a child reached for
+    the first time is stored with its data, and the memory guard is checked
+    on every insert. Each recorded layer counts against the guard too
+    (record_layer). Returns the stored nodes, node -> data, in order of
+    discovery, and the number stored after each layer (root's first). Runs
+    with the collector paused (gc_paused)."""
     return gc_paused(_bfs_layers, root, expand, depth, data)
 
 
@@ -136,10 +128,16 @@ def _bfs_layers(root, expand, depth, data):
     layer = [root]
     sizes = [1]
     for _ in range(depth):
-        layer = bfs_layer(seen, layer, expand, guard, guard)
-        sizes.append(len(seen))
-        if len(seen) + len(sizes) > guard:
-            raise MemoryGuard(guard, layers=True)
+        nxt = []
+        for node in layer:
+            for child, child_data in expand(node, seen[node]):
+                if child not in seen:
+                    seen[child] = child_data
+                    if len(seen) > guard:
+                        raise MemoryGuard(guard)
+                    nxt.append(child)
+        layer = nxt
+        record_layer(sizes, len(seen), guard)
     return seen, sizes
 
 
@@ -362,58 +360,6 @@ def _distances_to_accept(efa, reads):
         level = levels[i]
         dist.append(level)
     return dist
-
-
-class _EpsilonTails:
-    """entries[(q, g)] = (k, transition, next): the fewest epsilon moves k
-    from state q with register g to an accepting state with the identity
-    register, the first move of such a path, and the (state, register) it
-    leads to; transition and next are None at k = 0. A breadth-first
-    search back from every accepting identity configuration over reversed
-    epsilon moves, each applying the right action of its register's
-    inverse, grown one distance at a time by grow(); every entry at a
-    distance of at most depth is stored, and depth is infinite once the
-    search has run out. Growing can add entries only in the states of
-    live, those with an epsilon path to a state of the last layer."""
-
-    def __init__(self, efa):
-        group = efa.group
-        self.back = {}  # state -> (source, inverse action, transition) of its incoming epsilon moves
-        for t in efa.transitions:
-            if t.symbol is None:
-                inverse = None if group.is_identity(t.register) else group.right_mul(group.inverse(t.register))
-                self.back.setdefault(t.target, []).append((t.source, inverse, t))
-        identity = group.identity()
-        self.entries = {(f, identity): (0, None, None) for f in sorted(efa.accepting)}
-        self.frontier = list(self.entries)
-        self.depth = 0
-        self._advance()
-
-    def grow(self, limit, guard):
-        """Store the entries one move further back: MemoryGuard, naming
-        guard, when there would be more than limit."""
-        self.frontier = bfs_layer(self.entries, self.frontier, self._expand, limit, guard)
-        self.depth += 1
-        self._advance()
-
-    def _advance(self):
-        self.live = live = {q for q, _ in self.frontier}
-        stack = list(live)
-        while stack:
-            for source, _, _ in self.back.get(stack.pop(), ()):
-                if source not in live:
-                    live.add(source)
-                    stack.append(source)
-        if not self.frontier:
-            self.depth = math.inf
-
-    def _expand(self, key, entry):
-        q, g = key
-        k = entry[0] + 1
-        return [
-            ((source, g if inverse is None else inverse(g)), (k, t, key))
-            for source, inverse, t in self.back.get(q, ())
-        ]
 
 
 def _unaccepted_verdict(d_min, budget):
@@ -747,47 +693,43 @@ class _Level(NamedTuple):
 class _PrefixSearch:
     """The verdicts of every word of one length from one search over the
     trie of those words: Thompson's NFA simulation (CACM 1968) lifted to
-    register configurations, with its leaves answered by meet-in-the-middle
-    (Pohl, "Bi-directional search", 1971).
+    register configurations.
 
-    A trie node above the leaves, the prefix of length p < L, is a level:
-    every (state, register) reachable while consuming exactly that prefix,
-    stored once at its minimum depth with its parent link, in layers by
-    depth. A child level applies one symbol's moves to the parent's layers
-    and closes under epsilon moves, depth by depth. A configuration at
-    depth d with r symbols still to read is pruned when d + lb[r][q]
-    exceeds the word length's budget, lb being the distance table over any
-    symbols, or when d + floor_q(register) does, floor_q being the move
-    floor of the registers that paths from q can still apply
-    (EFA.move_floors), compiled into each move to q. Both are admissible,
-    so the last level holds every configuration that an accepting path of
-    a word can pass through before its last symbol. The leaves' tails are
-    exact and take no floor.
+    A trie node, the prefix of length p <= L, is a level: every (state,
+    register) reachable while consuming exactly that prefix, stored once at
+    its minimum depth with its parent link, in layers by depth. A child
+    level applies one symbol's moves to the parent's layers and closes
+    under epsilon moves, depth by depth. A configuration at depth d with r
+    symbols still to read is pruned when d + lb[r][q] exceeds the word
+    length's budget, lb being the distance table over any symbols, or when
+    d + floor_q(register) does, floor_q being the move floor of the
+    registers that paths from q can still apply (EFA.move_floors),
+    compiled into each move to q. Both are admissible, so a level holds
+    every configuration that an accepting path of a word can pass through
+    while consuming its prefix.
 
-    A leaf builds no level. The backward half is one table of epsilon
-    tails (_EpsilonTails) for the whole search. The leaf walks its
-    parent's layers in depth order, applies the last symbol's moves, and
-    accepts at the first target at depth d whose tail of k epsilon moves
-    gives d + k <= t(L). A target the table does not hold grows it, one
-    distance at a time, until the target is found, or every tail of at
-    most t(L) - d moves is stored, or no more entry can reach the target's
-    state. So the table is as deep as the lookups of the words need, for
-    any policy, monotone or not, and a word accepted at a short tail never
-    pays for the deep ones. The register-ignoring projection (state ->
-    minimum depth) is carried along the same trie to give each word's
-    d_min, which decides BudgetExhausted against Reject exactly as in
-    accepts(). Every word has a last symbol: L >= 1, and the empty word
-    is accepts()'s to decide."""
+    A leaf, the whole word, is a level too, but its build stops after the
+    first layer that holds an accepting state with the identity register.
+    That layer's depth is the word's least accepting time, and an Accept's
+    certificate is read off the parent links of the levels along the trie
+    path, the leaf's last. The trie is walked depth first with one stack of
+    the levels along the current path, whose configurations, and the
+    leaf's, count against the memory guard together. The register-ignoring
+    projection (state -> minimum depth) is carried along the same trie to
+    give each word's d_min, which decides BudgetExhausted against Reject
+    exactly as in accepts(). Every word has a last symbol: L >= 1, and the
+    empty word is accepts()'s to decide."""
 
-    def __init__(self, efa, alphabet, max_len, policy, floors=None):
-        group = efa.group
+    def __init__(self, efa, alphabet, max_len, policy):
+        floors = efa.move_floors
+        identity = efa.group.identity()
         self.efa = efa
         self.alphabet = alphabet
         self.policy = policy
 
         def compiled(moves):
             # (target, action, transition, the target's norm and scale)
-            return [(q, r, t, *(floors and floors[q] or _UNFLOORED)) for q, _, r, t in moves]
+            return [(q, r, t, *(floors[q] or _UNFLOORED)) for q, _, r, t in moves]
 
         self.eps = {q: compiled(efa.moves[(q, None)]) for q in efa.states}
         self.eps_targets = {q: [m[0] for m in moves] for q, moves in self.eps.items() if moves}
@@ -795,12 +737,9 @@ class _PrefixSearch:
             s: {q: compiled(efa.moves[(q, s)][len(self.eps[q]) :]) for q in efa.states} for s in alphabet
         }
         self.lb = _distances_to_accept(efa, [ANY] * max_len)
-        self.tails = _EpsilonTails(efa)
-        self.root = (efa.initial, group.identity())
+        self.root = (efa.initial, identity)
+        self.goals = [(f, identity) for f in sorted(efa.accepting)]
         self.guard = mem_guard()
-        self.stored = 0  # configurations in the levels along the current trie path
-        self.path = []  # those levels' parent links, root first
-        self.word = []  # the current prefix
         self.projection_steps = {}  # (projection, symbol) -> the child's projection
         self.root_projection = tuple(sorted(_close_unit({efa.initial: 0}, self.eps_targets).items()))
 
@@ -812,114 +751,72 @@ class _PrefixSearch:
             for r in range(length + 1)
         ]
         self.dead = {}  # (projection, r) -> the verdicts below a node with no configuration
-        yield from self._walk(self._level(None, None, length), self.root_projection, length)
-
-    def _walk(self, level, projection, r):
-        links = level.links
-        if not links:
-            yield from self._dead(projection, r)
-            return
-        self.stored += len(links)
-        self.path.append(links)
-        for s in self.alphabet:
-            child = self._step_projection(projection, s)
-            self.word.append(s)
-            if r == 1:
-                yield self._leaf(level, s, child)
+        alphabet = self.alphabet
+        self.stored = 0  # configurations in the levels along the current trie path
+        root = self._level(None, None, length)
+        self.stored = len(root.links)
+        # a frame: its symbols' iterator, its level, its projection and the
+        # symbol into it
+        stack = [(iter(alphabet), root, self.root_projection, None)]
+        while stack:
+            it, level, projection, _ = stack[-1]
+            r = length - len(stack)  # the symbols left below a child
+            for s in it:
+                child = self._step_projection(projection, s)
+                if not r:
+                    yield self._leaf(stack, s, child)
+                    continue
+                below = self._level(level, s, r)
+                if below.links:
+                    self.stored += len(below.links)
+                    stack.append((iter(alphabet), below, child, s))
+                    break
+                yield from self._dead(child, r)
             else:
-                yield from self._walk(self._level(level, s, r - 1), child, r - 1)
-            self.word.pop()
-        self.path.pop()
-        self.stored -= len(links)
+                self.stored -= len(stack.pop()[1].links)
 
-    def _leaf(self, parent, symbol, projection):
-        """The verdict of the current word, which ends in symbol below the
-        level parent. An Accept's certificate is the parent links, the
-        symbol's move and the tail."""
-        hit = self._meet(parent, symbol)
-        if hit is None:
+    def _leaf(self, stack, symbol, projection):
+        """The verdict of the word that ends in symbol below the level on
+        top of stack, from the word's own level, built up to its first goal."""
+        links = self._level(stack[-1][1], symbol, 0).links
+        for key in self.goals:
+            if key in links:
+                break
+        else:
             return self._unaccepted(projection)
-        link, key = hit
+        levels = [frame[1].links for frame in stack] + [links]
+        i = len(levels) - 1
+        link = links[key]
         certificate = []
-        i = len(self.path)
         while link is not None:
             pkey, t = link
             certificate.append(t)
             if t.symbol is not None:
                 i -= 1
-            link = self.path[i][pkey]
+            link = levels[i][pkey]
         certificate.reverse()
-        entries = self.tails.entries
-        _, t, key = entries[key]
-        while t is not None:
-            certificate.append(t)
-            _, t, key = entries[key]
-        _verify_certificate(self.efa, tuple(self.word), tuple(certificate))
+        word = tuple(frame[3] for frame in stack[1:]) + (symbol,)
+        _verify_certificate(self.efa, word, tuple(certificate))
         return Verdict.ACCEPT
-
-    def _meet(self, parent, symbol):
-        """(link, key): the first configuration key, in depth order, that
-        the symbol's moves reach from parent and whose epsilon tail fits
-        the budget, with its (parent key, transition) link. None when there
-        is none."""
-        budget = self.budget
-        cap = self.caps[0]
-        entries = self.tails.entries
-        sym = self.sym[symbol]
-        d = parent.base
-        for layer in parent.layers:
-            d += 1
-            for pkey in layer:
-                g = pkey[1]
-                # the moves as in _level; a generator shared by the two
-                # loops measured slower on this, the hottest path
-                for q, r, t, _, _ in sym[pkey[0]]:
-                    if d > cap[q]:
-                        continue
-                    key = (q, g if r is None else r(g))
-                    tail = entries.get(key)
-                    if tail is None:
-                        if budget - d <= self.tails.depth:
-                            continue
-                        tail = self._tail(key, budget - d)
-                        if tail is None:
-                            continue
-                    if d + tail[0] <= budget:
-                        return (pkey, t), key
-        return None
-
-    def _tail(self, key, k):
-        """The tail entry of key if it has at most k moves, else None,
-        growing the table as far as that needs. Its entries count against
-        the memory guard together with the levels along the trie path."""
-        tails = self.tails
-        tail = tails.entries.get(key)
-        while tail is None and tails.depth < k and key[0] in tails.live:
-            tails.grow(self.guard - self.stored, self.guard)
-            tail = tails.entries.get(key)
-        return tail if tail is not None and tail[0] <= k else None
 
     def _level(self, parent, symbol, r):
         """The level one symbol below parent, or the root level when parent
-        is None, with r >= 1 symbols still to read."""
+        is None, with r symbols still to read. A leaf's (r = 0) stops after
+        its first layer that holds a goal."""
         cap = self.caps[r]
         eps = self.eps
         budget = self.budget
-        limit = self.guard - self.stored - len(self.tails.entries)
-        links = {}
-        layers = []
-        if parent is None:
-            parents, sym, base, front = (), None, 0, []
-            root = self.root
-            if cap[root[0]] >= 0:
-                links[root] = None
-                front = [root]
-            layers.append(front)
-            d = 1
+        goals = () if r else self.goals  # read here: the move loop rebinds r
+        limit = self.guard - self.stored
+        if parent is None:  # the root level: the root alone at depth 0
+            parents, sym, base = (), None, 0
+            front = [self.root] if cap[self.root[0]] >= 0 else []
+            layers = [front]
         else:
-            parents, sym = parent.layers, self.sym[symbol]
-            base = d = parent.base + 1
-            front = []
+            parents, sym, base = parent.layers, self.sym[symbol], parent.base + 1
+            front, layers = [], []
+        links = dict.fromkeys(front)  # the root's link is None
+        d = base + len(layers)
         j = 0
         while j < len(parents) or front:
             # depth d: epsilon moves from this level's layer at d - 1 and
@@ -943,6 +840,8 @@ class _PrefixSearch:
                             raise MemoryGuard(self.guard)
                         layer.append(key)
             layers.append(layer)
+            if goals and not links.keys().isdisjoint(goals):
+                break
             front = layer
             d += 1
         while layers and not layers[-1]:
@@ -987,16 +886,17 @@ def _language_verdicts(efa, alphabet, max_len, policy):
     """The verdicts of all_words(alphabet, max_len), streamed in that
     order. The empty word's is accepts()'s. A deterministic machine is
     folded over (state, register) along its one path per word (_path_verdicts).
-    Otherwise one prefix-shared search decides each length from 1, its
-    leaves finished from one table of epsilon tails; but a unary alphabet
-    has one word per length and nothing to share, so each word gets its
-    own breadth-first search (_floored_verdict), which stops at its first
-    accepting configuration. The tails do not pay there: on composite <= 30
-    the table grows to 110,704 entries, and the prefix search took 233 ms
-    against 125 ms per word (best of 9, both with the floor). Both kinds of
-    search drop a configuration beyond the move floor of its state
-    (EFA.move_floors), as the distance table drops those too far from an
-    accepting state."""
+    Otherwise one prefix-shared search decides each length from 1; but a
+    unary alphabet has one word per length and nothing to share, so each
+    word gets its own breadth-first search (_floored_verdict), which stops
+    at its first accepting configuration, where the prefix search closes
+    each level to every depth its budget allows before the next symbol.
+    Routed through the prefix search, composite <= 30 took 131-138 ms
+    against 110-113 ms per word, upow <= 24 11-20 ms against 8-14 ms, and
+    oddpow <= 32 23-40 ms against 17-29 ms (best of 7 in each of three
+    processes). Both kinds of search drop a configuration beyond the move
+    floor of its state (EFA.move_floors), as the distance table drops those
+    too far from an accepting state."""
     if max_len < 0:
         raise GramataError(f"max_len must be at least 0, got {max_len}")
     alphabet = tuple(sorted(alphabet))
@@ -1006,29 +906,28 @@ def _language_verdicts(efa, alphabet, max_len, policy):
     if efa.deterministic:
         yield from _path_verdicts(efa, alphabet, max_len, policy)
         return
-    floors = efa.move_floors
     if len(alphabet) < 2:
         # the collector is paused per word, never across a yield, so the
         # caller's code and its oracle run with it on
         for word in itertools.islice(all_words(alphabet, max_len), 1, None):
-            yield gc_paused(_floored_verdict, efa, word, policy, floors)
+            yield gc_paused(_floored_verdict, efa, word, policy)
         return
-    search = _PrefixSearch(efa, alphabet, max_len, policy, floors)
+    search = _PrefixSearch(efa, alphabet, max_len, policy)
     for length in range(1, max_len + 1):
         yield from search.verdicts(length)
 
 
-def _floored_verdict(efa, word, policy, floors):
+def _floored_verdict(efa, word, policy):
     """accepts(efa, word, policy).verdict for a word of length at least 1
     of a nondeterministic machine, from a search that also drops the
-    children beyond their states' move floors. Unlike accepts(), it
-    searches a word that the budget cannot reach too; that search expands
-    the root alone and finds nothing, so the verdict is the same. It repeats accepts'
-    steps rather than share them, which would cost every single decide
-    one more call."""
+    children beyond their states' move floors (EFA.move_floors). Unlike
+    accepts(), it searches a word that the budget cannot reach too; that
+    search expands the root alone and finds nothing, so the verdict is the
+    same. It repeats accepts' steps rather than share them, which would
+    cost every single decide one more call."""
     budget = policy(len(word))
     dist = _distances_to_accept(efa, word[::-1])
-    _, certificate = _search_bfs(efa, word, budget, dist, floors)
+    _, certificate = _search_bfs(efa, word, budget, dist, efa.move_floors)
     if certificate is not None:
         _verify_certificate(efa, word, certificate)
         return Verdict.ACCEPT

@@ -16,7 +16,6 @@ from gramata.simulate import (
     ANY,
     Verdict,
     _distances_to_accept,
-    _EpsilonTails,
     _language_verdicts,
     _search_bfs,
     _search_dfs,
@@ -394,62 +393,12 @@ def test_distance_table_matches_the_reference(group, data):
         assert _distances_to_accept(machine, word[::-1])[len(word)].get(machine.initial) == d_min, word
 
 
-def check_epsilon_tails(machine, data):
-    """The backward half of the language search, grown to a drawn depth,
-    checked forward through the public mul and inverse."""
-    group = machine.group
-    depth = data.draw(st.integers(0, 5), label="depth")
-    table = _EpsilonTails(machine)
-    while table.depth < depth:
-        table.grow(10**7, 10**7)
-    tails = table.entries
-    identity = group.identity()
-    epsilon = [t for t in machine.transitions if t.symbol is None]
-
-    def accepting(config):
-        return config[0] in machine.accepting and group.is_identity(config[1])
-
-    for f in machine.accepting:
-        assert tails[(f, identity)][0] == 0
-    for config, (k, _, _) in tails.items():
-        assert 0 <= k <= depth
-        assert (k == 0) == accepting(config), config
-        # k moves along the next links replay to an accepting identity
-        # configuration, each through a transition of the machine
-        here = config
-        for steps_left in range(k, 0, -1):
-            left, t, nxt = tails[here]
-            assert left == steps_left and t in epsilon and t.source == here[0]
-            here = (t.target, group.mul(here[1], t.register))
-            assert here == nxt, (config, t)
-        assert accepting(here) and tails[here][0] == 0
-        # no shorter path: no accepting configuration within k - 1 moves
-        layer = {config}
-        for _ in range(k - 1):
-            layer = {(t.target, group.mul(g, t.register)) for q, g in layer for t in epsilon if t.source == q}
-            assert not any(accepting(c) for c in layer), config
-        # and every epsilon move into it starts at a tail of at most k + 1
-        if k < depth:
-            for t in epsilon:
-                if t.target == config[0]:
-                    source = (t.source, group.mul(config[1], group.inverse(t.register)))
-                    assert source in tails and tails[source][0] <= k + 1, (config, t)
-
-
-@pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
-@given(data=st.data())
-@settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
-def test_epsilon_tails_replay_to_acceptance(group, data):
-    check_epsilon_tails(draw_machine(group, data), data)
-
-
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)
 @given(data=st.data())
 @settings(max_examples=settings.default.max_examples if CI_PROFILE else 60, deadline=None)
 def test_machines_that_accept_only_through_epsilon_moves(group, data):
     machine = draw_epsilon_machine(group, data)
     check_deciders(machine, data)
-    check_epsilon_tails(machine, data)
 
 
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=repr)

@@ -599,7 +599,7 @@ def test_shared_search_matches_per_word_search_under_a_tight_budget(name, depth)
 
 def test_shared_search_matches_per_word_search_under_a_budget_that_is_not_monotone():
     # lengths 2 and 4 leave 16 moves after their symbols, the last length
-    # only 4: the tails must reach as deep as the budget of any length allows
+    # only 4: the leaves must reach as deep as the budget of any length allows
     machine = build_mult()
     policy = (4, 3, 18, 5, 20, 9, 10).__getitem__
     expected = _per_word(machine, machine.alphabet, 6, policy)
@@ -718,24 +718,31 @@ def _f2_loop_machine(register):
     return EFA(group, ["q", "f"], ["a", "b"], [read] + loops, "q", ["f"])
 
 
-def test_shared_search_grows_the_epsilon_tails_only_as_far_as_its_words_need():
-    # under the default budget, a table of every tail the budget allows
-    # would be the F2 ball of radius 24 or more, far past the memory guard;
-    # the one lookup a reaches at distance 0; the empty word, which
-    # accepts decides, needs no tail
+def test_shared_search_grows_the_epsilon_tails_only_as_far_as_its_words_need(monkeypatch):
+    # under the default budget, a leaf grown as deep as the budget allows
+    # would hold the F2 ball of radius 17 at f; a's leaf stops at its first
+    # layer, (f, e), so the root and that entry are all the search stores.
+    # The empty word, which accepts decides, needs no search
+    from gramata.errors import MemoryGuard
+
     machine = _f2_loop_machine("e")
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "2")
     assert enumerate_words(machine, 3).words == [("a",)]
     search = _PrefixSearch(machine, machine.alphabet, 3, default_policy)
     assert [v for length in range(1, 4) for v in search.verdicts(length)].count(Verdict.ACCEPT) == 1
-    assert len(search.tails.entries) == 1
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "1")
+    with pytest.raises(MemoryGuard):
+        enumerate_words(machine, 1)
 
 
-def test_shared_search_looks_up_no_tail_of_the_empty_word_past_its_budget():
+def test_shared_search_looks_up_no_tail_of_the_empty_word_past_its_budget(monkeypatch):
     # q reaches f by 4 epsilon moves, and b leads to x, 3 moves from f: the
     # empty word and b both need 4 moves, past the budget of 3. accepts
-    # decides the empty word without the search; b's lookup is pruned, as
-    # a search per word prunes it, and grows nothing
+    # decides the empty word without the search; b's leaf is pruned, as a
+    # search per word prunes it, and stores nothing. a's leaf stops at
+    # (f, e), before the loops at f add the 4 entries of the next layer
     machine = _f2_loop_machine("e")
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "2")
     identity = machine.group.identity()
     chain = [Transition(a, None, b, identity) for a, b in zip("qxyz", "xyzf")] + [Transition("q", "b", "x", identity)]
     machine = EFA(
@@ -748,13 +755,17 @@ def test_shared_search_looks_up_no_tail_of_the_empty_word_past_its_budget():
     verdicts = [v for length in range(1, 4) for v in search.verdicts(length)]
     assert verdicts == _per_word(machine, machine.alphabet, 3, policy)[1:]
     assert verdicts[:2] == [Verdict.ACCEPT, Verdict.BUDGET_EXHAUSTED]
-    assert len(search.tails.entries) == 1
 
 
-def test_shared_search_grows_no_epsilon_tails_its_word_cannot_enter():
+def test_shared_search_grows_no_epsilon_tails_its_word_cannot_enter(monkeypatch):
     # a reaches p, whose one epsilon move leaves g0 in the register: no
-    # tail. The loops on s are behind b, and a table grown for a's miss
-    # until the budget ran out would hold the F2 ball of radius 35
+    # tail. The loops on s are behind b, and b's leaf stops at depth 2,
+    # where (f, e) is found: the root, (s, e), then (f, e) and s's 4 loop
+    # children, 7 entries. Grown until the budget ran out, that leaf would
+    # hold the F2 ball of radius 17 at s
+    from gramata.errors import MemoryGuard
+
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "7")
     group = FreeGroup(2)
     transitions = [
         Transition("q", "a", "p", group.identity()),
@@ -765,14 +776,34 @@ def test_shared_search_grows_no_epsilon_tails_its_word_cannot_enter():
     machine = EFA(group, ["q", "p", "s", "f"], ["a", "b"], transitions, "q", ["f"])
     search = _PrefixSearch(machine, machine.alphabet, 1, default_policy)
     assert list(search.verdicts(1)) == [Verdict.REJECT, Verdict.ACCEPT]
-    # f, then p and s one move back, then s's loops, where p has no path
-    assert len(search.tails.entries) == 7
+    assert enumerate_words(machine, 1).words == [("b",)]
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "6")
+    with pytest.raises(MemoryGuard):
+        enumerate_words(machine, 1)
+
+
+def test_shared_search_grows_no_epsilon_loop_behind_another_word(monkeypatch):
+    # a reaches p with g1, and p's epsilon move to f keeps it; f's loop on
+    # g0 never cancels it, so a has no tail. The F2 loops at s lie behind
+    # b alone, which reaches f with the identity two moves deep: b's leaf
+    # stops there, and a's never enters s. Growing s's loops for a's miss
+    # up to its budget would fill the F2 ball at s past this guard
+    group = FreeGroup(2)
+    transitions = [
+        Transition("q", "a", "p", group.parse_element("g1")),
+        Transition("p", None, "f", group.identity()),
+        Transition("f", None, "f", group.parse_element("g0")),
+        Transition("q", "b", "s", group.identity()),
+        Transition("s", None, "f", group.identity()),
+    ] + [Transition("s", None, "s", group.parse_element(g)) for g in ("g0", "g0^-1", "g1", "g1^-1")]
+    machine = EFA(group, ["q", "p", "s", "f"], ["a", "b"], transitions, "q", ["f"])
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "100000")
     assert enumerate_words(machine, 1).words == [("b",)]
 
 
 def test_shared_search_epsilon_tails_count_against_the_memory_guard(monkeypatch):
-    # the forward search stores the root alone; a needs the tail of g0^4,
-    # found in the F2 ball of radius 4, 161 entries
+    # the search stores the root; a's leaf needs the tail of g0^4, found
+    # in the F2 ball of radius 4 at f, 161 entries
     from gramata.errors import MemoryGuard
 
     machine = _f2_loop_machine("g0 g0 g0 g0")
@@ -784,8 +815,8 @@ def test_shared_search_epsilon_tails_count_against_the_memory_guard(monkeypatch)
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "161")
     with pytest.raises(MemoryGuard):
         enumerate_words(machine, 1)
-    # the tails stay stored for the later words: with a loop on b at q, ba
-    # needs them, the root and the level below b, 163 elements
+    # the levels along the trie path count too: with a loop on b at q, ba
+    # needs the root, the level below b and its leaf, 163 elements
     loop = Transition("q", "b", "q", machine.group.identity())
     machine = EFA(machine.group, machine.states, machine.alphabet, machine.transitions + (loop,), "q", ["f"])
     monkeypatch.setenv("GRAMATA_MEM_GUARD", "163")
