@@ -47,14 +47,21 @@ over the trie of its words (_PrefixSearch), which gives the same verdicts,
 all in the calling process. A leaf, the word itself, is one more level of
 that trie, built only up to the word's least accepting time.
 
-One trie walker, Fold.answers, serves every left fold (Fold) over a
-word's symbols: one step per prefix, only the current path held, and no
-step below a prefix that the fold has ruled out. equiv_check() walks its
-oracle with it, and the sweeps walk a deterministic machine as a fold
-over (state, register). Such a machine (EFA.deterministic: no epsilon
-move, at most one transition per state and symbol) has at most one path
-per word, which accepts() walks too, reading d_min off it with no
-distance table and multiplying its registers only for a word in reach.
+One memo, _members, serves every left fold (Fold) over a word's symbols.
+The answers below a prefix depend only on the fold's state there and the
+number of symbols left, so each length's trie of prefixes folds into a
+DAG of (state, symbols left) nodes, each built once, holding the sorted
+offsets of the members below it. For a group's word problem the states at
+depth d number at most the |Q|*|B_G(d)| configurations of the paper's
+counting lemma, where the trie has k^d nodes. equiv_check() reads its
+oracle's answers off that DAG; a lifted plain member, whose state is the
+prefix and never repeats, is asked once per word instead. The sweeps read
+a deterministic machine's verdicts off the DAG of (state, register), and
+check each of its edges that an Accept takes once, where a search
+replays each Accept's certificate. Such a machine (EFA.deterministic: no
+epsilon move, at most one transition per state and symbol) has at most
+one path per word, which accepts() walks too, reading d_min off it with
+no distance table and multiplying its registers only for a word in reach.
 """
 
 from __future__ import annotations
@@ -620,9 +627,10 @@ class Fold:
     """A membership predicate written as a left fold over a word's symbols.
     step(state, symbol) is the state after one more symbol, or None once no
     extension of the prefix can be a member; final(state) decides the word
-    read so far. None is never a live state. Calling a Fold folds one word,
+    read so far. None is never a live state, and a state is hashable: it
+    keys the memo of the members below it. Calling a Fold folds one word,
     so it is a drop-in oracle member; answers() decides every word of the
-    lengths asked from one walk of each length's trie of states."""
+    lengths asked from the DAG of each length's fold states (_members)."""
 
     start: object
     step: Callable
@@ -650,34 +658,99 @@ class Fold:
         return state
 
     def answers(self, alphabet, lengths):
-        """The answers, as bools, on the words of each length in lengths, in
-        lex order within a length (all_words' order for range(n + 1)). Each
-        length's trie of states is walked depth first, holding only the path
-        to the current node: one step per node, one final test per word, and
-        every word below a dead state answered False without a step."""
+        """An iterator over the answers, as bools, on the words of each
+        length in lengths, in lex order within a length (all_words' order
+        for range(n + 1)). A lifted member's state, the prefix, never
+        repeats, so it is asked once per word, in that order, as the word's
+        answer is taken. Any other fold's answers of a length are its member
+        offsets (_members), taken as the length's first answer is."""
         alphabet = tuple(sorted(alphabet))
+        if self.step is _extend:
+            words = itertools.chain.from_iterable(itertools.product(alphabet, repeat=n) for n in lengths)
+            return map(bool, map(self.final, words))
         k = len(alphabet)
-        start, step, final = self.start, self.step, self.final
-        for length in lengths:
-            if not length:
-                yield bool(final(start))
+        runs = (run for n in lengths for run in _runs(_members(self, alphabet, n), k**n, True, False))
+        return itertools.chain.from_iterable(runs)
+
+
+def _runs(offsets, total, hit, miss):
+    """total answers as runs, hit at each of the sorted offsets and miss
+    elsewhere, for itertools.chain.from_iterable to step through in C."""
+    at, hits = 0, (hit,)
+    for offset in offsets:
+        yield itertools.repeat(miss, offset - at)
+        yield hits
+        at = offset + 1
+    yield itertools.repeat(miss, total - at)
+
+
+def _members(fold, alphabet, length, check=None):
+    """The sorted offsets of the fold's members among the k^length words of
+    that length over alphabet, in lex order. The words below a trie node
+    are decided by its state and r, the symbols left, so the trie folds
+    into the DAG of its nodes (state, r), the shared subgraphs of Bryant's
+    decision diagrams (1986). A node's entry is the sorted offsets of its
+    members among its k^r words: its live children's entries, child i
+    shifted by i * k^(r - 1), in order; a dead child adds nothing, and a
+    child with one symbol left is its final test. The DAG is built depth
+    first with an explicit stack, each node once, and is dropped with the
+    length: a fold whose states never repeat across depths, such as a
+    unary count, would only pile up nodes in a memo kept across lengths.
+    check(state, symbol, child), when given, is called on every edge with
+    a member below it as its parent's entry is built, so before any offset
+    is returned. Each node and each offset it stores is charged against
+    mem_guard(): MemoryGuard past it."""
+    step, final = fold.step, fold.final
+    if not length:
+        return [0] if final(fold.start) else []
+    k = len(alphabet)
+    guard = mem_guard()
+    charged = 1
+    memo = [{} for _ in range(length)]  # r -> state -> the node's entry
+
+    def join(frame, i, child, below):
+        # the live child i of frame, with members below: its edge checked,
+        # its entry shifted into the frame's
+        state, r, _, out, _ = frame
+        if check is not None:
+            check(state, alphabet[i], child)
+        shift = i * k ** (r - 1)
+        out.extend([o + shift for o in below] if shift else below)
+
+    # a frame: a node's state and r, its symbols' iterator, its offsets so
+    # far and its index under its parent
+    stack = [(fold.start, length, enumerate(alphabet), [], None)]
+    while True:
+        frame = stack[-1]
+        state, r, it, out, _ = frame
+        entries = memo[r - 1]
+        for i, s in it:
+            child = step(state, s)
+            if child is None:
                 continue
-            # a frame: its symbols' iterator and its state
-            stack = [(iter(alphabet), start)]
-            while stack:
-                it, state = stack[-1]
-                depth = len(stack)  # of the children
-                for s in it:
-                    child = step(state, s)
-                    if child is None:
-                        yield from itertools.repeat(False, k ** (length - depth))
-                    elif depth < length:
-                        stack.append((iter(alphabet), child))
-                        break
-                    else:
-                        yield bool(final(child))
-                else:
-                    stack.pop()
+            if r == 1:
+                if final(child):
+                    join(frame, i, child, (0,))
+                continue
+            below = entries.get(child)
+            if below is None:
+                charged += 1
+                if charged > guard:
+                    raise MemoryGuard(guard)
+                stack.append((child, r - 1, enumerate(alphabet), [], i))
+                break
+            if below:
+                join(frame, i, child, below)
+        else:
+            charged += len(out)
+            if charged > guard:
+                raise MemoryGuard(guard)
+            stack.pop()
+            if not stack:
+                return out
+            memo[r][state] = out
+            if out:
+                join(stack[-1], frame[4], state, out)
 
 
 class _Level(NamedTuple):
@@ -884,8 +957,8 @@ class _PrefixSearch:
 
 def _language_verdicts(efa, alphabet, max_len, policy):
     """The verdicts of all_words(alphabet, max_len), streamed in that
-    order. The empty word's is accepts()'s. A deterministic machine is
-    folded over (state, register) along its one path per word (_path_verdicts).
+    order. The empty word's is accepts()'s. A deterministic machine's are
+    read off the DAG of its fold over (state, register) (_path_verdicts).
     Otherwise one prefix-shared search decides each length from 1; but a
     unary alphabet has one word per length and nothing to share, so each
     word gets its own breadth-first search (_floored_verdict), which stops
@@ -935,44 +1008,71 @@ def _floored_verdict(efa, word, policy):
 
 
 def _path_verdicts(efa, alphabet, max_len, policy):
-    """The verdicts of a deterministic machine for the lengths L >= 1, from
-    Fold.answers walks over (state, register) whose step is the symbol's
-    one move. A word has at most one path, and d_min is L when it ends in
-    an accepting state, else None. So a length with L <= t(L) folds to
-    "accepting state and identity register", Accept or Reject, and one
-    with L > t(L) to "accepting state", BudgetExhausted or Reject. Each
-    Accept's path is replayed as accepts() replays its certificate. A walk
-    holds the root and at most L nodes: MemoryGuard before a length
-    L >= mem_guard() is walked."""
+    """The verdicts of a deterministic machine for the lengths L >= 1, read
+    off the member offsets (_members) of folds whose step is the symbol's
+    one move in efa.moves, as accepts() steps. A word has at most one path,
+    and d_min is L when it ends in an accepting state, else None. So a
+    length with L <= t(L) folds over (state, register) to "accepting state
+    and identity register", Accept or Reject. One with L > t(L) folds to
+    "accepting state", BudgetExhausted or Reject; the register cannot
+    change that, so that fold's state is the machine's state alone, with
+    at most |Q| nodes per r. An Accept's certificate is checked edge by
+    edge instead of replayed: each (node, symbol) edge of the (state,
+    register) DAG with a member below it is checked once (_verify_move), so
+    the path of every Accept is a chain of checked edges that ends in an
+    accepting state with the identity register. The DAGs are charged
+    against the guard, and a length L >= mem_guard() is refused with
+    MemoryGuard before it is walked."""
     accepting = efa.accepting
     is_identity = efa.group.is_identity
+    moves = efa.moves
     guard = mem_guard()
-    # each symbol's table: state -> its one move on the symbol
-    table = {s: {q: efa.moves[(q, s)][0] for q in efa.states if efa.moves[(q, s)]} for s in alphabet}
 
     def step(node, s):
-        move = table[s].get(node[0])
-        return None if move is None else (move[0], node[1] if move[2] is None else move[2](node[1]))
+        move = moves.get((node[0], s))
+        if not move:
+            return None
+        q, _, r, _ = move[0]
+        return q, node[1] if r is None else r(node[1])
+
+    def reach(q, s):
+        move = moves.get((q, s))
+        return move[0][0] if move else None
+
+    checked = set()  # the (node, symbol) edges checked
+
+    def check(node, s, child):
+        if (node, s) not in checked:
+            _verify_move(efa, node, s, child)
+            checked.add((node, s))
 
     root = (efa.initial, efa.group.identity())
     accepted = Fold(root, step, lambda node: node[0] in accepting and is_identity(node[1]))
-    reached = Fold(root, step, lambda node: node[0] in accepting)
+    reached = Fold(efa.initial, reach, accepting.__contains__)
+    k = len(alphabet)
     for length in range(1, max_len + 1):
         if length >= guard:
             raise MemoryGuard(guard)
         if length > policy(length):
-            for reach in reached.answers(alphabet, (length,)):
-                yield Verdict.BUDGET_EXHAUSTED if reach else Verdict.REJECT
-            continue
-        words = itertools.product(alphabet, repeat=length)
-        for word, accept in zip(words, accepted.answers(alphabet, (length,))):
-            if accept:
-                q, certificate = efa.initial, []
-                for s in word:
-                    q, _, _, t = table[s][q]
-                    certificate.append(t)
-                _verify_certificate(efa, word, tuple(certificate))
-            yield Verdict.ACCEPT if accept else Verdict.REJECT
+            runs = _runs(_members(reached, alphabet, length), k**length, Verdict.BUDGET_EXHAUSTED, Verdict.REJECT)
+        else:
+            runs = _runs(_members(accepted, alphabet, length, check), k**length, Verdict.ACCEPT, Verdict.REJECT)
+        yield from itertools.chain.from_iterable(runs)
+
+
+def _verify_move(efa, node, symbol, child):
+    """Check one edge of a deterministic machine's fold, as
+    _verify_certificate checks each step of a path: the move that the fold
+    took from node's state on symbol is a transition from that state on
+    that symbol to child's state, and the group's mul of node's register by
+    the transition's register, not the compiled action, is child's. An
+    identity register costs no product, as in _verify_certificate."""
+    (q, reg), (target, after) = node, child
+    _, _, action, t = efa.moves[(q, symbol)][0]
+    if (t.source, t.symbol, t.target) != (q, symbol, target):
+        raise GramataError(f"unsound certificate: no move {q} {symbol} {target}")
+    if (reg if action is None else efa.group.mul(reg, t.register)) != after:
+        raise GramataError(f"unsound certificate: the move {q} {symbol} {target} does not give its register")
 
 
 def enumerate_words(efa, max_len, policy=default_policy, workers=1):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -98,3 +99,34 @@ MALFORMED_GROUPS = {
     "unbalanced close parenthesis": ("direct-product (free 1) (free 1))", "prod(free:1,free:1))"),
     "empty": ("", ""),
 }
+
+
+def trie_answers(fold, alphabet, lengths):
+    """The answers of a fold (gramata.simulate.Fold) on the words of each
+    length in lex order, from a depth-first walk of each length's trie of
+    states that holds only the path to the current node: one step per node,
+    one final test per word, and every word below a dead state answered
+    False without a step. The reference for Fold.answers' DAG of states."""
+    alphabet = tuple(sorted(alphabet))
+    k = len(alphabet)
+    start, step, final = fold.start, fold.step, fold.final
+    for length in lengths:
+        if not length:
+            yield bool(final(start))
+            continue
+        # a frame: its symbols' iterator and its state
+        stack = [(iter(alphabet), start)]
+        while stack:
+            it, state = stack[-1]
+            depth = len(stack)  # of the children
+            for s in it:
+                child = step(state, s)
+                if child is None:
+                    yield from itertools.repeat(False, k ** (length - depth))
+                elif depth < length:
+                    stack.append((iter(alphabet), child))
+                    break
+                else:
+                    yield bool(final(child))
+            else:
+                stack.pop()

@@ -42,7 +42,7 @@ from gramata.constructions import (
     transform_qplus_to_sl2q,
     wp_oracle,
 )
-from gramata.errors import GramataError, NotPositive, UnknownOracle
+from gramata.errors import GramataError, MemoryGuard, NotPositive, UnknownOracle
 from gramata.model import EFA, Transition, parse_efa, serialize_efa
 from gramata.simulate import (
     Verdict,
@@ -55,6 +55,8 @@ from gramata.simulate import (
 )
 
 from gramata.constructions import ODDPOW_A1, ODDPOW_A2, ODDPOW_A3, ODDPOW_A4, UPOW_A1, UPOW_A2, UPOW_A3
+
+from conftest import trie_answers
 
 
 def run(name, word):
@@ -376,18 +378,23 @@ def test_every_shipped_oracle_has_a_reference():
     assert {"WP:zk:1", "WP:free:2", "WP:heis"} <= set(_WP_ORACLES)
 
 
+def _fold_alphabets(language):
+    """(alphabet, longest length) pairs to walk an oracle's fold over: its
+    alphabet, one foreign symbol more, and an unsorted alphabet that
+    repeats a symbol, whose words come in all_words order, repeats too."""
+    k = len(language.alphabet)
+    max_len = {1: 12, 2: 9, 3: 6, 4: 5}.get(k, 4)
+    unsorted = tuple(reversed(language.alphabet)) + (language.alphabet[0],)
+    return [(language.alphabet, max_len), (language.alphabet + ("w",), max_len - 1), (unsorted, 3)]
+
+
 @pytest.mark.parametrize("name", sorted(_REFERENCE_ORACLES) + _WP_ORACLES)
 def test_fold_oracle_matches_its_per_word_predicate(name):
     language = oracle(name)
     member = language.member
     assert isinstance(member, Fold)
     reference = _REFERENCE_ORACLES[name] if name in _REFERENCE_ORACLES else _ref_wp(name)
-    k = len(language.alphabet)
-    max_len = {1: 12, 2: 9, 3: 6, 4: 5}.get(k, 4)
-    # the alphabet, one foreign symbol more, and an unsorted alphabet that
-    # repeats a symbol, whose words come in all_words order, repeats too
-    unsorted = tuple(reversed(language.alphabet)) + (language.alphabet[0],)
-    for alphabet, n in [(language.alphabet, max_len), (language.alphabet + ("w",), max_len - 1), (unsorted, 3)]:
+    for alphabet, n in _fold_alphabets(language):
         words = list(all_words(alphabet, n))
         expected = [reference(w) for w in words]
         assert list(member.answers(alphabet, range(n + 1))) == expected, alphabet
@@ -395,6 +402,32 @@ def test_fold_oracle_matches_its_per_word_predicate(name):
         assert [a for length in range(n + 1) for a in member.answers(alphabet, (length,))] == expected, alphabet
         assert [member(w) for w in words] == expected, alphabet
         assert [language(w) for w in words] == expected, alphabet
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_ORACLES) + _WP_ORACLES)
+def test_fold_answers_match_the_trie_walk(name):
+    # the DAG of (state, symbols left) against the walk of every trie node
+    member = oracle(name).member
+    for alphabet, n in _fold_alphabets(oracle(name)):
+        assert list(member.answers(alphabet, range(n + 1))) == list(trie_answers(member, alphabet, range(n + 1)))
+
+
+def test_a_fold_memo_counts_against_the_memory_guard(monkeypatch):
+    # each length's DAG is charged its nodes and the offsets that they
+    # store. Length 2 of WP:zk:1 stores the root and the registers 1 and -1
+    # with one symbol left, and 4 offsets: 1 under each child and 2 at the
+    # root. Length 3 stores 6 nodes and no offset, and length 4 stores 28
+    member = oracle("WP:zk:1").member
+    alphabet = oracle("WP:zk:1").alphabet
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "7")
+    assert list(member.answers(alphabet, range(4))) == list(trie_answers(member, alphabet, range(4)))
+    with pytest.raises(MemoryGuard, match="more than 7 elements"):
+        list(member.answers(alphabet, (4,)))
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "6")
+    with pytest.raises(MemoryGuard, match="more than 6 elements"):
+        list(member.answers(alphabet, (2,)))
+    monkeypatch.setenv("GRAMATA_MEM_GUARD", "28")
+    assert sum(member.answers(alphabet, (4,))) == 6
 
 
 def test_unknown_oracle():

@@ -36,6 +36,8 @@ from gramata.simulate import (
     tokenize_word,
 )
 
+from conftest import trie_answers
+
 UPOW_BUDGET = construction_budget("upow")
 
 
@@ -973,6 +975,17 @@ def test_unpruned_path_walk_matches_the_tree_walk(machine, budget, max_len):
     _check_path_decides_as_the_general_search(machine, budget, max_len)
 
 
+def _path(machine, word):
+    """The (state, register) nodes along a word's one path, the root first."""
+    node = (machine.initial, machine.group.identity())
+    nodes = [node]
+    for s in word:
+        q, _, r, _ = machine.moves[(node[0], s)][0]
+        node = (q, node[1] if r is None else r(node[1]))
+        nodes.append(node)
+    return nodes
+
+
 @pytest.mark.parametrize("machine, budget, max_len", WALK_CASES)
 def test_path_sweep_matches_the_prefix_search(monkeypatch, machine, budget, max_len):
     from gramata import simulate
@@ -981,19 +994,67 @@ def test_path_sweep_matches_the_prefix_search(monkeypatch, machine, budget, max_
     alphabet = tuple(sorted(machine.alphabet))
     policies = WALK_POLICIES + [budget]
     expected = [list(_language_verdicts(general, alphabet, max_len, policy)) for policy in policies]
-    verified = []
-    real = simulate._verify_certificate
+    checked = []
+    real = simulate._verify_move
 
-    def counting(efa, word, certificate):
-        verified.append(word)
-        return real(efa, word, certificate)
+    def counting(efa, node, symbol, child):
+        checked.append((node, symbol))
+        return real(efa, node, symbol, child)
 
-    monkeypatch.setattr(simulate, "_verify_certificate", counting)
+    monkeypatch.setattr(simulate, "_verify_move", counting)
     for policy, verdicts in zip(policies, expected):
-        verified.clear()
+        checked.clear()
         assert list(_language_verdicts(machine, alphabet, max_len, policy)) == verdicts
-        # every Accept of the walk, and nothing else, is replayed
-        assert verified == [w for w, v in zip(all_words(alphabet, max_len), verdicts) if v is Verdict.ACCEPT]
+        # every edge of every Accept's path is checked, and no edge twice
+        assert len(checked) == len(set(checked))
+        for word, verdict in zip(all_words(alphabet, max_len), verdicts):
+            if verdict is Verdict.ACCEPT:
+                assert set(zip(_path(machine, word), word)) <= set(checked), word
+
+
+def _trie_path_verdicts(machine, alphabet, max_len, policy):
+    """The verdicts of the lengths 1 to max_len of a deterministic machine
+    from the trie walks of its folds, with no certificate check: the
+    reference for the sweep's DAG of fold states."""
+    moves, accepting, is_identity = machine.moves, machine.accepting, machine.group.is_identity
+
+    def step(node, s):
+        move = moves.get((node[0], s))
+        return None if not move else (move[0][0], node[1] if move[0][2] is None else move[0][2](node[1]))
+
+    root = (machine.initial, machine.group.identity())
+    accepted = Fold(root, step, lambda node: node[0] in accepting and is_identity(node[1]))
+    reached = Fold(root, step, lambda node: node[0] in accepting)
+    for length in range(1, max_len + 1):
+        outcomes = (Verdict.ACCEPT, Verdict.REJECT)
+        fold = accepted
+        if length > policy(length):
+            outcomes, fold = (Verdict.BUDGET_EXHAUSTED, Verdict.REJECT), reached
+        yield from (outcomes[0] if a else outcomes[1] for a in trie_answers(fold, alphabet, (length,)))
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_path_sweep_matches_the_trie_walk(name):
+    machine = CONSTRUCTIONS[name].build()
+    alphabet = machine.alphabet
+    max_len = 4 if name == "wp-heis" else 6
+    for policy in WALK_POLICIES:
+        want = list(_trie_path_verdicts(machine, alphabet, max_len, policy))
+        assert list(_language_verdicts(machine, alphabet, max_len, policy))[1:] == want
+
+
+def test_path_sweep_refuses_a_wrong_compiled_action():
+    # a's move adds 0 instead of 1, so the compiled fold accepts a: the
+    # check of that edge multiplies with the group's mul and refuses it
+    machine = CONSTRUCTIONS["wp-z"].build()
+    key = ("w0", "a")
+    (target, advances, _, t), = machine.moves[key]
+    machine.__dict__["moves"] = {**machine.moves, key: ((target, advances, lambda g: g, t),)}
+    with pytest.raises(GramataError, match="unsound"):
+        enumerate_words(machine, 14, CONSTRUCTIONS["wp-z"].budget)
+    # as accepts() refuses the word, replaying its certificate
+    with pytest.raises(GramataError, match="unsound"):
+        accepts(machine, ("a",))
 
 
 def _one_move_machine():
@@ -1001,18 +1062,25 @@ def _one_move_machine():
     return EFA(FreeAbelian(1), ["p", "q"], ["a"], [Transition("p", "a", "q", (0,))], "p", ["q"])
 
 
-@pytest.mark.parametrize("guard", [3, 6])
+# the guard -> the first length refused on wp-z and on the one-move machine
+SWEEP_GUARD_RAISES = {3: (2, 3), 6: (2, 6), 7: (4, 7), 28: (6, 28)}
+
+
+@pytest.mark.parametrize("guard", sorted(SWEEP_GUARD_RAISES))
 def test_path_sweep_memory_guard(monkeypatch, guard):
-    # at length L the walk holds the root and at most L nodes, so the first
-    # length to pass the guard is the guard itself: on wp-z, where every
-    # word has a path, and on a machine whose paths all end short of that
-    # depth, since the guard is checked before a length is walked
+    # each length's DAG is charged its nodes and the offsets that they
+    # store, and a length L >= guard is refused before it is walked.
+    # wp-z's DAG of length 2 stores 3 nodes and 4 offsets, past a guard of
+    # 6; length 3 stores 6 nodes and no offset, length 4 stores 28, past 7,
+    # and length 6 more than 28. The one-move machine's DAG stores 2 at
+    # every length, so the length rule fires first
     monkeypatch.setenv("GRAMATA_MEM_GUARD", str(guard))
-    for machine in (CONSTRUCTIONS["wp-z"].build(), _one_move_machine()):
+    wp_z, one_move = SWEEP_GUARD_RAISES[guard]
+    for machine, first_raise in ((CONSTRUCTIONS["wp-z"].build(), wp_z), (_one_move_machine(), one_move)):
         assert machine.deterministic
-        assert enumerate_words(machine, guard - 1).words
+        assert enumerate_words(machine, first_raise - 1).words
         with pytest.raises(MemoryGuard, match=f"more than {guard} elements"):
-            enumerate_words(machine, guard)
+            enumerate_words(machine, first_raise)
 
 
 @pytest.mark.parametrize(
