@@ -317,13 +317,7 @@ class Word(tuple):
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        # both operands are reduced, so cancellation only happens where the
-        # left word's tail meets the right word's head
-        i, j, n = len(self), 0, len(other)
-        while i and j < n and self[i - 1] ^ 1 == other[j]:
-            i -= 1
-            j += 1
-        return _tuple_new(Word, self[:i] + other[j:] if j else self + other)
+        return _tuple_new(Word, _word_product(self, other))
 
     def __rmul__(self, other):
         # k * word is no group operation; refuse the tuple's repetition
@@ -337,6 +331,17 @@ class Word(tuple):
 
     def __repr__(self):
         return f"Word({format_word(self)!r})"
+
+
+def _word_product(g, h):
+    """The reduced codes of g*h as a plain tuple, g and h being reduced code
+    tuples, a Word or not: cancellation only happens where g's tail meets
+    h's head."""
+    i, j, n = len(g), 0, len(h)
+    while i and j < n and g[i - 1] ^ 1 == h[j]:
+        i -= 1
+        j += 1
+    return g[:i] + h[j:] if j else g + h
 
 
 def _reduce_letters(letters):
@@ -550,25 +555,28 @@ class FreeGroup(Group):
     def identity(self):
         return Word()
 
+    # g may be right_mul's plain code tuple; the product is a Word
     def mul(self, g, h):
-        return g * h
+        return _tuple_new(Word, _word_product(g, h))
 
     def right_mul(self, h):
+        # the product as a plain code tuple, which equals and hashes like
+        # its Word: the slice or concatenation itself, with no second copy
         if len(h) != 1:
-            return lambda g: g * h
+            return lambda g: _word_product(g, h)
         # one letter: the product cancels g's last letter or appends it
         tail = tuple(h)
         inverse = tail[0] ^ 1
 
         def act(g):
             if g and g[-1] == inverse:
-                return _tuple_new(Word, g[:-1])
-            return _tuple_new(Word, g + tail)
+                return g[:-1]
+            return g + tail
 
         return act
 
     def inverse(self, g):
-        return g.inverse()
+        return Word.inverse(g)
 
     def is_identity(self, g):
         return not g
@@ -603,6 +611,16 @@ class FreeAbelian(Group):
         return tuple(map(operator.add, g, h))
 
     def right_mul(self, h):
+        # a tuple display for k <= 3 builds the product with no map object
+        if self.k == 1:
+            (a,) = h
+            return lambda g: (g[0] + a,)
+        if self.k == 2:
+            a, b = h
+            return lambda g: (g[0] + a, g[1] + b)
+        if self.k == 3:
+            a, b, c = h
+            return lambda g: (g[0] + a, g[1] + b, g[2] + c)
         add = operator.add
         return lambda g: tuple(map(add, g, h))
 

@@ -1122,10 +1122,10 @@ class EquivReport:
 
 def equiv_check(efa, oracle, alphabet, max_len, policy=default_policy, workers=1, name=""):
     """Exhaustively compare machine verdicts against a membership predicate.
-    The answers come from one walk of each length's trie of the predicate's
-    fold states (Fold.answers); a predicate that is not a Fold is lifted to
-    one, so it is asked once per word, in order. workers is ignored, as in
-    enumerate_words."""
+    The answers come from the DAG of each length's (fold state, symbols
+    left) nodes (Fold.answers, _members); a predicate that is not a Fold is
+    lifted to one, so it is asked once per word, in order. workers is
+    ignored, as in enumerate_words."""
     member = oracle.member if hasattr(oracle, "member") else oracle
     verdicts = _language_verdicts(efa, alphabet, max_len, policy)
     answers = Fold.lift(member).answers(alphabet, range(max_len + 1))

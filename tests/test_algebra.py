@@ -29,6 +29,7 @@ from gramata.algebra import (
     compact_group_text,
     format_int,
     format_rational,
+    format_word,
     heis_inverse,
     heis_mul,
     heis_to_matrix,
@@ -761,13 +762,21 @@ def test_group_ops_match_reference_model(group, rng):
         assert group.is_identity(group.mul(g, group.inverse(g)))
 
 
-@pytest.mark.parametrize("group", ALL_GROUPS + [DirectProduct(HeisenbergGroup(), FreeAbelian(1))], ids=repr)
+# Z^1, Z^2 and Z^4 on their own: each k <= 3 acts with its own tuple
+# display, and every larger k with the map
+@pytest.mark.parametrize(
+    "group",
+    ALL_GROUPS + [DirectProduct(HeisenbergGroup(), FreeAbelian(1)), FreeAbelian(1), FreeAbelian(2), FreeAbelian(4)],
+    ids=repr,
+)
 def test_right_mul_matches_mul(group, rng):
     elems = [random_element(group, rng) for _ in range(24)] + [group.identity()]
     for g, h in itertools.product(elems, repeat=2):
         act, product = group.right_mul(h)(g), group.mul(g, h)
         assert act == product and hash(act) == hash(product)
         assert group.is_identity(act) == group.is_identity(product)
+        # mul takes the action's product as its left operand
+        assert group.mul(act, g) == group.mul(product, g)
     for a, b, c in zip(elems, elems[8:], elems[16:]):
         acted = multiplied = group.identity()
         for h in (a, b, c):
@@ -795,12 +804,18 @@ def test_one_letter_free_action_matches_mul(letter):
         Word((other, (letter[0], 1), (letter[0], 1), other)),
     ]
     for g in words:
-        product = act(g)
-        assert product == group.mul(g, h) and hash(product) == hash(group.mul(g, h))
-        assert product.letters == (g * h).letters
-        group.check(product)
+        product, want = act(g), g * h
+        # the product is the plain code tuple, which equals and hashes like
+        # its Word, and which the group's operations take but check refuses
+        assert type(product) is tuple
+        assert product == want and hash(product) == hash(want) == hash(group.mul(g, h))
+        assert group.is_identity(product) == want.is_identity()
+        assert group.format_element(product) == format_word(want)
+        assert group.mul(product, h) == want * h and type(group.mul(product, h)) is Word
+        with pytest.raises(ElementGroupMismatch):
+            group.check(product)
     assert group.is_identity(act(Word((inverse,))))
-    assert act(Word((other, inverse))).letters == (other,)
+    assert act(Word((other, inverse))) == Word((other,))
 
 
 def test_word_product_cancels_at_the_boundary_only():
@@ -840,14 +855,26 @@ def test_word_algebra_matches_letter_pair_reduction(drawn):
         if r == s:
             assert hash(g) == hash(h)
         want = _ref_reduce(r + s)
-        for product in (g * h, group.mul(g, h), group.right_mul(h)(g)):
+        for product in (g * h, group.mul(g, h)):
             assert type(product) is Word and product.letters == want
             assert product == Word(want) and hash(product) == hash(Word(want))
             assert product.is_identity() == (want == ())
-        # one-letter factors take right_mul's cancel-or-append path
-        for letter in s:
-            one = Word((letter,))
-            assert group.right_mul(one)(g).letters == _ref_reduce(r + (letter,))
+        # right_mul's product is the plain code tuple of the same word, by
+        # all of h at once or letter by letter, each letter's action (the
+        # cancel-or-append path) taking the last one's plain product
+        acted = [group.right_mul(h)(g)]
+        if s:
+            by_letter = g
+            for letter in s:
+                by_letter = group.right_mul(Word((letter,)))(by_letter)
+            acted.append(by_letter)
+        for product in acted:
+            assert type(product) is tuple
+            assert product == Word(want) and hash(product) == hash(Word(want))
+            assert group.is_identity(product) == (want == ())
+            assert group.format_element(product) == format_word(Word(want))
+            assert group.inverse(product) == Word(want).inverse()
+            assert group.mul(product, h) == Word(want) * h and type(group.mul(product, h)) is Word
 
 
 def test_word_hashes_spread_over_the_f2_ball():
