@@ -611,13 +611,8 @@ class FreeAbelian(Group):
         return tuple(map(operator.add, g, h))
 
     def right_mul(self, h):
-        # a tuple display for k <= 3 builds the product with no map object
-        if self.k == 1:
-            (a,) = h
-            return lambda g: (g[0] + a,)
-        if self.k == 2:
-            a, b = h
-            return lambda g: (g[0] + a, g[1] + b)
+        # Z^3, cayley's z3 ball, builds its product with a tuple display
+        # and no map object
         if self.k == 3:
             a, b, c = h
             return lambda g: (g[0] + a, g[1] + b, g[2] + c)

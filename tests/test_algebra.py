@@ -762,13 +762,8 @@ def test_group_ops_match_reference_model(group, rng):
         assert group.is_identity(group.mul(g, group.inverse(g)))
 
 
-# Z^1, Z^2 and Z^4 on their own: each k <= 3 acts with its own tuple
-# display, and every larger k with the map
-@pytest.mark.parametrize(
-    "group",
-    ALL_GROUPS + [DirectProduct(HeisenbergGroup(), FreeAbelian(1)), FreeAbelian(1), FreeAbelian(2), FreeAbelian(4)],
-    ids=repr,
-)
+# Z^3 (in ALL_GROUPS) acts with a tuple display, Z^2 with the map
+@pytest.mark.parametrize("group", ALL_GROUPS + [DirectProduct(HeisenbergGroup(), FreeAbelian(1)), FreeAbelian(2)], ids=repr)
 def test_right_mul_matches_mul(group, rng):
     elems = [random_element(group, rng) for _ in range(24)] + [group.identity()]
     for g, h in itertools.product(elems, repeat=2):

